@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 
 from .errors import ConfigurationError
 
@@ -115,7 +115,3 @@ def config_from_dict(d: dict) -> tuple[ModelConfig, TrainConfig]:
 def config_hash(model_cfg: ModelConfig, train_cfg: TrainConfig) -> str:
     blob = json.dumps(config_to_dict(model_cfg, train_cfg), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
-
-
-def with_head(cfg: ModelConfig, head_type: str) -> ModelConfig:
-    return replace(cfg, head_type=head_type)

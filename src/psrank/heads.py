@@ -1,7 +1,9 @@
 """Prediction heads over the transformer output.
 
-Cells are enumerated scale-major then row-major ((scale, y, x) with x
-fastest); the partition matrix rows and the mask list share this order.
+Every head reads one row per grid cell. Cells are enumerated scale-major,
+then row-major with x fastest, and the row index is the cell's only
+identity: row k of the partition matrix, of the sorting scores and of the
+mask kernels all describe the same cell.
 """
 
 from __future__ import annotations
@@ -17,28 +19,20 @@ from .pyramid import PyramidFeatures, _stage_channels
 from .tensor import Parameter, Tensor
 
 
-def cell_origins(grid_sides) -> list[tuple[int, int, int]]:
-    """(scale, x, y) for every cell in row order of the partition matrix."""
-    origins = []
-    for scale, side in enumerate(grid_sides):
-        for y in range(side):
-            for x in range(side):
-                origins.append((scale, x, y))
-    return origins
-
-
 def total_cells(grid_sides) -> int:
     return sum(s * s for s in grid_sides)
 
 
-@dataclass
-class PartitionMatrix:
-    probabilities: Tensor  # (K, N), sigmoid outputs
-    origins: list[tuple[int, int, int]]
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.probabilities.data
+def _per_cell(f_hat: PyramidFeatures, w: Parameter, b: Parameter) -> Tensor:
+    """A 3x3 conv from E to C channels on every scale, gathered into (K, C)
+    with one row per cell in row order.
+    """
+    c = w.shape[0]
+    per_scale = []
+    for g in f_hat.grids:
+        out = T.conv2d(g.data, w, bias=b)  # (C, s, s)
+        per_scale.append(T.reshape(T.transpose(out, (1, 2, 0)), (g.side * g.side, c)))
+    return T.concat(per_scale, axis=0)
 
 
 def init_partition_head_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Parameter]:
@@ -52,18 +46,11 @@ def init_partition_head_params(cfg: ModelConfig, rng: np.random.Generator) -> di
     }
 
 
-def partition_forward(f_hat: PyramidFeatures, params, n_partitions: int) -> PartitionMatrix:
-    """N binary heads (a 3x3 conv from E channels to one logit each) applied
-    to every scale, sigmoid-activated, gathered cell-major into (K, N).
+def partition_forward(f_hat: PyramidFeatures, params) -> Tensor:
+    """N binary heads (a 3x3 conv from E channels to one logit each),
+    sigmoid-activated into the (K, N) partition matrix.
     """
-    w, b = params["partition.w"], params["partition.b"]
-    per_scale = []
-    for g in f_hat.grids:
-        logits = T.conv2d(g.data, w, bias=b)  # (N, s, s)
-        side = g.side
-        per_scale.append(T.reshape(T.transpose(logits, (1, 2, 0)), (side * side, n_partitions)))
-    probs = T.sigmoid(T.concat(per_scale, axis=0))
-    return PartitionMatrix(probs, cell_origins([g.side for g in f_hat.grids]))
+    return T.sigmoid(_per_cell(f_hat, params["partition.w"], params["partition.b"]))
 
 
 @dataclass
@@ -102,17 +89,8 @@ def global_mask_features(stage_maps, params, cfg: ModelConfig, canvas: int) -> T
 
 def mask_branch(f_hat: PyramidFeatures, stage_maps, params, cfg: ModelConfig, canvas: int) -> MaskBranch:
     features = global_mask_features(stage_maps, params, cfg, canvas)
-    per_scale = []
-    d = cfg.mask_channels
-    for g in f_hat.grids:
-        k = T.conv2d(g.data, params["mask.kernel.w"], bias=params["mask.kernel.b"])  # (D, s, s)
-        per_scale.append(T.reshape(T.transpose(k, (1, 2, 0)), (g.side * g.side, d)))
-    return MaskBranch(kernels=T.concat(per_scale, axis=0), features=features)
-
-
-def mask_forward(f_hat: PyramidFeatures, stage_maps, params, cfg: ModelConfig, canvas: int) -> Tensor:
-    """Soft masks for every grid cell, row-aligned with partition_forward."""
-    return mask_branch(f_hat, stage_maps, params, cfg, canvas).soft_masks()
+    kernels = _per_cell(f_hat, params["mask.kernel.w"], params["mask.kernel.b"])
+    return MaskBranch(kernels=kernels, features=features)
 
 
 # target assignment --------------------------------------------------------------

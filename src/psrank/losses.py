@@ -1,9 +1,9 @@
 """Partition ground-truth encoding and the training losses.
 
 A rank label becomes a monotone boolean vector: entry n is on iff the
-instance belongs to partition n (rank <= n). The partition branch trains
-with focal loss over every cell and head; masks train with dice loss over
-positive cells only.
+instance belongs to partition n (rank <= n). The partition head trains
+with focal loss over every cell and head (the sorting head brings its own
+cross-entropy); masks train with dice loss over positive cells only.
 """
 
 from __future__ import annotations
@@ -71,17 +71,21 @@ def dice_loss(pred: Tensor, target) -> Tensor:
     return T.tmean(1.0 - coeff)
 
 
-def total_loss(partition_probs: Tensor, partition_targets, mask_preds: Tensor | None,
-               mask_targets, weights: LossWeights = LossWeights()) -> LossBreakdown:
-    """Weighted sum of the per-head focal losses and the positive-cell dice
-    loss. With no positive cells the mask term contributes exactly zero.
-    """
+def partition_loss(partition_probs: Tensor, partition_targets) -> Tensor:
+    """Sum over the N heads of each head's mean focal loss over every cell."""
     elements = _focal_elements(partition_probs, partition_targets, alpha=0.25, gamma=2.0)
-    partition_term = T.tsum(T.tmean(elements, axis=0))
+    return T.tsum(T.tmean(elements, axis=0))
+
+
+def total_loss(classification: Tensor, mask_preds: Tensor | None, mask_targets,
+               weights: LossWeights = LossWeights()) -> LossBreakdown:
+    """Weighted sum of a head's classification term and the positive-cell
+    dice loss. With no positive cells the mask term contributes exactly zero.
+    """
     if mask_preds is not None and mask_preds.shape[0] > 0:
         mask_term = dice_loss(mask_preds, mask_targets)
-        total = weights.partition * partition_term + weights.mask * mask_term
+        total = weights.partition * classification + weights.mask * mask_term
     else:
         mask_term = None
-        total = weights.partition * partition_term
-    return LossBreakdown(total=total, partition=partition_term, mask=mask_term)
+        total = weights.partition * classification
+    return LossBreakdown(total=total, partition=classification, mask=mask_term)

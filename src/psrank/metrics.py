@@ -4,8 +4,7 @@ Predictions and ground truth are matched greedily by mask IoU; the three
 dataset metrics are Spearman correlation over matched ranks (sor), Pearson
 correlation over all ground-truth instances with misses scored 0 (sa_sor),
 and the mean absolute difference between rank-rendered saliency maps (mae).
-Production correlations come from scipy.stats; ``spearman_oracle`` and
-``pearson_oracle`` are definition-based re-implementations kept for tests.
+Correlations come from scipy.stats.
 """
 
 from __future__ import annotations
@@ -115,42 +114,6 @@ def confusion(matches, n_ranks: int) -> np.ndarray:
         for gi, pi, _ in match.pairs:
             grid[match.gt_ranks[gi] - 1, match.pred_ranks[pi] - 1] += 1
     return grid
-
-
-# definition-based oracles (test route) ----------------------------------------
-
-
-def _average_ranks(values) -> np.ndarray:
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    return ranks
-
-
-def pearson_oracle(xs, ys) -> float | None:
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    if len(xs) != len(ys) or len(xs) < 2:
-        return None
-    dx = xs - xs.mean()
-    dy = ys - ys.mean()
-    denom = np.sqrt((dx * dx).sum() * (dy * dy).sum())
-    if denom == 0.0:
-        return None
-    return float((dx * dy).sum() / denom)
-
-
-def spearman_oracle(xs, ys) -> float | None:
-    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
-    if len(xs) != len(ys) or len(xs) < 2:
-        return None
-    return pearson_oracle(_average_ranks(xs), _average_ranks(ys))
 
 
 # dataset aggregation ------------------------------------------------------------

@@ -5,23 +5,63 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from . import dpt, heads, pyramid, sorting_head, tensor as T
+from . import dpt, heads, losses, pyramid, sorting_head, tensor as T
 from .config import ModelConfig, TrainConfig, config_from_dict, config_hash, config_to_dict
-from .errors import ConfigurationError, DataError
-from .heads import MaskBranch, PartitionMatrix
+from .errors import ConfigurationError, DataError, DimensionError
+from .heads import MaskBranch
 from .p2r import RankedInstance, partition_to_rank
 from .tensor import Parameter, Tensor
 
 
 @dataclass
 class ModelOutputs:
-    partition: PartitionMatrix | None
-    sorting_scores: Tensor | None
+    scores: Tensor  # (K, C) head output, one row per grid cell
     mask: MaskBranch
-    origins: list[tuple[int, int, int]]
+
+
+@dataclass(frozen=True)
+class Head:
+    """The operations that differ between the partition and sorting heads."""
+
+    init: Callable  # (cfg, rng) -> params
+    forward: Callable  # (f_hat, params) -> (K, C) scores
+    loss: Callable  # (scores, targets) -> classification term
+    decode: Callable  # (scores (K, C), masks (K, H, W)) -> ranked instances
+
+
+def head_ops(cfg: ModelConfig) -> Head:
+    """The configured head. Its functions are looked up on their modules at
+    every call, so wrappers installed on those attributes see each use.
+    """
+    if cfg.head_type == "partition":
+        return Head(
+            init=heads.init_partition_head_params,
+            forward=heads.partition_forward,
+            loss=lambda scores, targets: losses.partition_loss(scores, targets.partition),
+            decode=lambda scores, masks: partition_to_rank(
+                masks, scores, cfg.max_rank, threshold=cfg.partition_threshold, nms_iou=cfg.nms_iou,
+                objectness_floor=cfg.objectness_floor, binarize_threshold=cfg.binarize_threshold),
+        )
+    return Head(
+        init=sorting_head.init_sorting_head_params,
+        forward=sorting_head.sorting_head_forward,
+        loss=lambda scores, targets: sorting_head.cross_entropy_loss(scores, targets.rank_class),
+        decode=lambda scores, masks: sorting_head.sort_to_ranks(
+            scores, masks, cfg.max_rank, nms_iou=cfg.nms_iou, binarize_threshold=cfg.binarize_threshold),
+    )
+
+
+def image_canvas(image: np.ndarray) -> int:
+    """Side of a square (C, H, W) image with finite pixels."""
+    if image.ndim != 3 or image.shape[1] != image.shape[2]:
+        raise DimensionError(f"expected a square (C, H, W) image, got shape {image.shape}")
+    if not np.isfinite(image).all():
+        raise DataError("image has non-finite pixels")
+    return image.shape[1]
 
 
 def init_model_params(cfg: ModelConfig, seed: int) -> dict[str, Parameter]:
@@ -31,10 +71,7 @@ def init_model_params(cfg: ModelConfig, seed: int) -> dict[str, Parameter]:
     params.update(pyramid.init_posenc_params(cfg))
     params.update(dpt.init_dpt_params(cfg, rng))
     params.update(heads.init_mask_head_params(cfg, rng))
-    if cfg.head_type == "partition":
-        params.update(heads.init_partition_head_params(cfg, rng))
-    else:
-        params.update(sorting_head.init_sorting_head_params(cfg, rng))
+    params.update(head_ops(cfg).init(cfg, rng))
     return params
 
 
@@ -46,34 +83,19 @@ def forward(image: Tensor, params, cfg: ModelConfig) -> ModelOutputs:
     positioned = pyramid.add_positional_encoding(harmonized, params)
     f_hat = dpt.dpt_forward(positioned, params, cfg)
     mask = heads.mask_branch(f_hat, stages, params, cfg, canvas)
-    if cfg.head_type == "partition":
-        partition = heads.partition_forward(f_hat, params, cfg.max_rank)
-        return ModelOutputs(partition=partition, sorting_scores=None, mask=mask,
-                            origins=partition.origins)
-    scores, origins = sorting_head.sorting_head_forward(f_hat, params, cfg.max_rank)
-    return ModelOutputs(partition=None, sorting_scores=scores, mask=mask, origins=origins)
+    return ModelOutputs(scores=head_ops(cfg).forward(f_hat, params), mask=mask)
 
 
 def predict(image: np.ndarray, params, cfg: ModelConfig) -> list[RankedInstance]:
     """Inference for one image: forward pass, masks upsampled to the canvas,
     then rank decoding with the configured head's procedure.
     """
-    canvas = image.shape[1]
+    canvas = image_canvas(image)
     with T.no_grad():
         outputs = forward(Tensor(image), params, cfg)
         soft = outputs.mask.soft_masks()  # (K, Hm, Wm)
         full = T.interpolate(soft, (canvas, canvas)).data
-        if cfg.head_type == "partition":
-            return partition_to_rank(
-                full, outputs.partition, cfg.max_rank,
-                threshold=cfg.partition_threshold, nms_iou=cfg.nms_iou,
-                objectness_floor=cfg.objectness_floor,
-                binarize_threshold=cfg.binarize_threshold,
-            )
-        return sorting_head.sort_to_ranks(
-            outputs.sorting_scores.data, full, cfg.max_rank,
-            nms_iou=cfg.nms_iou, binarize_threshold=cfg.binarize_threshold,
-        )
+        return head_ops(cfg).decode(outputs.scores.data, full)
 
 
 # checkpointing ----------------------------------------------------------------
@@ -110,4 +132,10 @@ def load_checkpoint(path):
     model_cfg, train_cfg = config_from_dict(meta["config"])
     if meta["config_hash"] != config_hash(model_cfg, train_cfg):
         raise ConfigurationError("checkpoint config hash does not match its stored config")
+    expected = {name: p.shape for name, p in init_model_params(model_cfg, 0).items()}
+    for name in sorted(expected.keys() | params.keys()):
+        shape = params[name].shape if name in params else None
+        if shape != expected.get(name):
+            raise DataError(f"checkpoint parameter {name} has shape {shape}; "
+                            f"the model for its config expects {expected.get(name)}")
     return params, model_cfg, train_cfg, meta

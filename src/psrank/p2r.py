@@ -1,13 +1,11 @@
 """Partition-to-Rank inference.
 
-Candidates are (soft mask, partition vector) pairs, one per surviving grid
-cell. Inference proceeds in four steps: associate masks with partition rows,
-discard candidates whose thresholded partition pattern is ambiguous, then
-repeatedly select the best candidate for the next rank while suppressing
-overlapping masks, and finally binarize.
-
-``p2r_reference`` re-implements alleviation and selection as plain nested
-loops; it exists only as a test oracle for the production path.
+A candidate is a row index into the partition matrix ``values`` (K, N) and
+the soft masks ``masks`` (K, H, W), both in the heads' cell order.
+Inference proceeds in four steps: associate keeps the rows that clear the
+objectness floor, alleviate discards rows whose thresholded partition
+pattern is ambiguous, selection repeatedly takes the best row for the next
+rank while suppressing overlapping masks, and the chosen masks are binarized.
 """
 
 from __future__ import annotations
@@ -17,15 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .heads import PartitionMatrix
-
-
-@dataclass
-class InstanceCandidate:
-    mask: np.ndarray  # soft values in [0,1], canvas-sized
-    partition: np.ndarray  # (N,) probabilities
-    origin: tuple[int, int, int]  # (scale, x, y)
-    alive: bool = True
 
 
 @dataclass
@@ -51,155 +40,64 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.logical_and(a, b).sum() / union)
 
 
-def associate(masks, partition: PartitionMatrix | np.ndarray, objectness_floor: float = 0.1,
-              origins=None) -> list[InstanceCandidate]:
-    """Pair each mask with its partition row; rows whose best partition
-    probability falls below ``objectness_floor`` are dropped up front.
+def associate(masks, values, objectness_floor: float = 0.1) -> np.ndarray:
+    """Rows that pair a mask with a partition row whose best probability
+    reaches ``objectness_floor``.
     """
-    if isinstance(partition, PartitionMatrix):
-        values = partition.values
-        origins = partition.origins
-    else:
-        values = np.asarray(partition)
-        if origins is None:
-            origins = [(0, i, 0) for i in range(len(values))]
-    masks = np.asarray(masks)
+    values = np.asarray(values)
     if len(masks) != len(values):
         raise DimensionError(f"{len(masks)} masks vs {len(values)} partition rows")
-    out = []
-    for mask, row, origin in zip(masks, values, origins):
-        if row.size and row.max() >= objectness_floor:
-            out.append(InstanceCandidate(mask=mask, partition=np.asarray(row, dtype=np.float64),
-                                         origin=tuple(origin)))
-    return out
+    return np.flatnonzero(np.max(values, axis=1, initial=-np.inf) >= objectness_floor)
 
 
-def _ambiguous(partition: np.ndarray, threshold: float) -> bool:
-    above = partition >= threshold
+def alleviate(values, rows, threshold: float) -> np.ndarray:
+    """Keep only rows whose thresholded partition indicators are monotone
+    non-decreasing; a high partition-j followed by a low partition-i (j < i)
+    is contradictory and the row is discarded.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    above = np.asarray(values)[rows] >= threshold
     # a True followed anywhere later by a False marks the (j < i) violation
-    return bool(np.any(np.maximum.accumulate(above)[:-1] & ~above[1:]))
+    ambiguous = np.any(np.maximum.accumulate(above, axis=1)[:, :-1] & ~above[:, 1:], axis=1)
+    return rows[~ambiguous]
 
 
-def alleviate(candidates, threshold: float) -> list[InstanceCandidate]:
-    """Keep only candidates whose thresholded partition indicators are
-    monotone non-decreasing; a high partition-j followed by a low
-    partition-i (j < i) is contradictory and the candidate is discarded.
-    """
-    return [c for c in candidates if not _ambiguous(c.partition, threshold)]
-
-
-def _origin_key(c: InstanceCandidate):
-    scale, x, y = c.origin
-    return (scale, y, x)
-
-
-def select_ranks(candidates, n_ranks: int, threshold: float, nms_iou: float,
+def select_ranks(masks, values, rows, n_ranks: int, threshold: float, nms_iou: float,
                  binarize_threshold: float = 0.5) -> list[RankedInstance]:
-    """Iterative rank assignment over alleviated candidates.
+    """Iterative rank assignment over the alleviated ``rows``.
 
-    For rank n the alive candidate with the highest partition-n probability
-    is chosen (ties go to the lower cell index in scale-major, row-major
-    order); selection stops once that best probability falls below the
-    threshold. Every remaining candidate whose binarized mask overlaps the
-    selection with IoU > nms_iou is suppressed.
+    For rank n the alive row with the highest partition-n probability is
+    chosen (ties go to the lower row); selection stops once that best
+    probability falls below the threshold. Every remaining row whose
+    binarized mask overlaps the selection with IoU > nms_iou is suppressed.
     """
-    pool = sorted(candidates, key=_origin_key)
-    binaries = [binarize(c.mask, binarize_threshold) for c in pool]
-    for c in pool:
-        c.alive = True
+    rows = np.sort(np.asarray(rows, dtype=np.intp))
+    values = np.asarray(values)[rows]
+    alive = np.ones(len(rows), dtype=bool)
+    binaries = areas = None  # made at the first selection: no mask is needed if no row clears the threshold
     results: list[RankedInstance] = []
     for rank in range(1, n_ranks + 1):
-        alive_idx = [i for i, c in enumerate(pool) if c.alive]
-        if not alive_idx:
+        if not alive.any():
             break
-        scores = np.array([pool[i].partition[rank - 1] for i in alive_idx])
-        best_pos = int(np.argmax(scores))
-        best = alive_idx[best_pos]
-        best_score = float(scores[best_pos])
+        best = int(np.argmax(np.where(alive, values[:, rank - 1], -np.inf)))
+        best_score = float(values[best, rank - 1])
         if best_score < threshold:
             break
+        if binaries is None:
+            binaries = binarize(masks, binarize_threshold)[rows]
+            areas = binaries.sum(axis=(1, 2))
         results.append(RankedInstance(mask=binaries[best].copy(), rank=rank, score=best_score))
-        pool[best].alive = False
-        for i in alive_idx:
-            if i != best and mask_iou(binaries[best], binaries[i]) > nms_iou:
-                pool[i].alive = False
+        alive[best] = False
+        inter = (binaries & binaries[best]).sum(axis=(1, 2))
+        union = areas + areas[best] - inter
+        iou = np.divide(inter, union, out=np.zeros(len(rows)), where=union > 0)
+        alive &= iou <= nms_iou
     return results
 
 
-def partition_to_rank(masks, partition, n_ranks: int, threshold: float, nms_iou: float,
+def partition_to_rank(masks, values, n_ranks: int, threshold: float, nms_iou: float,
                       objectness_floor: float = 0.1, binarize_threshold: float = 0.5) -> list[RankedInstance]:
     """Full pipeline: associate -> alleviate -> iterative selection."""
-    cands = associate(masks, partition, objectness_floor)
-    return select_ranks(alleviate(cands, threshold), n_ranks, threshold, nms_iou, binarize_threshold)
-
-
-# test oracle -----------------------------------------------------------------
-
-
-def p2r_reference(candidates, n_ranks: int, threshold: float, nms_iou: float,
-                  binarize_threshold: float = 0.5) -> list[RankedInstance]:
-    """Deliberately naive re-run of alleviation plus selection, written as
-    literal loops over candidates and pixels. Test use only.
-    """
-    kept = []
-    for cand in candidates:
-        discard = False
-        for i in range(len(cand.partition)):
-            if cand.partition[i] < threshold:
-                for j in range(i):
-                    if cand.partition[j] >= threshold:
-                        discard = True
-        if not discard:
-            kept.append(cand)
-
-    pool = sorted(kept, key=_origin_key)
-
-    def to_binary(mask):
-        h, w = mask.shape
-        out = [[False] * w for _ in range(h)]
-        for r in range(h):
-            for c in range(w):
-                if mask[r][c] >= binarize_threshold:
-                    out[r][c] = True
-        return out
-
-    def naive_iou(a, b):
-        inter = 0
-        union = 0
-        for r in range(len(a)):
-            for c in range(len(a[0])):
-                if a[r][c] and b[r][c]:
-                    inter += 1
-                if a[r][c] or b[r][c]:
-                    union += 1
-        if union == 0:
-            return 0.0
-        return inter / union
-
-    binaries = [to_binary(c.mask) for c in pool]
-    results = []
-    rank = 1
-    while rank <= n_ranks and pool:
-        best = None
-        best_i = -1
-        for i, cand in enumerate(pool):
-            if best is None or cand.partition[rank - 1] > best.partition[rank - 1]:
-                best = cand
-                best_i = i
-        if best.partition[rank - 1] < threshold:
-            break
-        results.append(RankedInstance(mask=np.array(binaries[best_i]), rank=rank,
-                                      score=float(best.partition[rank - 1])))
-        next_pool = []
-        next_binaries = []
-        for i, cand in enumerate(pool):
-            if i == best_i:
-                continue
-            if naive_iou(binaries[best_i], binaries[i]) > nms_iou:
-                continue
-            next_pool.append(cand)
-            next_binaries.append(binaries[i])
-        pool = next_pool
-        binaries = next_binaries
-        rank += 1
-    return results
+    rows = associate(masks, values, objectness_floor)
+    return select_ranks(masks, values, alleviate(values, rows, threshold), n_ranks, threshold, nms_iou,
+                        binarize_threshold)

@@ -1,9 +1,9 @@
 """Ranking-by-sorting baseline head.
 
 One (N+1)-way classifier per cell (classes 0..N-1 are ranks 1..N, class N is
-background) whose argmax scores are sorted to produce ranks directly. Kept
-behind the ``head: sorting`` config flag for the paradigm ablation; it shares
-the trunk and mask branch with the partition model.
+background) whose argmax scores are sorted to produce ranks directly. Selected
+with ``ModelConfig(head_type="sorting")`` for the paradigm ablation; it shares
+the trunk, the mask branch and the per-cell row order with the partition head.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import ModelConfig
-from .heads import cell_origins
+from .heads import _per_cell
 from .p2r import RankedInstance, binarize, mask_iou
 from .pyramid import PyramidFeatures
 from .tensor import Parameter, Tensor
@@ -27,16 +27,9 @@ def init_sorting_head_params(cfg: ModelConfig, rng: np.random.Generator) -> dict
     }
 
 
-def sorting_head_forward(f_hat: PyramidFeatures, params, n_ranks: int) -> tuple[Tensor, list]:
-    """Per-cell class probabilities (K, N+1), softmax-normalized, in the same
-    cell order as the partition matrix.
-    """
-    per_scale = []
-    for g in f_hat.grids:
-        logits = T.conv2d(g.data, params["sorting.w"], bias=params["sorting.b"])
-        per_scale.append(T.reshape(T.transpose(logits, (1, 2, 0)), (g.side * g.side, n_ranks + 1)))
-    scores = T.softmax(T.concat(per_scale, axis=0), axis=1)
-    return scores, cell_origins([g.side for g in f_hat.grids])
+def sorting_head_forward(f_hat: PyramidFeatures, params) -> Tensor:
+    """Per-cell class probabilities (K, N+1), softmax-normalized."""
+    return T.softmax(_per_cell(f_hat, params["sorting.w"], params["sorting.b"]), axis=1)
 
 
 def sort_to_ranks(scores: np.ndarray, masks, n_ranks: int, nms_iou: float,

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import heads, losses, model, sorting_head
+from . import heads, losses, model
 from .config import ModelConfig, TrainConfig
 from .data_synth import SceneSample
 from .losses import LossWeights
@@ -30,7 +30,7 @@ def downsample_mask(mask: np.ndarray, stride: int) -> np.ndarray:
 
 
 def build_targets(sample: SceneSample, cfg: ModelConfig) -> SampleTargets:
-    canvas = sample.image.shape[1]
+    canvas = model.image_canvas(sample.image)
     masks = [m for m, _ in sample.instances]
     assignment = heads.assign_targets(masks, cfg, canvas)
     k = len(assignment)
@@ -57,24 +57,10 @@ def build_targets(sample: SceneSample, cfg: ModelConfig) -> SampleTargets:
 
 def sample_loss(sample: SceneSample, targets: SampleTargets, params, cfg: ModelConfig) -> losses.LossBreakdown:
     outputs = model.forward(Tensor(sample.image), params, cfg)
-    if len(targets.pos_rows):
-        mask_preds = outputs.mask.soft_masks(rows=targets.pos_rows)
-        mask_targets = targets.pos_masks
-    else:
-        mask_preds = None
-        mask_targets = None
+    classification = model.head_ops(cfg).loss(outputs.scores, targets)
+    mask_preds = outputs.mask.soft_masks(rows=targets.pos_rows) if len(targets.pos_rows) else None
     weights = LossWeights(partition=cfg.partition_weight, mask=cfg.mask_weight)
-    if cfg.head_type == "partition":
-        return losses.total_loss(outputs.partition.probabilities, targets.partition,
-                                 mask_preds, mask_targets, weights)
-    ce = sorting_head.cross_entropy_loss(outputs.sorting_scores, targets.rank_class)
-    if mask_preds is not None:
-        mask_term = losses.dice_loss(mask_preds, mask_targets)
-        total = weights.partition * ce + weights.mask * mask_term
-    else:
-        mask_term = None
-        total = weights.partition * ce
-    return losses.LossBreakdown(total=total, partition=ce, mask=mask_term)
+    return losses.total_loss(classification, mask_preds, targets.pos_masks, weights)
 
 
 class SgdOptimizer:
@@ -158,23 +144,3 @@ def write_log(path, history: list[EpochStats]) -> None:
         writer.writerow(["epoch", "total", "partition", "mask"])
         for row in history:
             writer.writerow([row.epoch, repr(row.total), repr(row.partition), repr(row.mask)])
-
-
-def overfit_single_image(sample: SceneSample, model_cfg: ModelConfig, steps: int = 500,
-                         lr: float = 0.01, momentum: float = 0.0, seed: int = 0) -> tuple[float, float]:
-    """Repeated full-batch steps on one image; returns (initial, final) loss."""
-    params = model.init_model_params(model_cfg, seed)
-    optimizer = SgdOptimizer(params, momentum)
-    targets = build_targets(sample, model_cfg)
-    first = None
-    last = None
-    for i in range(steps):
-        optimizer.zero_grad()
-        breakdown = sample_loss(sample, targets, params, model_cfg)
-        breakdown.total.backward()
-        optimizer.step(lr * min(1.0, (i + 1) / 20.0))
-        value = breakdown.total.item()
-        if first is None:
-            first = value
-        last = value
-    return first, last

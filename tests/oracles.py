@@ -9,6 +9,40 @@ import numpy as np
 from psrank.p2r import RankedInstance
 
 
+def average_ranks(values) -> np.ndarray:
+    """1-based ranks of ``values``; tied values share the mean of their ranks."""
+    values = np.asarray(values, dtype=float)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
+
+
+def pearson_oracle(xs, ys) -> float | None:
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if len(xs) != len(ys) or len(xs) < 2:
+        return None
+    dx = xs - xs.mean()
+    dy = ys - ys.mean()
+    denom = np.sqrt((dx * dx).sum() * (dy * dy).sum())
+    if denom == 0.0:
+        return None
+    return float((dx * dy).sum() / denom)
+
+
+def spearman_oracle(xs, ys) -> float | None:
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if len(xs) != len(ys) or len(xs) < 2:
+        return None
+    return pearson_oracle(average_ranks(xs), average_ranks(ys))
+
+
 def cell_origins(grid_sides) -> list[tuple[int, int, int]]:
     """(scale, x, y) of every grid cell, in row order of the per-cell score matrix."""
     origins = []

@@ -8,6 +8,8 @@ from psrank.gradcheck import grad_check
 from psrank.pyramid import FeatureGrid, PyramidFeatures
 from psrank.tensor import Tensor
 
+from oracles import cell_origins
+
 
 def cfg_for(sides=(4, 2), e=8, n=5):
     return ModelConfig(max_rank=n, channels=e, grid_sides=tuple(sides), attn_heads=2,
@@ -26,27 +28,27 @@ class TestPartitionForward:
     def test_matrix_shape(self):
         cfg = cfg_for(sides=(4, 2), n=5)
         params = heads.init_partition_head_params(cfg, np.random.default_rng(0))
-        pm = heads.partition_forward(feature_pyramid(cfg), params, cfg.max_rank)
-        assert pm.values.shape == (20, 5)
-        assert len(pm.origins) == 20
+        pm = heads.partition_forward(feature_pyramid(cfg), params)
+        assert pm.shape == (20, 5)
+        assert len(cell_origins(cfg.grid_sides)) == 20
 
     def test_zero_params_give_half(self):
         cfg = cfg_for()
         params = heads.init_partition_head_params(cfg, np.random.default_rng(1))
         params["partition.w"].data[:] = 0.0
         params["partition.b"].data[:] = 0.0
-        pm = heads.partition_forward(feature_pyramid(cfg), params, cfg.max_rank)
-        np.testing.assert_allclose(pm.values, 0.5)
+        pm = heads.partition_forward(feature_pyramid(cfg), params)
+        np.testing.assert_allclose(pm.data, 0.5)
 
     def test_open_interval(self):
         cfg = cfg_for()
         params = heads.init_partition_head_params(cfg, np.random.default_rng(2))
-        pm = heads.partition_forward(feature_pyramid(cfg, seed=3), params, cfg.max_rank)
-        assert (pm.values > 0.0).all() and (pm.values < 1.0).all()
+        pm = heads.partition_forward(feature_pyramid(cfg, seed=3), params)
+        assert (pm.data > 0.0).all() and (pm.data < 1.0).all()
 
     def test_cell_order_round_trip(self):
         # origins enumerate scales outer, rows next, columns innermost
-        origins = heads.cell_origins((2, 1))
+        origins = cell_origins((2, 1))
         assert origins == [(0, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (1, 0, 0)]
 
 
@@ -61,7 +63,7 @@ class TestMaskBranch:
     def test_mask_count_matches_partition_rows(self):
         cfg = cfg_for()
         params, stages = self.make(cfg)
-        masks = heads.mask_forward(feature_pyramid(cfg), stages, params, cfg, canvas=32)
+        masks = heads.mask_branch(feature_pyramid(cfg), stages, params, cfg, canvas=32).soft_masks()
         assert masks.shape == (20, 8, 8)
 
     def test_zero_kernel_uniform_half(self):
@@ -69,7 +71,7 @@ class TestMaskBranch:
         params, stages = self.make(cfg, seed=4)
         params["mask.kernel.w"].data[:] = 0.0
         params["mask.kernel.b"].data[:] = 0.0
-        masks = heads.mask_forward(feature_pyramid(cfg, seed=5), stages, params, cfg, canvas=32)
+        masks = heads.mask_branch(feature_pyramid(cfg, seed=5), stages, params, cfg, canvas=32).soft_masks()
         np.testing.assert_allclose(masks.data, 0.5)
 
     def test_soft_masks_row_subset(self):
@@ -110,7 +112,7 @@ class TestAssignTargets:
         assignment = heads.assign_targets([mask], cfg, canvas)
         assert (assignment >= 0).sum() == 1
         row = int(np.nonzero(assignment >= 0)[0][0])
-        scale, x, y = heads.cell_origins(cfg.grid_sides)[row]
+        scale, x, y = cell_origins(cfg.grid_sides)[row]
         assert scale == 0
         assert (x, y) == (4, 4)
 
@@ -122,7 +124,7 @@ class TestAssignTargets:
         assignment = heads.assign_targets([small, large], cfg, canvas)
         rows = np.nonzero(assignment >= 0)[0]
         assert len(rows) == 2
-        scales = {heads.cell_origins(cfg.grid_sides)[r][0] for r in rows}
+        scales = {cell_origins(cfg.grid_sides)[r][0] for r in rows}
         assert scales == {0, 1}
 
     def test_boundary_center_goes_to_lower_cell(self):
@@ -132,7 +134,7 @@ class TestAssignTargets:
         mask = self.box_mask(canvas, 3, 7, 10, 2)
         assignment = heads.assign_targets([mask], cfg, canvas)
         row = int(np.nonzero(assignment >= 0)[0][0])
-        scale, x, y = heads.cell_origins(cfg.grid_sides)[row]
+        scale, x, y = cell_origins(cfg.grid_sides)[row]
         assert x == 0
 
     def test_empty_mask_rejected(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from psrank import losses
 from psrank.errors import DataError, DimensionError
 from psrank.gradcheck import grad_check
-from psrank.losses import LossWeights, dice_loss, encode_partition_gt, focal_loss, total_loss
+from psrank.losses import LossWeights, dice_loss, encode_partition_gt, focal_loss, partition_loss, total_loss
 from psrank.tensor import Tensor
 
 
@@ -129,14 +129,15 @@ class TestTotalLoss:
         targets = rng.integers(0, 2, size=(10, 3)).astype(float)
         masks = Tensor(rng.uniform(0.1, 0.9, size=(2, 4, 4)))
         mask_t = (rng.random((2, 4, 4)) > 0.5).astype(float)
-        out = total_loss(probs, targets, masks, mask_t, LossWeights(partition=1.0, mask=0.0))
+        out = total_loss(partition_loss(probs, targets), masks, mask_t,
+                         LossWeights(partition=1.0, mask=0.0))
         assert out.total.item() == pytest.approx(out.partition.item())
 
     def test_no_positive_cells_masks_contribute_zero(self):
         rng = np.random.default_rng(6)
         probs = Tensor(rng.uniform(0.1, 0.9, size=(10, 3)))
         targets = np.zeros((10, 3))
-        out = total_loss(probs, targets, None, None)
+        out = total_loss(partition_loss(probs, targets), None, None)
         assert out.mask is None
         assert out.total.item() == pytest.approx(out.partition.item())
 
@@ -144,7 +145,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(7)
         probs_np = rng.uniform(0.1, 0.9, size=(10, 3))
         targets = rng.integers(0, 2, size=(10, 3)).astype(float)
-        out = total_loss(Tensor(probs_np), targets, None, None)
+        out = total_loss(partition_loss(Tensor(probs_np), targets), None, None)
         per_head = sum(
             focal_loss(Tensor(probs_np[:, n]), targets[:, n]).item() for n in range(3)
         )
@@ -155,7 +156,7 @@ class TestTotalLoss:
         targets = np.zeros((4, 2))
         t = np.zeros((2, 3, 3))
         t[:, 0, 0] = 1.0
-        out = total_loss(probs, targets, Tensor(t.copy()), t)
+        out = total_loss(partition_loss(probs, targets), Tensor(t.copy()), t)
         assert out.total.item() == pytest.approx(0.0, abs=1e-10)
 
     def test_gradient_through_both_terms(self):
@@ -165,7 +166,7 @@ class TestTotalLoss:
 
         def op(probs, masks):
             from psrank import tensor as T
-            return total_loss(T.sigmoid(probs), targets, T.sigmoid(masks), mask_t).total
+            return total_loss(partition_loss(T.sigmoid(probs), targets), T.sigmoid(masks), mask_t).total
 
         logits = Tensor(rng.normal(size=(6, 2)))
         mask_logits = Tensor(rng.normal(size=(2, 3, 3)))

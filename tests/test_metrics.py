@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from psrank import metrics
-from psrank.metrics import (MatchResult, confusion, evaluate_images, mae, match_instances,
-                            pearson_oracle, sa_sor, sor, spearman_oracle)
+from psrank.metrics import MatchResult, confusion, evaluate_images, mae, match_instances, sa_sor, sor
 from psrank.p2r import RankedInstance
+
+from oracles import average_ranks, pearson_oracle, spearman_oracle
 
 
 def box(canvas, r0, c0, h, w):
@@ -133,7 +134,7 @@ class TestOracles:
         assert pearson_oracle([1.0, 2.0], [-1.0, -2.0]) == pytest.approx(-1.0)
 
     def test_tie_handling_via_average_ranks(self):
-        ranks = metrics._average_ranks([1, 2, 2])
+        ranks = average_ranks([1, 2, 2])
         np.testing.assert_array_equal(ranks, [1.0, 2.5, 2.5])
 
     def test_zero_variance_undefined(self):

@@ -4,8 +4,9 @@ import pytest
 from psrank import model, tensor as T
 from psrank.config import toy_model_config, toy_train_config
 from psrank.data_synth import GenConfig, generate_dataset
+from psrank.errors import DataError, DimensionError
 from psrank.p2r import partition_to_rank
-from psrank.tensor import Tensor
+from psrank.tensor import Parameter, Tensor
 
 from oracles import p2r_reference
 
@@ -20,10 +21,6 @@ def heldout():
     return generate_dataset(GenConfig(), 16, 5000)
 
 
-def scores_of(outputs):
-    return outputs.partition.values if outputs.partition is not None else outputs.sorting_scores.data
-
-
 class TestForward:
     @pytest.mark.parametrize("head_type, columns", [("partition", 3), ("sorting", 4)])
     def test_score_shapes(self, heldout, head_type, columns):
@@ -31,7 +28,7 @@ class TestForward:
         params = model.init_model_params(cfg, 0)
         with T.no_grad():
             outputs = model.forward(Tensor(heldout[0].image), params, cfg)
-        assert scores_of(outputs).shape == (TOY_CELLS, columns)
+        assert outputs.scores.shape == (TOY_CELLS, columns)
         assert outputs.mask.kernels.shape == (TOY_CELLS, cfg.mask_channels)
         assert outputs.mask.soft_masks().shape == (TOY_CELLS, 16, 16)
 
@@ -39,7 +36,7 @@ class TestForward:
         cfg = toy_model_config(head_type="sorting")
         params = model.init_model_params(cfg, 0)
         with T.no_grad():
-            scores = scores_of(model.forward(Tensor(heldout[1].image), params, cfg))
+            scores = model.forward(Tensor(heldout[1].image), params, cfg).scores.data
         np.testing.assert_allclose(scores.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -72,7 +69,7 @@ class TestPredict:
             with T.no_grad():
                 outputs = model.forward(Tensor(sample.image), params, cfg)
                 masks = T.interpolate(outputs.mask.soft_masks(), (64, 64)).data
-            values = scores_of(outputs)
+            values = outputs.scores.data
             expected = p2r_reference(masks, values, cfg.max_rank, cfg.partition_threshold, cfg.nms_iou,
                                      cfg.objectness_floor, cfg.binarize_threshold)
             for got in (model.predict(sample.image, params, cfg),
@@ -104,6 +101,46 @@ class TestCheckpoint:
             assert [(p.rank, p.score) for p in a] == [(p.rank, p.score) for p in b]
 
     def test_missing_file(self, tmp_path):
-        from psrank.errors import DataError
         with pytest.raises(DataError):
             model.load_checkpoint(tmp_path / "absent.npz")
+
+    def test_wrong_shape_rejected(self, tmp_path):
+        cfg = toy_model_config()
+        params = model.init_model_params(cfg, 0)
+        params["partition.b"] = Parameter(np.zeros(5))
+        model.save_checkpoint(tmp_path / "bad.npz", params, cfg, toy_train_config(), seed=0)
+        with pytest.raises(DataError, match="partition.b"):
+            model.load_checkpoint(tmp_path / "bad.npz")
+
+    @pytest.mark.parametrize("change", ["drop", "extra"])
+    def test_parameter_set_must_match(self, tmp_path, change):
+        cfg = toy_model_config()
+        params = model.init_model_params(cfg, 0)
+        if change == "drop":
+            del params["mask.fuse.b"]
+        else:
+            params["sorting.w"] = Parameter(np.zeros((4, 16, 3, 3)))
+        model.save_checkpoint(tmp_path / "bad.npz", params, cfg, toy_train_config(), seed=0)
+        with pytest.raises(DataError):
+            model.load_checkpoint(tmp_path / "bad.npz")
+
+
+class TestMalformedImages:
+    @pytest.fixture(scope="class")
+    def params(self):
+        return model.init_model_params(toy_model_config(), 0)
+
+    def test_non_square_rejected(self, params):
+        with pytest.raises(DimensionError):
+            model.predict(np.zeros((3, 64, 96)), params, toy_model_config())
+
+    def test_missing_channel_axis_rejected(self, params):
+        with pytest.raises(DimensionError):
+            model.predict(np.zeros((64, 64)), params, toy_model_config())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, params, bad):
+        image = np.full((3, 64, 64), 0.5)
+        image[1, 5, 7] = bad
+        with pytest.raises(DataError):
+            model.predict(image, params, toy_model_config())

@@ -5,24 +5,29 @@ from hypothesis import strategies as st
 
 from psrank import p2r
 from psrank.errors import DimensionError
-from psrank.p2r import InstanceCandidate, RankedInstance
+
+from oracles import p2r_reference
 
 
-def cand(partition, mask=None, origin=(0, 0, 0)):
-    if mask is None:
-        mask = np.zeros((4, 4))
-        mask[origin[2] % 4, origin[1] % 4] = 1.0
-    return InstanceCandidate(mask=np.asarray(mask, dtype=float),
-                             partition=np.asarray(partition, dtype=float), origin=origin)
+def rows_of(partitions, masks=None):
+    """(masks, values) for hand-built candidates, one row each. By default
+    row k's mask lights one pixel of its own, so no two masks overlap.
+    """
+    values = np.asarray(partitions, dtype=float)
+    if masks is None:
+        masks = np.zeros((len(values), 4, 4))
+        for k in range(len(values)):
+            masks[k, k // 4 % 4, k % 4] = 1.0
+    return np.asarray(masks, dtype=float), values
 
 
-def random_candidates(rng, count, n=5, canvas=8):
-    out = []
+def random_rows(rng, count, n=5, canvas=8):
+    masks = np.zeros((count, canvas, canvas))
+    values = np.zeros((count, n))
     for i in range(count):
-        mask = rng.random((canvas, canvas))
-        partition = rng.random(n)
-        out.append(InstanceCandidate(mask=mask, partition=partition, origin=(0, i % 4, i // 4)))
-    return out
+        masks[i] = rng.random((canvas, canvas))
+        values[i] = rng.random(n)
+    return masks, values
 
 
 class TestAssociate:
@@ -34,9 +39,10 @@ class TestAssociate:
         masks = np.zeros((20, 4, 4))
         cands = p2r.associate(masks, values, objectness_floor=0.1)
         assert len(cands) == 3
+        assert list(cands) == [3, 8, 15]
 
     def test_empty_matrix(self):
-        assert p2r.associate(np.zeros((0, 4, 4)), np.zeros((0, 5))) == []
+        assert len(p2r.associate(np.zeros((0, 4, 4)), np.zeros((0, 5)))) == 0
 
     def test_zero_floor_keeps_all(self):
         values = np.random.default_rng(0).random((7, 3)) * 0.05
@@ -69,6 +75,38 @@ class TestAlleviate:
         kept = p2r.alleviate([c], threshold)
         above = np.asarray(values) >= threshold
         if kept:
+            assert np.all(np.diff(above.astype(int)) >= 0)
+        else:
+            witnessed = any(above[j] and not above[i]
+                            for i in range(len(values)) for j in range(i))
+            assert witnessed
+
+
+class TestAlleviate:
+    def test_high_then_low_discarded(self):
+        _, values = rows_of([[0.8, 0.1, 0.9, 0.9, 0.9]])
+        assert list(p2r.alleviate(values, [0], 0.3)) == []
+
+    def test_monotone_kept(self):
+        _, values = rows_of([[0.1, 0.2, 0.4, 0.8, 0.9]])
+        assert list(p2r.alleviate(values, [0], 0.3)) == [0]
+
+    def test_all_below_threshold_kept(self):
+        _, values = rows_of([[0.1, 0.05, 0.2, 0.1, 0.25]])
+        assert list(p2r.alleviate(values, [0], 0.3)) == [0]
+
+    def test_rows_filtered_in_order(self):
+        _, values = rows_of([[0.1, 0.4, 0.9], [0.9, 0.1, 0.9], [0.5, 0.5, 0.5], [0.4, 0.2, 0.1]])
+        assert list(p2r.alleviate(values, [3, 1, 0, 2], 0.3)) == [0, 2]
+        assert list(p2r.alleviate(values, [2, 1], 0.3)) == [2]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+    def test_survivors_monotone_discards_witnessed(self, values):
+        threshold = 0.3
+        kept = p2r.alleviate(np.asarray([values]), [0], threshold)
+        above = np.asarray(values) >= threshold
+        if len(kept):
             assert np.all(np.diff(above.astype(int)) >= 0)
         else:
             witnessed = any(above[j] and not above[i]
@@ -119,49 +157,66 @@ class TestBinarize:
 
 class TestSelectRanks:
     def test_largest_partition1_gets_rank1(self):
-        cands = [
-            cand([0.4, 0.5, 0.6, 0.7, 0.9], origin=(0, 0, 0)),
-            cand([0.8, 0.9, 0.9, 0.9, 0.9], origin=(0, 1, 0)),
-            cand([0.3, 0.8, 0.9, 0.9, 0.9], origin=(0, 2, 0)),
-        ]
-        out = p2r.select_ranks(cands, 5, 0.3, 0.5)
+        masks, values = rows_of([
+            [0.4, 0.5, 0.6, 0.7, 0.9],
+            [0.8, 0.9, 0.9, 0.9, 0.9],
+            [0.3, 0.8, 0.9, 0.9, 0.9],
+        ])
+        out = p2r.select_ranks(masks, values, [0, 1, 2], 5, 0.3, 0.5)
         assert out[0].rank == 1
         assert out[0].score == pytest.approx(0.8)
 
     def test_empty_input(self):
-        assert p2r.select_ranks([], 5, 0.3, 0.5) == []
+        assert p2r.select_ranks(np.zeros((0, 4, 4)), np.zeros((0, 5)), [], 5, 0.3, 0.5) == []
 
     def test_identical_masks_suppressed(self):
         mask = np.zeros((4, 4))
         mask[1:3, 1:3] = 1.0
-        cands = [
-            cand([0.9, 0.9, 0.9, 0.9, 0.9], mask=mask, origin=(0, 0, 0)),
-            cand([0.8, 0.8, 0.8, 0.8, 0.8], mask=mask, origin=(0, 1, 0)),
-        ]
-        out = p2r.select_ranks(cands, 5, 0.3, 0.5)
+        masks, values = rows_of([[0.9, 0.9, 0.9, 0.9, 0.9], [0.8, 0.8, 0.8, 0.8, 0.8]], masks=[mask, mask])
+        out = p2r.select_ranks(masks, values, [0, 1], 5, 0.3, 0.5)
         assert len(out) == 1
         assert out[0].rank == 1 and out[0].score == pytest.approx(0.9)
 
     def test_stop_when_column_max_below_threshold(self):
-        cands = [cand([0.9, 0.1, 0.1, 0.1, 0.1], origin=(0, 0, 0)),
-                 cand([0.7, 0.2, 0.2, 0.2, 0.2], origin=(0, 1, 0))]
-        out = p2r.select_ranks(cands, 5, 0.3, 0.5)
+        masks, values = rows_of([[0.9, 0.1, 0.1, 0.1, 0.1], [0.7, 0.2, 0.2, 0.2, 0.2]])
+        out = p2r.select_ranks(masks, values, [0, 1], 5, 0.3, 0.5)
         assert [r.rank for r in out] == [1]
+
+    def test_tie_goes_to_lower_row(self):
+        masks, values = rows_of([[0.2, 0.9], [0.8, 0.9], [0.8, 0.9]])
+        out = p2r.select_ranks(masks, values, [2, 1], 2, 0.3, 0.5)
+        np.testing.assert_array_equal(out[0].mask, masks[1] >= 0.5)
+        np.testing.assert_array_equal(out[1].mask, masks[2] >= 0.5)
+
+    def test_only_given_rows_compete(self):
+        masks, values = rows_of([[0.9, 0.9], [0.5, 0.6]])
+        out = p2r.select_ranks(masks, values, [1], 2, 0.3, 0.5)
+        assert [(r.rank, r.score) for r in out] == [(1, 0.5)]
+
+    def test_inputs_untouched(self):
+        rng = np.random.default_rng(4)
+        masks, values = random_rows(rng, 6)
+        before = masks.copy(), values.copy()
+        p2r.select_ranks(masks, values, np.arange(6), 5, 0.3, 0.5)
+        np.testing.assert_array_equal(masks, before[0])
+        np.testing.assert_array_equal(values, before[1])
 
     def test_ranks_contiguous_and_unique(self):
         rng = np.random.default_rng(1)
-        cands = p2r.alleviate(random_candidates(rng, 6), 0.3)
-        out = p2r.select_ranks(cands, 5, 0.3, 0.5)
+        masks, values = random_rows(rng, 6)
+        rows = p2r.alleviate(values, np.arange(6), 0.3)
+        out = p2r.select_ranks(masks, values, rows, 5, 0.3, 0.5)
         assert [r.rank for r in out] == list(range(1, len(out) + 1))
 
     def test_order_invariance_with_distinct_probs(self):
         rng = np.random.default_rng(2)
         for trial in range(20):
-            cands = p2r.alleviate(random_candidates(rng, 5), 0.3)
-            out = p2r.select_ranks(list(cands), 5, 0.3, 0.5)
-            shuffled = list(cands)
+            masks, values = random_rows(rng, 5)
+            rows = p2r.alleviate(values, np.arange(5), 0.3)
+            out = p2r.select_ranks(masks, values, list(rows), 5, 0.3, 0.5)
+            shuffled = list(rows)
             rng.shuffle(shuffled)
-            out_s = p2r.select_ranks(shuffled, 5, 0.3, 0.5)
+            out_s = p2r.select_ranks(masks, values, shuffled, 5, 0.3, 0.5)
             assert len(out) == len(out_s)
             for a, b in zip(out, out_s):
                 assert a.rank == b.rank and a.score == b.score
@@ -170,8 +225,9 @@ class TestSelectRanks:
     def test_selected_overlap_bounded(self):
         rng = np.random.default_rng(3)
         for trial in range(30):
-            cands = p2r.alleviate(random_candidates(rng, 6), 0.3)
-            out = p2r.select_ranks(cands, 5, 0.3, 0.5)
+            masks, values = random_rows(rng, 6)
+            rows = p2r.alleviate(values, np.arange(6), 0.3)
+            out = p2r.select_ranks(masks, values, rows, 5, 0.3, 0.5)
             for i, a in enumerate(out):
                 for b in out[i + 1 :]:
                     assert p2r.mask_iou(a.mask, b.mask) <= 0.5
@@ -186,20 +242,27 @@ class TestReferenceEquivalence:
             np.testing.assert_array_equal(a.mask, b.mask)
 
     def test_single_candidate_above_threshold(self):
-        c = cand([0.9, 0.9, 0.9, 0.9, 0.9])
-        got = p2r.select_ranks(p2r.alleviate([c], 0.3), 5, 0.3, 0.5)
-        ref = p2r.p2r_reference([c], 5, 0.3, 0.5)
+        masks, values = rows_of([[0.9, 0.9, 0.9, 0.9, 0.9]])
+        got = p2r.select_ranks(masks, values, p2r.alleviate(values, [0], 0.3), 5, 0.3, 0.5)
+        ref = p2r_reference(masks, values, 5, 0.3, 0.5, 0.0, 0.5)
         assert [r.rank for r in got] == [1]
         self.assert_same(got, ref)
 
     def test_empty(self):
-        assert p2r.p2r_reference([], 5, 0.3, 0.5) == []
+        assert p2r_reference(np.zeros((0, 4, 4)), np.zeros((0, 5)), 5, 0.3, 0.5, 0.0, 0.5) == []
 
     def test_thousand_random_sets(self):
         rng = np.random.default_rng(2024)
         for trial in range(1000):
             count = int(rng.integers(0, 7))
-            cands = random_candidates(rng, count)
-            got = p2r.select_ranks(p2r.alleviate(cands, 0.3), 5, 0.3, 0.5)
-            ref = p2r.p2r_reference(cands, 5, 0.3, 0.5)
+            masks, values = random_rows(rng, count)
+            got = p2r.select_ranks(masks, values, p2r.alleviate(values, np.arange(count), 0.3), 5, 0.3, 0.5)
+            ref = p2r_reference(masks, values, 5, 0.3, 0.5, 0.0, 0.5)
             self.assert_same(got, ref)
+
+    def test_full_pipeline_with_floor(self):
+        rng = np.random.default_rng(2025)
+        for trial in range(200):
+            masks, values = random_rows(rng, int(rng.integers(0, 9)))
+            got = p2r.partition_to_rank(masks, values, 5, 0.3, 0.5, objectness_floor=0.7)
+            self.assert_same(got, p2r_reference(masks, values, 5, 0.3, 0.5, 0.7, 0.5))

@@ -3,7 +3,8 @@ import pytest
 
 from psrank import train
 from psrank.config import TrainConfig, toy_model_config, toy_train_config
-from psrank.data_synth import GenConfig, generate_dataset
+from psrank.data_synth import GenConfig, SceneSample, generate_dataset
+from psrank.errors import DataError, DimensionError
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +43,21 @@ class TestTargets:
             background = np.setdiff1d(np.arange(116), targets.pos_rows)
             assert (targets.rank_class[background] == 3).all()
             assert (targets.partition[background] == 0).all()
+
+    def test_non_square_rejected(self, scenes):
+        sample = scenes[0]
+        wide = np.zeros((3, 64, 96))
+        wide[:, :, :64] = sample.image
+        masks = [(np.pad(m, ((0, 0), (0, 32))), r) for m, r in sample.instances]
+        with pytest.raises(DimensionError):
+            train.build_targets(SceneSample(image=wide, instances=masks, seed=0), toy_model_config())
+
+    def test_non_finite_rejected(self, scenes):
+        image = scenes[0].image.copy()
+        image[0, 0, 0] = np.nan
+        with pytest.raises(DataError):
+            train.build_targets(SceneSample(image=image, instances=scenes[0].instances, seed=0),
+                                toy_model_config())
 
 
 class TestSampleLoss:
