@@ -1,6 +1,6 @@
 """Prediction heads over the transformer output.
 
-Every head reads one row per grid cell. Cells are enumerated scale-major,
+Every head produces one row per grid cell. Cells are enumerated scale-major,
 then row-major with x fastest, and the row index is the cell's only
 identity: row k of the partition matrix, of the sorting scores and of the
 mask kernels all describe the same cell.

@@ -34,8 +34,9 @@ class Head:
 
 
 def head_ops(cfg: ModelConfig) -> Head:
-    """The configured head. Its functions are looked up on their modules at
-    every call, so wrappers installed on those attributes see each use.
+    """The configured head. Callers ask for it at each use, and its functions
+    are looked up on their modules then, so wrappers installed on those
+    module attributes (a profiler's, say) see every call.
     """
     if cfg.head_type == "partition":
         return Head(
