@@ -30,7 +30,9 @@ class Head:
     init: Callable  # (cfg, rng) -> params
     forward: Callable  # (f_hat, params) -> (K, C) scores
     loss: Callable  # (scores, targets) -> classification term
-    decode: Callable  # (scores (K, C), masks (K, H, W)) -> ranked instances
+    # (scores (K, C), masks) -> ranked instances; masks is row-indexable:
+    # len(masks) == K and masks[rows] is (len(rows), H, W), as a (K, H, W) array is
+    decode: Callable
 
 
 def head_ops(cfg: ModelConfig) -> Head:
@@ -87,16 +89,32 @@ def forward(image: Tensor, params, cfg: ModelConfig) -> ModelOutputs:
     return ModelOutputs(scores=head_ops(cfg).forward(f_hat, params), mask=mask)
 
 
+@dataclass(frozen=True)
+class CanvasMasks:
+    """Soft masks upsampled to the canvas, made only for the rows asked for:
+    ``masks[rows]`` is (len(rows), canvas, canvas). A decode reads the few
+    masks it needs from it in place of the whole (K, canvas, canvas) stack.
+    """
+
+    branch: MaskBranch
+    canvas: int
+
+    def __len__(self) -> int:
+        return self.branch.kernels.shape[0]
+
+    def __getitem__(self, rows) -> np.ndarray:
+        return T.interpolate(self.branch.soft_masks(rows), (self.canvas, self.canvas)).data
+
+
 def predict(image: np.ndarray, params, cfg: ModelConfig) -> list[RankedInstance]:
-    """Inference for one image: forward pass, masks upsampled to the canvas,
-    then rank decoding with the configured head's procedure.
+    """Inference for one image: forward pass, then rank decoding with the
+    configured head's procedure, which upsamples to the canvas only the masks
+    it examines.
     """
     canvas = image_canvas(image)
     with T.no_grad():
         outputs = forward(Tensor(image), params, cfg)
-        soft = outputs.mask.soft_masks()  # (K, Hm, Wm)
-        full = T.interpolate(soft, (canvas, canvas)).data
-        return head_ops(cfg).decode(outputs.scores.data, full)
+        return head_ops(cfg).decode(outputs.scores.data, CanvasMasks(outputs.mask, canvas))
 
 
 # checkpointing ----------------------------------------------------------------

@@ -1,16 +1,23 @@
 """Partition-to-Rank inference.
 
 A candidate is a row index into the partition matrix ``values`` (K, N) and
-the soft masks ``masks`` (K, H, W), both in the heads' cell order.
-Inference proceeds in four steps: associate keeps the rows that clear the
+the soft masks ``masks``, both in the heads' cell order. ``masks`` is any
+row-indexable view: ``len(masks)`` is K and ``masks[rows]`` returns the
+(len(rows), H, W) soft masks of those rows. A (K, H, W) array is one;
+``model.predict`` passes one that computes and upsamples a mask only when
+its row is asked for, so decoding pays only for the masks it reads.
+
+Inference proceeds in three steps: associate keeps the rows that clear the
 objectness floor, alleviate discards rows whose thresholded partition
-pattern is ambiguous, selection repeatedly takes the best row for the next
-rank while suppressing overlapping masks, and the chosen masks are binarized.
+pattern is ambiguous, and selection walks each rank's rows from the most
+probable down and takes the first whose binarized mask does not overlap an
+earlier choice. Masks are fetched only for the rows that walk reaches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -66,32 +73,40 @@ def select_ranks(masks, values, rows, n_ranks: int, threshold: float, nms_iou: f
                  binarize_threshold: float = 0.5) -> list[RankedInstance]:
     """Iterative rank assignment over the alleviated ``rows``.
 
-    For rank n the alive row with the highest partition-n probability is
-    chosen (ties go to the lower row); selection stops once that best
-    probability falls below the threshold. Every remaining row whose
-    binarized mask overlaps the selection with IoU > nms_iou is suppressed.
+    For rank n the rows are walked in descending partition-n probability,
+    ties going to the lower row, skipping rows already chosen; the walk stops
+    at the first row below the threshold. The first row whose binarized mask
+    has IoU <= nms_iou with every chosen mask takes rank n, and when no row
+    does, selection ends. This equals suppressing every row that overlaps a
+    choice, since a suppressed row matters only when it would otherwise be
+    chosen.
+
+    Only the rows the walk reaches have their masks fetched, in blocks that
+    double along the walk (one row, then as many as fetched so far, all at
+    or above the threshold), and each is binarized once per call.
     """
     rows = np.sort(np.asarray(rows, dtype=np.intp))
-    values = np.asarray(values)[rows]
-    alive = np.ones(len(rows), dtype=bool)
-    binaries = areas = None  # made at the first selection: no mask is needed if no row clears the threshold
+    values = np.asarray(values)
+    binaries: dict[int, np.ndarray] = {}
+    chosen: list[int] = []
     results: list[RankedInstance] = []
     for rank in range(1, n_ranks + 1):
-        if not alive.any():
+        column = values[rows, rank - 1]
+        walk = rows[np.argsort(-column, kind="stable")][: np.count_nonzero(column >= threshold)].tolist()
+        for position, row in enumerate(walk):
+            if row in chosen:
+                continue
+            if row not in binaries:
+                unfetched = (r for r in walk[position:] if r not in binaries)
+                block = list(islice(unfetched, max(1, len(binaries))))
+                for r, soft in zip(block, masks[block]):
+                    binaries[r] = binarize(soft, binarize_threshold)
+            if all(mask_iou(binaries[row], binaries[c]) <= nms_iou for c in chosen):
+                chosen.append(row)
+                results.append(RankedInstance(mask=binaries[row], rank=rank, score=float(values[row, rank - 1])))
+                break
+        else:  # no row at or above the threshold passes the overlap test
             break
-        best = int(np.argmax(np.where(alive, values[:, rank - 1], -np.inf)))
-        best_score = float(values[best, rank - 1])
-        if best_score < threshold:
-            break
-        if binaries is None:
-            binaries = binarize(masks, binarize_threshold)[rows]
-            areas = binaries.sum(axis=(1, 2))
-        results.append(RankedInstance(mask=binaries[best].copy(), rank=rank, score=best_score))
-        alive[best] = False
-        inter = (binaries & binaries[best]).sum(axis=(1, 2))
-        union = areas + areas[best] - inter
-        iou = np.divide(inter, union, out=np.zeros(len(rows)), where=union > 0)
-        alive &= iou <= nms_iou
     return results
 
 

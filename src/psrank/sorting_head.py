@@ -34,9 +34,13 @@ def sorting_head_forward(f_hat: PyramidFeatures, params) -> Tensor:
 
 def sort_to_ranks(scores: np.ndarray, masks, n_ranks: int, nms_iou: float,
                   binarize_threshold: float = 0.5) -> list[RankedInstance]:
-    """Greedy decode: non-background argmax cells ordered by confidence; a
-    candidate is dropped if its rank is already taken or its mask overlaps an
-    accepted one beyond the NMS threshold.
+    """Greedy decode: non-background argmax cells ordered by confidence (ties
+    to the lower row); a candidate is dropped if its class is already taken or
+    its mask overlaps an accepted one beyond the NMS threshold. The accepted
+    cells, ordered by class, get ranks 1..n, so a class nobody took leaves no
+    gap. ``masks`` is row-indexable as in ``p2r``; a mask is fetched only for
+    a candidate whose class is still free, and the walk stops once every
+    class is taken.
     """
     scores = np.asarray(scores)
     classes = scores.argmax(axis=1)
@@ -45,21 +49,17 @@ def sort_to_ranks(scores: np.ndarray, masks, n_ranks: int, nms_iou: float,
         (i for i in range(len(scores)) if classes[i] != n_ranks),
         key=lambda i: (-confidences[i], i),
     )
-    binaries = {i: binarize(np.asarray(masks[i]), binarize_threshold) for i in order}
-    taken: set[int] = set()
-    accepted: list[int] = []
-    results: list[RankedInstance] = []
+    accepted: dict[int, tuple[int, np.ndarray]] = {}  # class -> (row, binary mask)
     for i in order:
-        rank = int(classes[i]) + 1
-        if rank in taken:
+        if len(accepted) == n_ranks:
+            break
+        if classes[i] in accepted:
             continue
-        if any(mask_iou(binaries[i], binaries[j]) > nms_iou for j in accepted):
-            continue
-        taken.add(rank)
-        accepted.append(i)
-        results.append(RankedInstance(mask=binaries[i].copy(), rank=rank, score=float(confidences[i])))
-    results.sort(key=lambda r: r.rank)
-    return results
+        binary = binarize(masks[[i]][0], binarize_threshold)
+        if all(mask_iou(binary, other) <= nms_iou for _, other in accepted.values()):
+            accepted[classes[i]] = (i, binary)
+    return [RankedInstance(mask=binary, rank=rank, score=float(confidences[i]))
+            for rank, (_, (i, binary)) in enumerate(sorted(accepted.items()), start=1)]
 
 
 def cross_entropy_loss(scores: Tensor, classes: np.ndarray) -> Tensor:

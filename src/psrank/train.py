@@ -11,6 +11,7 @@ import numpy as np
 from . import heads, losses, model
 from .config import ModelConfig, TrainConfig
 from .data_synth import SceneSample
+from .errors import DimensionError
 from .losses import LossWeights
 from .tensor import Tensor
 
@@ -31,6 +32,8 @@ def downsample_mask(mask: np.ndarray, stride: int) -> np.ndarray:
 
 def build_targets(sample: SceneSample, cfg: ModelConfig) -> SampleTargets:
     canvas = model.image_canvas(sample.image)
+    if canvas % cfg.mask_stride:
+        raise DimensionError(f"canvas {canvas} is not divisible by mask_stride {cfg.mask_stride}")
     masks = [m for m, _ in sample.instances]
     assignment = heads.assign_targets(masks, cfg, canvas)
     k = len(assignment)

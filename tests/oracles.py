@@ -1,12 +1,15 @@
 """Definition-based re-implementations that the tests check production code
-against. Deliberately naive: literal loops, no vectorisation.
+against, deliberately naive (literal loops, no vectorisation), and a mask
+view that records what a decode reads.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from psrank import model, tensor as T
 from psrank.p2r import RankedInstance
+from psrank.tensor import Tensor
 
 
 def average_ranks(values) -> np.ndarray:
@@ -104,3 +107,29 @@ def p2r_reference(masks, values, n_ranks: int, threshold: float, nms_iou: float,
                 if row != best and naive_iou(binaries[best], binaries[row]) <= nms_iou]
         rank += 1
     return results
+
+
+def eager_predict(image, params, cfg) -> list[RankedInstance]:
+    """``model.predict`` with every cell's soft mask upsampled to the canvas
+    first, and the configured head decoding that (K, canvas, canvas) array.
+    """
+    canvas = image.shape[1]
+    with T.no_grad():
+        outputs = model.forward(Tensor(image), params, cfg)
+        masks = T.interpolate(outputs.mask.soft_masks(), (canvas, canvas)).data
+        return model.head_ops(cfg).decode(outputs.scores.data, masks)
+
+
+class CountingMasks:
+    """A row-indexable mask view over an array that records every row fetched."""
+
+    def __init__(self, masks):
+        self.masks = np.asarray(masks)
+        self.fetched = []
+
+    def __len__(self):
+        return len(self.masks)
+
+    def __getitem__(self, rows):
+        self.fetched.extend(int(r) for r in rows)
+        return self.masks[np.asarray(rows, dtype=np.intp)]

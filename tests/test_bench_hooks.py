@@ -1,16 +1,23 @@
 """The benchmark's tracer wraps psrank functions by module attribute. These
 tests fail when a refactor moves or renames a wrapped function, or calls it
 in a way the wrapper no longer sees, which would zero a per-layer metric.
+They also run the benchmark's own output checks on ``model.predict``, whose
+failures the benchmark counts as failed operations.
 """
 
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracer as bench_tracer  # noqa: E402
+
+with mock.patch.dict(os.environ):  # importing run.py pins BLAS threads in the environment
+    import run as bench_run  # noqa: E402
 from psrank import data_synth, metrics, model, train  # noqa: E402
 from psrank.config import toy_model_config  # noqa: E402
 
@@ -53,3 +60,17 @@ def test_spans_fire_on_model_path(head_type):
         funnel = [tracer.counts[("predict", f"p2r.{c}")] for c in ("associated", "alleviated", "selected")]
         assert funnel[0] >= funnel[1] >= funnel[2] > 0
     assert tracer.counts[("train", "tensor.tape_ops")] > 0
+
+
+def test_repeated_predictions_pass_benchmark_checks():
+    # partition head only: valid_prediction requires score >= partition_threshold
+    cfg = toy_model_config(partition_threshold=0.1, objectness_floor=0.05)
+    params = model.init_model_params(cfg, 0)
+    found = 0
+    for sample in data_synth.generate_dataset(data_synth.GenConfig(), 8, 5000):
+        first = model.predict(sample.image, params, cfg)
+        assert bench_run.valid_prediction(first, cfg, 64)
+        for _ in range(2):
+            assert bench_run.same_prediction(model.predict(sample.image, params, cfg), first)
+        found += len(first)
+    assert found > 0

@@ -8,7 +8,7 @@ from psrank.errors import DataError, DimensionError
 from psrank.p2r import partition_to_rank
 from psrank.tensor import Parameter, Tensor
 
-from oracles import p2r_reference
+from oracles import eager_predict, p2r_reference
 
 # Thresholds low enough that the untrained toy model emits instances, so
 # association, alleviation, selection and NMS all do work.
@@ -48,12 +48,7 @@ class TestPredict:
         found = 0
         for sample in heldout:
             preds = model.predict(sample.image, params, cfg)
-            ranks = [p.rank for p in preds]
-            if head_type == "partition":
-                assert ranks == list(range(1, len(preds) + 1))
-            else:
-                # a sorting decode keeps each cell's argmax class, so a rank can be skipped
-                assert ranks == sorted(set(ranks)) and set(ranks) <= set(range(1, cfg.max_rank + 1))
+            assert [p.rank for p in preds] == list(range(1, len(preds) + 1))
             assert len(preds) <= cfg.max_rank
             for p in preds:
                 assert p.mask.dtype == bool and p.mask.shape == (64, 64)
@@ -81,6 +76,21 @@ class TestPredict:
                     np.testing.assert_array_equal(a.mask, b.mask)
             found += len(expected)
         assert found == 29
+
+
+    @pytest.mark.parametrize("head_type", ["partition", "sorting"])
+    def test_matches_eager_reference(self, heldout, head_type):
+        cfg = toy_model_config(head_type=head_type, **LOW)
+        params = model.init_model_params(cfg, 0)
+        found = 0
+        for sample in heldout:
+            got = model.predict(sample.image, params, cfg)
+            expected = eager_predict(sample.image, params, cfg)
+            assert [(p.rank, p.score) for p in got] == [(p.rank, p.score) for p in expected]
+            for a, b in zip(got, expected):
+                np.testing.assert_array_equal(a.mask, b.mask)
+            found += len(expected)
+        assert found > 0
 
 
 class TestCheckpoint:

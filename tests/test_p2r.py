@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from psrank import p2r
 from psrank.errors import DimensionError
 
-from oracles import p2r_reference
+from oracles import CountingMasks, p2r_reference
 
 
 def rows_of(partitions, masks=None):
@@ -266,3 +266,33 @@ class TestReferenceEquivalence:
             masks, values = random_rows(rng, int(rng.integers(0, 9)))
             got = p2r.partition_to_rank(masks, values, 5, 0.3, 0.5, objectness_floor=0.7)
             self.assert_same(got, p2r_reference(masks, values, 5, 0.3, 0.5, 0.7, 0.5))
+
+
+class TestLazyMasks:
+    def test_nothing_fetched_when_no_row_reaches_rank_one(self):
+        masks, values = random_rows(np.random.default_rng(6), 8)
+        values[:, 0] *= 0.25  # rank 1 never reaches the threshold; later columns may
+        view = CountingMasks(masks)
+        assert p2r.partition_to_rank(view, values, 5, 0.3, 0.5) == []
+        assert view.fetched == []
+
+    def test_fetches_once_only_reachable_rows_same_result(self):
+        rng = np.random.default_rng(7)
+        fetched = 0
+        for trial in range(300):
+            masks, values = random_rows(rng, int(rng.integers(0, 13)))
+            threshold = float(rng.choice([0.3, 0.6, 0.9]))
+            nms_iou = float(rng.choice([0.1, 0.5]))
+            view = CountingMasks(masks)
+            got = p2r.partition_to_rank(view, values, 5, threshold, nms_iou, objectness_floor=0.2)
+            expected = p2r.partition_to_rank(masks, values, 5, threshold, nms_iou, objectness_floor=0.2)
+            assert len(view.fetched) == len(set(view.fetched))
+            alleviated = p2r.alleviate(values, p2r.associate(masks, values, 0.2), threshold)
+            reachable = {int(r) for r in alleviated if values[r].max() >= threshold}
+            assert set(view.fetched) <= reachable
+            assert len(got) == len(expected)
+            for a, b in zip(got, expected):
+                assert a.rank == b.rank and a.score == b.score
+                np.testing.assert_array_equal(a.mask, b.mask)
+            fetched += len(view.fetched)
+        assert fetched > 0

@@ -8,6 +8,8 @@ from psrank.gradcheck import grad_check
 from psrank.sorting_head import cross_entropy_loss, sort_to_ranks
 from psrank.tensor import Tensor
 
+from oracles import CountingMasks
+
 N = 3  # ranks; class N is background
 
 
@@ -60,10 +62,19 @@ class TestSortToRanks:
         out = sort_to_ranks(scores, masks, N, nms_iou=0.5)
         assert [(r.rank, r.score) for r in out] == [(1, 0.9), (2, 0.6)]
 
-    def test_ranks_need_not_start_at_one(self):
+    def test_skipped_classes_leave_no_rank_gap(self):
+        # argmax ranks 3 and 2, none 1: renumbered densely in class order
         scores = scores_for([(2, 0.9), (1, 0.7)])
         out = sort_to_ranks(scores, pixel_masks(2), N, nms_iou=0.5)
-        assert [r.rank for r in out] == [2, 3]
+        assert [(r.rank, r.score) for r in out] == [(1, 0.7), (2, 0.9)]
+        np.testing.assert_array_equal(out[0].mask, pixel_masks(2)[1] >= 0.5)
+
+    def test_masks_fetched_only_for_free_classes(self):
+        scores = scores_for([(0, 0.9), (0, 0.8), (1, 0.7), (N, 0.9)])
+        view = CountingMasks(pixel_masks(4))
+        out = sort_to_ranks(scores, view, N, nms_iou=0.5)
+        assert [(r.rank, r.score) for r in out] == [(1, 0.9), (2, 0.7)]
+        assert view.fetched == [0, 2]
 
     def test_empty(self):
         assert sort_to_ranks(np.zeros((0, N + 1)), np.zeros((0, 4, 4)), N, nms_iou=0.5) == []

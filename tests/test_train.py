@@ -52,6 +52,13 @@ class TestTargets:
         with pytest.raises(DimensionError):
             train.build_targets(SceneSample(image=wide, instances=masks, seed=0), toy_model_config())
 
+    def test_canvas_not_divisible_by_stride_rejected(self, scenes):
+        cfg = toy_model_config()
+        image = np.pad(scenes[0].image, ((0, 0), (0, 2), (0, 2)))
+        masks = [(np.pad(m, ((0, 2), (0, 2))), r) for m, r in scenes[0].instances]
+        with pytest.raises(DimensionError, match=f"canvas 66 .* mask_stride {cfg.mask_stride}"):
+            train.build_targets(SceneSample(image=image, instances=masks, seed=0), cfg)
+
     def test_non_finite_rejected(self, scenes):
         image = scenes[0].image.copy()
         image[0, 0, 0] = np.nan
