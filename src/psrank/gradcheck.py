@@ -39,11 +39,11 @@ def grad_check(op, inputs, tolerance: float = 1e-3, step: float = 1e-4, seed: in
     op_name = name or getattr(op, "__name__", "op")
     tensors = [Tensor(np.array(t.data if isinstance(t, Tensor) else t, dtype=np.float64),
                       requires_grad=True) for t in inputs]
-    probe = op(*tensors)
+    out = op(*tensors)
     rng = np.random.default_rng(seed)
-    projection = rng.normal(size=probe.data.shape)
+    projection = rng.normal(size=out.data.shape)
 
-    loss = _scalarize(op(*tensors), projection)
+    loss = _scalarize(out, projection)
     loss.backward()
 
     max_rel = 0.0

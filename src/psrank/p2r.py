@@ -47,6 +47,31 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.logical_and(a, b).sum() / union)
 
 
+class AcceptedMasks:
+    """Binary masks accepted so far; ``clears`` tests a new mask against all
+    of them. Intersections are integer pixel counts and each accepted mask's
+    area is counted once, so every IoU equals ``mask_iou`` of the pair.
+    """
+
+    def __init__(self):
+        self.masks: list[np.ndarray] = []
+        self.areas: list[int] = []
+
+    def clears(self, binary: np.ndarray, nms_iou: float) -> bool:
+        """True iff ``binary`` has IoU <= ``nms_iou`` with every accepted mask."""
+        area = np.count_nonzero(binary) if self.masks else 0
+        for mask, mask_area in zip(self.masks, self.areas):
+            inter = np.count_nonzero(np.logical_and(mask, binary))
+            union = mask_area + area - inter
+            if (inter / union if union else 0.0) > nms_iou:
+                return False
+        return True
+
+    def add(self, binary: np.ndarray) -> None:
+        self.masks.append(binary)
+        self.areas.append(np.count_nonzero(binary))
+
+
 def associate(masks, values, objectness_floor: float = 0.1) -> np.ndarray:
     """Rows that pair a mask with a partition row whose best probability
     reaches ``objectness_floor``.
@@ -89,6 +114,7 @@ def select_ranks(masks, values, rows, n_ranks: int, threshold: float, nms_iou: f
     values = np.asarray(values)
     binaries: dict[int, np.ndarray] = {}
     chosen: list[int] = []
+    accepted = AcceptedMasks()
     results: list[RankedInstance] = []
     for rank in range(1, n_ranks + 1):
         column = values[rows, rank - 1]
@@ -101,8 +127,9 @@ def select_ranks(masks, values, rows, n_ranks: int, threshold: float, nms_iou: f
                 block = list(islice(unfetched, max(1, len(binaries))))
                 for r, soft in zip(block, masks[block]):
                     binaries[r] = binarize(soft, binarize_threshold)
-            if all(mask_iou(binaries[row], binaries[c]) <= nms_iou for c in chosen):
+            if accepted.clears(binaries[row], nms_iou):
                 chosen.append(row)
+                accepted.add(binaries[row])
                 results.append(RankedInstance(mask=binaries[row], rank=rank, score=float(values[row, rank - 1])))
                 break
         else:  # no row at or above the threshold passes the overlap test

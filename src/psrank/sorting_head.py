@@ -13,7 +13,7 @@ import numpy as np
 from . import tensor as T
 from .config import ModelConfig
 from .heads import _per_cell
-from .p2r import RankedInstance, binarize, mask_iou
+from .p2r import AcceptedMasks, RankedInstance, binarize
 from .pyramid import PyramidFeatures
 from .tensor import Parameter, Tensor
 
@@ -50,14 +50,16 @@ def sort_to_ranks(scores: np.ndarray, masks, n_ranks: int, nms_iou: float,
         key=lambda i: (-confidences[i], i),
     )
     accepted: dict[int, tuple[int, np.ndarray]] = {}  # class -> (row, binary mask)
+    overlap = AcceptedMasks()
     for i in order:
         if len(accepted) == n_ranks:
             break
         if classes[i] in accepted:
             continue
         binary = binarize(masks[[i]][0], binarize_threshold)
-        if all(mask_iou(binary, other) <= nms_iou for _, other in accepted.values()):
+        if overlap.clears(binary, nms_iou):
             accepted[classes[i]] = (i, binary)
+            overlap.add(binary)
     return [RankedInstance(mask=binary, rank=rank, score=float(confidences[i]))
             for rank, (_, (i, binary)) in enumerate(sorted(accepted.items()), start=1)]
 

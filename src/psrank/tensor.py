@@ -5,6 +5,12 @@ Forward ops record closures on a tape; ``Tensor.backward`` replays them in
 reverse topological order. Storage and elementwise kernels are numpy; the
 differentiation machinery, convolution, normalization, resampling, and
 attention are implemented here.
+
+Multi-head attention is a single tape op whose backward is written out
+analytically, so one call records one node. ``conv2d`` is im2col + GEMM: the
+gather index of the im2col matrix depends only on the shapes, so it is built
+once per shape and cached; the backward scatters through the same index
+(col2im) with one ``np.bincount``.
 """
 
 from __future__ import annotations
@@ -410,6 +416,21 @@ def softmax(a, axis: int = -1) -> Tensor:
 # convolution -----------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _im2col_index(c: int, hp: int, wp: int, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """Flat indices into a padded (c, hp, wp) input that gather its im2col
+    matrix: entry ((ch, i, j), (oy, ox)) reads xp[ch, oy*stride + i, ox*stride + j].
+    """
+    ch = np.arange(c).reshape(c, 1, 1, 1, 1) * (hp * wp)
+    i = np.arange(k).reshape(1, k, 1, 1, 1)
+    j = np.arange(k).reshape(1, 1, k, 1, 1)
+    oy = np.arange(ho).reshape(1, 1, 1, ho, 1) * stride
+    ox = np.arange(wo).reshape(1, 1, 1, 1, wo) * stride
+    idx = (ch + (oy + i) * wp + (ox + j)).reshape(c * k * k, ho * wo)
+    idx.setflags(write=False)
+    return idx
+
+
 def conv2d(x, weight, bias=None, stride: int = 1, padding=None) -> Tensor:
     """Cross-correlation of ``x`` [C,H,W] with ``weight`` [Co,C,k,k].
 
@@ -424,12 +445,20 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding=None) -> Tensor:
     if c != ci:
         raise DimensionError(f"conv2d channel mismatch: input {x.data.shape} vs kernel {weight.data.shape}")
     pad = (k - 1) // 2 if padding is None else int(padding)
-    xp = np.pad(x.data, ((0, 0), (pad, pad), (pad, pad)))
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (w + 2 * pad - k) // stride + 1
-    windows = np.lib.stride_tricks.sliding_window_view(xp, (k, k), axis=(1, 2))
-    windows = windows[:, ::stride, ::stride]  # (C, ho, wo, k, k)
-    cols = windows.transpose(0, 3, 4, 1, 2).reshape(ci * k * k, ho * wo)
+    hp, wp = h + 2 * pad, w + 2 * pad
+    if hp < k or wp < k:
+        raise DimensionError(f"conv2d kernel {k}x{k} exceeds the padded input {hp}x{wp}")
+    ho = (hp - k) // stride + 1
+    wo = (wp - k) // stride + 1
+    if pad:
+        xp = np.zeros((c, hp, wp))
+        xp[:, pad : pad + h, pad : pad + w] = x.data
+    else:
+        xp = x.data
+    idx = _im2col_index(c, hp, wp, k, stride, ho, wo)
+    # the first k*k rows index channel 0's plane; gathering every plane along
+    # axis 1 with them beats one flat take of the whole index
+    cols = xp.reshape(c, hp * wp).take(idx[: k * k], axis=1).reshape(c * k * k, ho * wo)
     w2 = weight.data.reshape(co, ci * k * k)
     out = (w2 @ cols).reshape(co, ho, wo)
     if bias is not None:
@@ -442,11 +471,8 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding=None) -> Tensor:
         if bias is not None:
             _accumulate(bias, g.sum(axis=(1, 2)))
         if x.requires_grad:
-            dcols = (w2.T @ g2).reshape(ci, k, k, ho, wo)
-            dxp = np.zeros_like(xp)
-            for i in range(k):
-                for j in range(k):
-                    dxp[:, i : i + stride * ho : stride, j : j + stride * wo : stride] += dcols[:, i, j]
+            dcols = w2.T @ g2
+            dxp = np.bincount(idx.ravel(), weights=dcols.ravel(), minlength=c * hp * wp).reshape(c, hp, wp)
             _accumulate(x, dxp[:, pad : pad + h, pad : pad + w] if pad else dxp)
 
     parents = (x, weight) if bias is None else (x, weight, bias)
@@ -463,10 +489,12 @@ def group_norm(x, groups: int, gamma, beta, eps: float = 1e-5) -> Tensor:
     if c % groups != 0:
         raise ConfigurationError(f"group_norm: {c} channels not divisible by {groups} groups")
     xg = x.data.reshape(groups, -1)
-    mu = xg.mean(axis=1, keepdims=True)
-    var = xg.var(axis=1, keepdims=True)
+    n = xg.shape[1]
+    # np.mean / np.var arithmetic without their Python wrappers
+    dev = xg - np.add.reduce(xg, axis=1, keepdims=True) / n
+    var = np.add.reduce(dev * dev, axis=1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat_g = (xg - mu) * inv
+    xhat_g = dev * inv
     xhat = xhat_g.reshape(c, h, w)
     out = gamma.data[:, None, None] * xhat + beta.data[:, None, None]
 
@@ -477,8 +505,8 @@ def group_norm(x, groups: int, gamma, beta, eps: float = 1e-5) -> Tensor:
             dxhat = (g * gamma.data[:, None, None]).reshape(groups, -1)
             dxg = inv * (
                 dxhat
-                - dxhat.mean(axis=1, keepdims=True)
-                - xhat_g * (dxhat * xhat_g).mean(axis=1, keepdims=True)
+                - np.add.reduce(dxhat, axis=1, keepdims=True) / n
+                - xhat_g * (np.add.reduce(dxhat * xhat_g, axis=1, keepdims=True) / n)
             )
             _accumulate(x, dxg.reshape(c, h, w))
 
@@ -532,28 +560,59 @@ def interpolate(x, size) -> Tensor:
 
 def multi_head_attention(x, heads: int, wq, wk, wv, wo) -> Tensor:
     """Scaled dot-product self-attention with ``heads`` heads over the
-    second-to-last axis. Accepts [L,D] or [B,L,D]; projections have no bias,
-    so the op is permutation-equivariant over L.
+    second-to-last axis. Accepts [L,D] or [B,L,D]; projections are [D,D] and
+    have no bias, so the op is permutation-equivariant over L.
+
+    One tape op: the backward is the analytic gradient of the whole block
+    with respect to ``x`` and the four projections.
     """
     global _attention_pairs
-    x = _as_tensor(x)
+    x, wq, wk, wv, wo = (_as_tensor(t) for t in (x, wq, wk, wv, wo))
     squeeze = x.data.ndim == 2
-    xb = reshape(x, (1,) + x.data.shape) if squeeze else x
-    b, length, d = xb.data.shape
+    xb = x.data.reshape((1,) + x.data.shape) if squeeze else x.data
+    b, length, d = xb.shape
     if d % heads != 0:
         raise ConfigurationError(f"attention width {d} not divisible by {heads} heads")
+    for w in (wq, wk, wv, wo):
+        if w.data.shape != (d, d):
+            raise DimensionError(f"attention projections must be {d}x{d} for width {d}, got {w.data.shape}")
     dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
     _attention_pairs += b * length * length
 
-    def split(t):
-        return transpose(reshape(t, (b, length, heads, dh)), (0, 2, 1, 3))
+    def split(t):  # (B, L, D) -> (B, heads, L, dh)
+        return t.reshape(b, length, heads, dh).transpose(0, 2, 1, 3)
 
-    q = split(matmul(xb, wq))
-    k = split(matmul(xb, wk))
-    v = split(matmul(xb, wv))
-    scores = mul(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    attn = softmax(scores, axis=-1)
-    ctx = matmul(attn, v)  # (B, heads, L, dh)
-    merged = reshape(transpose(ctx, (0, 2, 1, 3)), (b, length, d))
-    out = matmul(merged, wo)
-    return reshape(out, (length, d)) if squeeze else out
+    def merge(t):  # (B, heads, L, dh) -> (B*L, D)
+        return t.transpose(0, 2, 1, 3).reshape(b * length, d)
+
+    q = split(np.matmul(xb, wq.data))
+    k = split(np.matmul(xb, wk.data))
+    v = split(np.matmul(xb, wv.data))
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * scale
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    merged = merge(np.matmul(attn, v))
+    # a [B,L,D] product, as a batched matmul rounds it, not one (B*L, D) GEMM
+    out = np.matmul(merged.reshape(b, length, d), wo.data).reshape(x.data.shape)
+
+    def backward(g):
+        g2 = g.reshape(b * length, d)
+        _accumulate(wo, merged.T @ g2)
+        g_ctx = split(g2 @ wo.data.T)
+        g_attn = np.matmul(g_ctx, v.swapaxes(-1, -2))
+        g_scores = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True)) * scale
+        grads = (
+            (wq, np.matmul(g_scores, k)),
+            (wk, np.matmul(g_scores.swapaxes(-1, -2), q)),
+            (wv, np.matmul(attn.swapaxes(-1, -2), g_ctx)),
+        )
+        x2 = xb.reshape(b * length, d)
+        gx = 0.0
+        for w, g_head in grads:
+            g_proj = merge(g_head)
+            _accumulate(w, x2.T @ g_proj)
+            gx = gx + g_proj @ w.data.T
+        _accumulate(x, gx.reshape(x.data.shape))
+
+    return _result(out, (x, wq, wk, wv, wo), backward)

@@ -1,9 +1,11 @@
 """Definition-based re-implementations that the tests check production code
-against, deliberately naive (literal loops, no vectorisation), and a mask
-view that records what a decode reads.
+against, deliberately naive (literal loops, no vectorisation, or composed
+from primitive tape ops), and a mask view that records what a decode reads.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -109,6 +111,67 @@ def p2r_reference(masks, values, n_ranks: int, threshold: float, nms_iou: float,
     return results
 
 
+def attention_reference(x, heads: int, wq, wk, wv, wo) -> Tensor:
+    """Multi-head self-attention composed of primitive tape ops (matmul,
+    reshape, transpose, softmax), each recording its own node; same contract
+    as ``tensor.multi_head_attention``.
+    """
+    x = T._as_tensor(x)
+    squeeze = x.data.ndim == 2
+    xb = T.reshape(x, (1,) + x.data.shape) if squeeze else x
+    b, length, d = xb.data.shape
+    dh = d // heads
+
+    def split(t):
+        return T.transpose(T.reshape(t, (b, length, heads, dh)), (0, 2, 1, 3))
+
+    q = split(T.matmul(xb, wq))
+    k = split(T.matmul(xb, wk))
+    v = split(T.matmul(xb, wv))
+    scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
+    attn = T.softmax(scores, axis=-1)
+    ctx = T.matmul(attn, v)  # (B, heads, L, dh)
+    merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, length, d))
+    out = T.matmul(merged, wo)
+    return T.reshape(out, (length, d)) if squeeze else out
+
+
+def _conv_windows(x, k: int, pad: int, stride: int):
+    """Yield (i, j, window slice) for every output pixel of a zero-padded conv."""
+    _, h, wd = x.shape
+    for i in range((h + 2 * pad - k) // stride + 1):
+        for j in range((wd + 2 * pad - k) // stride + 1):
+            yield i, j, (slice(None), slice(i * stride, i * stride + k), slice(j * stride, j * stride + k))
+
+
+def conv2d_reference(x, w, pad: int, stride: int = 1) -> np.ndarray:
+    """Cross-correlation of ``x`` (C, H, W) with ``w`` (Co, C, k, k), one
+    output pixel at a time.
+    """
+    co, _, k, _ = w.shape
+    _, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    out = np.zeros((co, (h + 2 * pad - k) // stride + 1, (wd + 2 * pad - k) // stride + 1))
+    for i, j, window in _conv_windows(x, k, pad, stride):
+        for o in range(co):
+            out[o, i, j] = np.sum(xp[window] * w[o])
+    return out
+
+
+def conv2d_reference_grads(x, w, g, pad: int, stride: int = 1):
+    """Gradients (dx, dw) of sum(conv2d(x, w) * g), one output pixel at a time."""
+    co, _, k, _ = w.shape
+    _, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for i, j, window in _conv_windows(x, k, pad, stride):
+        for o in range(co):
+            dxp[window] += g[o, i, j] * w[o]
+            dw[o] += g[o, i, j] * xp[window]
+    return dxp[:, pad : pad + h, pad : pad + wd], dw
+
+
 def eager_predict(image, params, cfg) -> list[RankedInstance]:
     """``model.predict`` with every cell's soft mask upsampled to the canvas
     first, and the configured head decoding that (K, canvas, canvas) array.
@@ -133,3 +196,20 @@ class CountingMasks:
     def __getitem__(self, rows):
         self.fetched.extend(int(r) for r in rows)
         return self.masks[np.asarray(rows, dtype=np.intp)]
+
+
+def tape_nodes(root: Tensor) -> int:
+    """Tape nodes ``root.backward()`` would run: recorded ops reachable from
+    ``root`` through parents that require gradients.
+    """
+    seen = {id(root)}
+    stack = [root]
+    nodes = 0
+    while stack:
+        node = stack.pop()
+        nodes += node._backward is not None
+        for parent in node._parents:
+            if parent.requires_grad and id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return nodes

@@ -72,6 +72,37 @@ def test_conv2d_strided():
     assert grad_check(lambda x, w: T.conv2d(x, w, stride=2), [x, w], tolerance=TOL).passed
 
 
+def test_conv2d_no_padding():
+    rng = np.random.default_rng(12)
+    x = Tensor(rng.normal(size=(2, 5, 5)))
+    w = Tensor(rng.normal(size=(2, 2, 3, 3)))
+    assert grad_check(lambda x, w: T.conv2d(x, w, padding=0), [x, w], tolerance=TOL).passed
+
+
+def test_conv2d_strided_with_bias():
+    rng = np.random.default_rng(13)
+    x = Tensor(rng.normal(size=(2, 7, 7)))
+    w = Tensor(rng.normal(size=(3, 2, 3, 3)))
+    b = Tensor(rng.normal(size=3))
+    assert grad_check(lambda x, w, b: T.conv2d(x, w, bias=b, stride=2), [x, w, b], tolerance=TOL).passed
+
+
+def test_conv2d_pointwise():
+    # 1x1 kernel, as in the mask branch's fuse conv
+    rng = np.random.default_rng(14)
+    x = Tensor(rng.normal(size=(4, 3, 3)))
+    w = Tensor(rng.normal(size=(2, 4, 1, 1)))
+    b = Tensor(rng.normal(size=2))
+    assert grad_check(lambda x, w, b: T.conv2d(x, w, bias=b), [x, w, b], tolerance=TOL).passed
+
+
+def test_conv2d_non_square_input():
+    rng = np.random.default_rng(15)
+    x = Tensor(rng.normal(size=(2, 4, 7)))
+    w = Tensor(rng.normal(size=(2, 2, 3, 3)))
+    assert grad_check(lambda x, w: T.conv2d(x, w), [x, w], tolerance=TOL).passed
+
+
 def test_group_norm():
     rng = np.random.default_rng(5)
     x = Tensor(rng.normal(size=(4, 3, 3)) * 2 + 1)
@@ -84,6 +115,16 @@ def test_mhsa():
     rng = np.random.default_rng(6)
     d = 8
     x = Tensor(rng.normal(size=(4, d)))
+    mats = [Tensor(rng.normal(size=(d, d)) / np.sqrt(d)) for _ in range(4)]
+    assert grad_check(lambda x, q, k, v, o: T.multi_head_attention(x, 2, q, k, v, o),
+                      [x] + mats, tolerance=TOL).passed
+
+
+def test_mhsa_batched():
+    # [B,L,D], the shape the DPT row, column and cross routes use
+    rng = np.random.default_rng(16)
+    d = 8
+    x = Tensor(rng.normal(size=(3, 4, d)))
     mats = [Tensor(rng.normal(size=(d, d)) / np.sqrt(d)) for _ in range(4)]
     assert grad_check(lambda x, q, k, v, o: T.multi_head_attention(x, 2, q, k, v, o),
                       [x] + mats, tolerance=TOL).passed

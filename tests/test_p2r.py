@@ -144,6 +144,23 @@ class TestMaskIoU:
             p2r.mask_iou(np.zeros((2, 2), dtype=bool), np.zeros((3, 3), dtype=bool))
 
 
+class TestAcceptedMasks:
+    def test_empty_clears_anything(self):
+        assert p2r.AcceptedMasks().clears(np.ones((3, 3), dtype=bool), 0.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0]))
+    def test_agrees_with_pairwise_mask_iou(self, seed, count, nms_iou):
+        # sparse 3x3 masks make empty masks and IoUs exactly at the threshold common
+        rng = np.random.default_rng(seed)
+        accepted = [rng.random((3, 3)) < 0.3 for _ in range(count)]
+        candidate = rng.random((3, 3)) < 0.3
+        pool = p2r.AcceptedMasks()
+        for mask in accepted:
+            pool.add(mask)
+        assert pool.clears(candidate, nms_iou) == all(p2r.mask_iou(candidate, m) <= nms_iou for m in accepted)
+
+
 class TestBinarize:
     def test_above(self):
         assert p2r.binarize(np.full((2, 2), 0.7), 0.5).all()

@@ -2,25 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from psrank import tensor as T
 from psrank.errors import ConfigurationError, DimensionError
 from psrank.tensor import Parameter, Tensor
 
-
-def brute_conv2d(x, w, pad, stride=1):
-    """Direct-loop cross-correlation oracle."""
-    co, ci, k, _ = w.shape
-    c, h, wd = x.shape
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)))
-    ho = (h + 2 * pad - k) // stride + 1
-    wo = (wd + 2 * pad - k) // stride + 1
-    out = np.zeros((co, ho, wo))
-    for o in range(co):
-        for i in range(ho):
-            for j in range(wo):
-                out[o, i, j] = np.sum(xp[:, i * stride : i * stride + k, j * stride : j * stride + k] * w[o])
-    return out
+from oracles import attention_reference, conv2d_reference, conv2d_reference_grads, tape_nodes
 
 
 def bilinear_1d_oracle(values, dst):
@@ -101,7 +90,7 @@ class TestConv2d:
         c = 0.7
         x = np.full((1, 6, 6), c)
         w = np.full((1, 1, 3, 3), 1.0 / 9.0)
-        expected = brute_conv2d(x, w, pad=1)
+        expected = conv2d_reference(x, w, pad=1)
         out = T.conv2d(Tensor(x), Tensor(w))
         np.testing.assert_allclose(out.data, expected, atol=1e-12)
         # zero padding: interior stays c, borders fall below c
@@ -113,14 +102,14 @@ class TestConv2d:
         x = rng.normal(size=(3, 7, 6))
         w = rng.normal(size=(4, 3, 3, 3))
         out = T.conv2d(Tensor(x), Tensor(w))
-        np.testing.assert_allclose(out.data, brute_conv2d(x, w, pad=1), atol=1e-10)
+        np.testing.assert_allclose(out.data, conv2d_reference(x, w, pad=1), atol=1e-10)
 
     def test_strided_matches_bruteforce(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 8, 8))
         w = rng.normal(size=(3, 2, 3, 3))
         out = T.conv2d(Tensor(x), Tensor(w), stride=2)
-        np.testing.assert_allclose(out.data, brute_conv2d(x, w, pad=1, stride=2), atol=1e-10)
+        np.testing.assert_allclose(out.data, conv2d_reference(x, w, pad=1, stride=2), atol=1e-10)
 
     def test_channel_mismatch(self):
         with pytest.raises(DimensionError):
@@ -131,6 +120,31 @@ class TestConv2d:
         out = T.conv2d(Tensor(x), Tensor(np.zeros((2, 1, 3, 3))), bias=Tensor([1.0, -2.0]))
         np.testing.assert_array_equal(out.data[0], np.ones((3, 3)))
         np.testing.assert_array_equal(out.data[1], -2 * np.ones((3, 3)))
+
+    def test_kernel_larger_than_padded_input(self):
+        with pytest.raises(DimensionError, match="exceeds the padded input"):
+            T.conv2d(Tensor(np.zeros((1, 2, 4))), Tensor(np.zeros((1, 1, 3, 3))), padding=0)
+
+    # The gather index is cached per shape, so every shape parameter is drawn:
+    # a cache key that missed one would reuse another shape's index here.
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([1, 3, 5]), st.sampled_from([1, 3, 5]), st.sampled_from([1, 3, 5]),
+           st.sampled_from([1, 3, 5]), st.sampled_from([1, 2]), st.sampled_from([None, 0, 1, 2]),
+           st.sampled_from([1, 2]), st.integers(0, 2**32 - 1))
+    def test_matches_loop_reference(self, c, h, w, k, stride, padding, co, seed):
+        pad = (k - 1) // 2 if padding is None else padding
+        assume(h + 2 * pad >= k and w + 2 * pad >= k)
+        rng = np.random.default_rng(seed)
+        x = Tensor(rng.normal(size=(c, h, w)), requires_grad=True)
+        weight = Tensor(rng.normal(size=(co, c, k, k)), requires_grad=True)
+        out = T.conv2d(x, weight, stride=stride, padding=padding)
+        np.testing.assert_allclose(out.data, conv2d_reference(x.data, weight.data, pad, stride),
+                                   rtol=1e-12, atol=1e-12)
+        g = rng.normal(size=out.shape)
+        out.backward(g)
+        dx, dw = conv2d_reference_grads(x.data, weight.data, g, pad, stride)
+        np.testing.assert_allclose(x.grad, dx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(weight.grad, dw, rtol=1e-12, atol=1e-12)
 
 
 class TestGroupNorm:
@@ -163,6 +177,16 @@ class TestGroupNorm:
     def test_indivisible_groups(self):
         with pytest.raises(ConfigurationError):
             T.group_norm(Tensor(np.zeros((5, 2, 2))), 2, Tensor(np.ones(5)), Tensor(np.zeros(5)))
+
+    def test_statistics_equal_numpy_mean_var(self):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=(8, 5, 3)) * 3 + 1
+        gamma, beta = rng.normal(size=8), rng.normal(size=8)
+        xg = x.reshape(4, -1)
+        xhat = (xg - xg.mean(axis=1, keepdims=True)) * (1.0 / np.sqrt(xg.var(axis=1, keepdims=True) + 1e-5))
+        expected = gamma[:, None, None] * xhat.reshape(x.shape) + beta[:, None, None]
+        out = T.group_norm(Tensor(x), 4, Tensor(gamma), Tensor(beta))
+        np.testing.assert_array_equal(out.data, expected)
 
 
 class TestInterpolate:
@@ -234,6 +258,34 @@ class TestAttention:
         wq, wk, wv, wo = self.rand_params(8, seed=9)
         with pytest.raises(ConfigurationError):
             T.multi_head_attention(Tensor(np.zeros((3, 8))), 3, wq, wk, wv, wo)
+
+    def test_projection_shape_checked(self):
+        wq, wk, wv, wo = self.rand_params(8, seed=11)
+        with pytest.raises(DimensionError, match="8x8"):
+            T.multi_head_attention(Tensor(np.zeros((3, 8))), 2, wq, wk, wv, Tensor(np.zeros((8, 6))))
+
+    @pytest.mark.parametrize("shape", [(5, 8), (3, 4, 8)])
+    def test_fused_matches_composed_reference(self, shape):
+        rng = np.random.default_rng(12)
+        x = rng.normal(size=shape)
+        ws = [rng.normal(size=(8, 8)) / math.sqrt(8) for _ in range(4)]
+        g = rng.normal(size=shape)
+        results = []
+        for attention in (T.multi_head_attention, attention_reference):
+            inputs = [Tensor(a, requires_grad=True) for a in [x] + ws]
+            out = attention(inputs[0], 2, *inputs[1:])
+            out.backward(g)
+            results.append((out.data, [t.grad for t in inputs]))
+        (fused, fused_grads), (reference, reference_grads) = results
+        np.testing.assert_array_equal(fused, reference)
+        for got, want in zip(fused_grads, reference_grads):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    def test_one_call_records_one_tape_node(self):
+        x = Tensor(np.random.default_rng(13).normal(size=(3, 4, 8)), requires_grad=True)
+        ws = [Parameter(w.data) for w in self.rand_params(8, seed=14)]
+        assert tape_nodes(T.multi_head_attention(x, 2, *ws)) == 1
+        assert tape_nodes(attention_reference(x, 2, *ws)) > 1
 
     def test_pair_counter(self):
         wq, wk, wv, wo = self.rand_params(8, seed=10)

@@ -6,6 +6,8 @@ from psrank.config import TrainConfig, toy_model_config, toy_train_config
 from psrank.data_synth import GenConfig, SceneSample, generate_dataset
 from psrank.errors import DataError, DimensionError
 
+from oracles import tape_nodes
+
 
 @pytest.fixture(scope="module")
 def scenes():
@@ -80,6 +82,19 @@ class TestSampleLoss:
         breakdown.total.backward()
         assert all(np.isfinite(p.grad).all() for p in params.values())
         assert any(np.abs(p.grad).sum() > 0 for name, p in params.items() if name.startswith(head_type))
+
+
+class TestTapeBudget:
+    # Backward-graph nodes of one toy training sample. Attention is one tape
+    # op; if it regressed to a composition of matmul, reshape, transpose and
+    # softmax (17 or more ops a call), these counts would roughly double.
+    @pytest.mark.parametrize("head_type, nodes", [("partition", 234), ("sorting", 224)])
+    def test_sample_loss_node_count(self, scenes, head_type, nodes):
+        from psrank import model
+        cfg = toy_model_config(head_type=head_type)
+        params = model.init_model_params(cfg, 0)
+        targets = train.build_targets(scenes[0], cfg)
+        assert tape_nodes(train.sample_loss(scenes[0], targets, params, cfg).total) == nodes
 
 
 class TestTrain:
