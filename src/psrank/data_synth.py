@@ -16,6 +16,11 @@ rejects scenes whose consecutive scores are closer than a fixed ratio so the
 ordering is unambiguous and learnable. The rule does not claim to model human
 attention; it exists so ranks are verifiable.
 
+A scene's image is float32 (3, H, W) in [0, 1], the precision the dataset
+format stores, so a generated scene and its saved-then-loaded copy are equal.
+Scores are computed in float64, and the model's ``Tensor`` widens the image
+to float64 without rounding.
+
 On disk a dataset is ``manifest.json`` plus ``samples/<id>.json``. Images are
 stored as base64 float32 RGB triplets in row-major (H, W, 3) order, or as
 nested arrays when flagged. Masks use run-length counts over row-major
@@ -59,13 +64,14 @@ class GenConfig:
 
 @dataclass
 class SceneSample:
-    image: np.ndarray  # (3, H, W) in [0,1], float32-representable
+    image: np.ndarray  # float32 (3, H, W) in [0, 1]
     instances: list[tuple[np.ndarray, int]]  # (bool mask, rank), rank == index+1
     seed: int
 
 
 def instance_scores(image: np.ndarray, masks) -> np.ndarray:
     """The documented saliency score for each mask, from the image alone."""
+    image = np.asarray(image, dtype=np.float64)
     _, h, w = image.shape
     union = np.zeros((h, w), dtype=bool)
     for m in masks:
@@ -172,7 +178,7 @@ def generate_scene(cfg: GenConfig, seed: int) -> SceneSample:
         ordered_scores = scores[order]
         if np.any(ordered_scores[1:] * cfg.score_ratio > ordered_scores[:-1]):
             continue
-        image = image.astype(np.float32).astype(np.float64)
+        image = image.astype(np.float32)
         instances = [(masks[idx], rank + 1) for rank, idx in enumerate(order)]
         return SceneSample(image=image, instances=instances, seed=seed)
     raise GenerationError(f"could not build a valid scene for seed {seed}")
@@ -235,7 +241,7 @@ def _decode_image(payload, image_format: str, canvas: int) -> np.ndarray:
         hw3 = np.asarray(payload, dtype=np.float32)
     else:
         raise DataError(f"unknown image format {image_format!r}")
-    return hw3.astype(np.float64).transpose(2, 0, 1)
+    return np.ascontiguousarray(hw3.transpose(2, 0, 1))
 
 
 def _json_bytes(obj) -> bytes:

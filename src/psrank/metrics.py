@@ -4,7 +4,8 @@ Predictions and ground truth are matched greedily by mask IoU; the three
 dataset metrics are Spearman correlation over matched ranks (sor), Pearson
 correlation over all ground-truth instances with misses scored 0 (sa_sor),
 and the mean absolute difference between rank-rendered saliency maps (mae).
-Correlations come from scipy.stats.
+Both correlations are computed here in NumPy: Pearson directly, Spearman as
+Pearson on average ranks (tied values share the mean of their ranks).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .p2r import mask_iou
 
@@ -61,32 +61,48 @@ def _constant(v: np.ndarray) -> bool:
     return v.size == 0 or np.all(v == v[0])
 
 
+def pearson(x, y) -> float | None:
+    """Pearson correlation of two equal-length vectors, clipped to [-1, 1].
+    Undefined (None) with fewer than two entries or a constant side.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.size < 2 or _constant(x) or _constant(y):
+        return None
+    dx = x - x.mean()
+    dy = y - y.mean()
+    r = (dx @ dy) / np.sqrt((dx @ dx) * (dy @ dy))
+    return float(min(max(r, -1.0), 1.0))
+
+
+def _average_ranks(v) -> np.ndarray:
+    """1-based ranks of ``v``; tied values share the mean of their ranks."""
+    _, inverse, counts = np.unique(np.asarray(v, dtype=float), return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)
+    return (ends - (counts - 1) / 2.0)[inverse]
+
+
+def spearman(x, y) -> float | None:
+    """Spearman correlation: Pearson on average ranks, with the same None rules."""
+    return pearson(_average_ranks(x), _average_ranks(y))
+
+
 def sor(match: MatchResult) -> float | None:
     """Spearman correlation of (gt rank, predicted rank) over matched pairs.
     Undefined (None) with fewer than two pairs or a constant side.
     """
-    if len(match.pairs) < 2:
-        return None
-    x = np.array([match.gt_ranks[gi] for gi, _, _ in match.pairs], dtype=float)
-    y = np.array([match.pred_ranks[pi] for _, pi, _ in match.pairs], dtype=float)
-    if _constant(x) or _constant(y):
-        return None
-    return float(stats.spearmanr(x, y).statistic)
+    x = [match.gt_ranks[gi] for gi, _, _ in match.pairs]
+    y = [match.pred_ranks[pi] for _, pi, _ in match.pairs]
+    return spearman(x, y)
 
 
 def sa_sor(match: MatchResult, n_gt: int) -> float | None:
     """Pearson correlation over every ground-truth instance, pairing each GT
     rank with the matched prediction's rank or with 0 when missed.
     """
-    if n_gt < 2:
-        return None
-    x = match.gt_ranks.astype(float)
     y = np.zeros(n_gt)
     for gi, pi, _ in match.pairs:
         y[gi] = match.pred_ranks[pi]
-    if _constant(x) or _constant(y):
-        return None
-    return float(stats.pearsonr(x, y).statistic)
+    return pearson(match.gt_ranks, y)
 
 
 def render_rank_map(instances, n_ranks: int, canvas: int) -> np.ndarray:

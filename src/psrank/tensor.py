@@ -7,10 +7,12 @@ differentiation machinery, convolution, normalization, resampling, and
 attention are implemented here.
 
 Multi-head attention is a single tape op whose backward is written out
-analytically, so one call records one node. ``conv2d`` is im2col + GEMM: the
-gather index of the im2col matrix depends only on the shapes, so it is built
-once per shape and cached; the backward scatters through the same index
-(col2im) with one ``np.bincount``.
+analytically, so one call records one node. ``conv2d`` is im2col + GEMM. The
+forward gathers every channel plane through one (k*k, Ho*Wo) plane index; the
+backward scatters (col2im) with one ``np.bincount`` over the full
+(C*k*k, Ho*Wo) index. Both depend only on the shapes, so each is built once
+per shape, the full one only when a backward first needs it, and kept in a
+module-level ``functools`` cache.
 """
 
 from __future__ import annotations
@@ -175,6 +177,9 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
+        if np.shape(g) == t.data.shape:
+            t.grad = np.array(g, dtype=np.float64)
+            return
         t.grad = np.zeros_like(t.data)
     t.grad += g
 
@@ -417,16 +422,27 @@ def softmax(a, axis: int = -1) -> Tensor:
 
 
 @lru_cache(maxsize=None)
-def _im2col_index(c: int, hp: int, wp: int, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """Flat indices into a padded (c, hp, wp) input that gather its im2col
-    matrix: entry ((ch, i, j), (oy, ox)) reads xp[ch, oy*stride + i, ox*stride + j].
+def _plane_index(wp: int, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """Flat indices into one padded plane of width ``wp`` that gather its
+    im2col rows: entry ((i, j), (oy, ox)) reads the plane at
+    (oy*stride + i, ox*stride + j).
     """
-    ch = np.arange(c).reshape(c, 1, 1, 1, 1) * (hp * wp)
-    i = np.arange(k).reshape(1, k, 1, 1, 1)
-    j = np.arange(k).reshape(1, 1, k, 1, 1)
-    oy = np.arange(ho).reshape(1, 1, 1, ho, 1) * stride
-    ox = np.arange(wo).reshape(1, 1, 1, 1, wo) * stride
-    idx = (ch + (oy + i) * wp + (ox + j)).reshape(c * k * k, ho * wo)
+    i = np.arange(k).reshape(k, 1, 1, 1)
+    j = np.arange(k).reshape(1, k, 1, 1)
+    oy = np.arange(ho).reshape(1, 1, ho, 1) * stride
+    ox = np.arange(wo).reshape(1, 1, 1, wo) * stride
+    idx = ((oy + i) * wp + (ox + j)).reshape(k * k, ho * wo)
+    idx.setflags(write=False)
+    return idx
+
+
+@lru_cache(maxsize=None)
+def _col2im_index(c: int, hp: int, wp: int, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """The plane index repeated for each of ``c`` padded (hp, wp) planes:
+    flat indices into the whole padded input, row (ch, i, j) reading plane ch.
+    """
+    plane = _plane_index(wp, k, stride, ho, wo)
+    idx = (np.arange(c).reshape(c, 1, 1) * (hp * wp) + plane).reshape(c * k * k, ho * wo)
     idx.setflags(write=False)
     return idx
 
@@ -455,10 +471,9 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding=None) -> Tensor:
         xp[:, pad : pad + h, pad : pad + w] = x.data
     else:
         xp = x.data
-    idx = _im2col_index(c, hp, wp, k, stride, ho, wo)
-    # the first k*k rows index channel 0's plane; gathering every plane along
-    # axis 1 with them beats one flat take of the whole index
-    cols = xp.reshape(c, hp * wp).take(idx[: k * k], axis=1).reshape(c * k * k, ho * wo)
+    # gathering every plane along axis 1 beats one flat take of the full index
+    plane = _plane_index(wp, k, stride, ho, wo)
+    cols = xp.reshape(c, hp * wp).take(plane, axis=1).reshape(c * k * k, ho * wo)
     w2 = weight.data.reshape(co, ci * k * k)
     out = (w2 @ cols).reshape(co, ho, wo)
     if bias is not None:
@@ -472,6 +487,7 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding=None) -> Tensor:
             _accumulate(bias, g.sum(axis=(1, 2)))
         if x.requires_grad:
             dcols = w2.T @ g2
+            idx = _col2im_index(c, hp, wp, k, stride, ho, wo)
             dxp = np.bincount(idx.ravel(), weights=dcols.ravel(), minlength=c * hp * wp).reshape(c, hp, wp)
             _accumulate(x, dxp[:, pad : pad + h, pad : pad + w] if pad else dxp)
 

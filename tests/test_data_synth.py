@@ -33,8 +33,15 @@ class TestGenerateScene:
 
     def test_image_range_and_dtype_quantization(self, cfg):
         sample = generate_scene(cfg, seed=7)
+        assert sample.image.dtype == np.float32 and sample.image.shape == (3, cfg.canvas, cfg.canvas)
         assert sample.image.min() >= 0.0 and sample.image.max() <= 1.0
-        np.testing.assert_array_equal(sample.image, sample.image.astype(np.float32).astype(np.float64))
+
+    def test_scores_same_for_float32_image_and_float64_copy(self, cfg):
+        for seed in range(10):
+            sample = generate_scene(cfg, seed=seed)
+            masks = [m for m, _ in sample.instances]
+            np.testing.assert_array_equal(instance_scores(sample.image, masks),
+                                          instance_scores(sample.image.astype(np.float64), masks))
 
     def test_masks_disjoint_in_bounds(self, cfg):
         for seed in range(40):
@@ -118,6 +125,8 @@ class TestPersistence:
         for split in splits:
             assert len(loaded[split]) == len(splits[split])
             for a, b in zip(splits[split], loaded[split]):
+                assert b.image.dtype == np.float32 and b.image.flags.writeable
+                assert b.image.min() >= 0.0 and b.image.max() <= 1.0
                 np.testing.assert_array_equal(a.image, b.image)
                 assert a.seed == b.seed
                 assert len(a.instances) == len(b.instances)

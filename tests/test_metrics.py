@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psrank import metrics
-from psrank.metrics import MatchResult, confusion, evaluate_images, mae, match_instances, sa_sor, sor
+from psrank.metrics import (MatchResult, confusion, evaluate_images, mae, match_instances, pearson, sa_sor, sor,
+                            spearman)
 from psrank.p2r import RankedInstance
 
 from oracles import average_ranks, pearson_oracle, spearman_oracle
@@ -75,17 +78,22 @@ class TestSor:
         assert sor(self.build([1], [1])) is None
 
     def test_matches_oracle_on_random_vectors(self):
+        from scipy import stats
         rng = np.random.default_rng(0)
+        defined = 0
         for _ in range(1000):
             n = int(rng.integers(2, 8))
             x = rng.integers(1, 5, size=n).astype(float)
             y = rng.integers(1, 5, size=n).astype(float)
             expected = spearman_oracle(x, y)
+            got = spearman(x, y)
             if expected is None:
+                assert got is None
                 continue
-            from scipy import stats
-            got = float(stats.spearmanr(x, y).statistic)
+            defined += 1
             assert got == pytest.approx(expected, abs=1e-9)
+            assert got == pytest.approx(float(stats.spearmanr(x, y).statistic), abs=1e-12)
+        assert defined > 500
 
 
 class TestSaSor:
@@ -111,17 +119,49 @@ class TestSaSor:
         assert sa_sor(match, 3) == pytest.approx(expected, abs=1e-9)
 
     def test_core_matches_oracle_random(self):
-        rng = np.random.default_rng(1)
         from scipy import stats
+        rng = np.random.default_rng(1)
+        defined = 0
         for _ in range(1000):
             n = int(rng.integers(2, 8))
             x = rng.integers(1, 6, size=n).astype(float)
             y = rng.integers(0, 6, size=n).astype(float)
             expected = pearson_oracle(x, y)
+            got = pearson(x, y)
             if expected is None:
+                assert got is None
                 continue
-            got = float(stats.pearsonr(x, y).statistic)
+            defined += 1
             assert got == pytest.approx(expected, abs=1e-9)
+            assert got == pytest.approx(float(stats.pearsonr(x, y).statistic), abs=1e-12)
+        assert defined > 500
+
+
+small_ints = st.lists(st.integers(0, 4), max_size=8)
+
+
+class TestCorrelationProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_match_oracles_and_none_rules(self, data):
+        x = data.draw(small_ints)
+        y = data.draw(st.lists(st.integers(0, 4), min_size=len(x), max_size=len(x)))
+        undefined = len(x) < 2 or len(set(x)) == 1 or len(set(y)) == 1
+        for got, expected in ((pearson(x, y), pearson_oracle(x, y)), (spearman(x, y), spearman_oracle(x, y))):
+            if undefined:
+                assert got is None and expected is None
+            else:
+                assert got == pytest.approx(expected, abs=1e-9)
+                assert -1.0 <= got <= 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_ints.filter(lambda v: len(set(v)) > 1), st.integers(1, 5), st.integers(-3, 3),
+           st.sampled_from([1, -1]))
+    def test_perfect_correlation_is_exactly_bounded(self, x, a, b, sign):
+        y = [sign * (a * v + b) for v in x]
+        for got in (pearson(x, y), spearman(x, y)):
+            assert -1.0 <= got <= 1.0
+            assert got == pytest.approx(sign, abs=1e-12)
 
 
 class TestOracles:

@@ -77,6 +77,20 @@ class TestPredict:
             found += len(expected)
         assert found == 29
 
+    @pytest.mark.parametrize("head_type", ["partition", "sorting"])
+    def test_float32_image_and_float64_copy_agree(self, heldout, head_type):
+        cfg = toy_model_config(head_type=head_type, **LOW)
+        params = model.init_model_params(cfg, 0)
+        found = 0
+        for sample in heldout[:6]:
+            assert sample.image.dtype == np.float32
+            a = model.predict(sample.image, params, cfg)
+            b = model.predict(sample.image.astype(np.float64), params, cfg)
+            assert [(p.rank, p.score) for p in a] == [(p.rank, p.score) for p in b]
+            for pa, pb in zip(a, b):
+                np.testing.assert_array_equal(pa.mask, pb.mask)
+            found += len(a)
+        assert found > 0
 
     @pytest.mark.parametrize("head_type", ["partition", "sorting"])
     def test_matches_eager_reference(self, heldout, head_type):

@@ -125,6 +125,24 @@ class TestConv2d:
         with pytest.raises(DimensionError, match="exceeds the padded input"):
             T.conv2d(Tensor(np.zeros((1, 2, 4))), Tensor(np.zeros((1, 1, 3, 3))), padding=0)
 
+    def test_inference_builds_only_the_plane_index(self):
+        from psrank import model, train
+        from psrank.config import toy_model_config
+        from psrank.data_synth import GenConfig, generate_scene
+
+        cfg = toy_model_config()
+        params = model.init_model_params(cfg, 0)
+        sample = generate_scene(GenConfig(), 3)
+        T._plane_index.cache_clear()
+        T._col2im_index.cache_clear()
+        model.predict(sample.image, params, cfg)
+        assert T._plane_index.cache_info().currsize > 0
+        assert T._col2im_index.cache_info().currsize == 0
+        loss = train.sample_loss(sample, train.build_targets(sample, cfg), params, cfg).total
+        assert T._col2im_index.cache_info().currsize == 0
+        loss.backward()
+        assert T._col2im_index.cache_info().currsize > 0
+
     # The gather index is cached per shape, so every shape parameter is drawn:
     # a cache key that missed one would reuse another shape's index here.
     @settings(max_examples=150, deadline=None)
@@ -327,6 +345,19 @@ class TestAutogradBasics:
         assert p.grad.shape == (2, 3)
         p.zero_grad()
         assert p.grad.shape == (2, 3)
+
+    def test_first_gradient_is_a_copy(self):
+        x = Tensor(np.zeros(3), requires_grad=True)
+        g = np.array([1.0, 2.0, 3.0])
+        T._accumulate(x, g)
+        T._accumulate(x, g)
+        np.testing.assert_array_equal(g, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(x.grad, [2.0, 4.0, 6.0])
+
+    def test_first_gradient_broadcasts_to_shape(self):
+        x = Tensor(np.zeros((2, 3)), requires_grad=True)
+        T._accumulate(x, np.array([1.0, 2.0, 3.0]))
+        np.testing.assert_array_equal(x.grad, [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
 
     def test_take_scatter_gradient(self):
         x = Tensor(np.arange(6, dtype=float).reshape(3, 2), requires_grad=True)

@@ -83,6 +83,25 @@ class TestSampleLoss:
         assert all(np.isfinite(p.grad).all() for p in params.values())
         assert any(np.abs(p.grad).sum() > 0 for name, p in params.items() if name.startswith(head_type))
 
+    @pytest.mark.parametrize("head_type", ["partition", "sorting"])
+    def test_float32_image_and_float64_copy_agree(self, scenes, head_type):
+        from psrank import model
+        cfg = toy_model_config(head_type=head_type)
+        sample = scenes[1]
+        assert sample.image.dtype == np.float32
+        wide = SceneSample(image=sample.image.astype(np.float64), instances=sample.instances, seed=sample.seed)
+        targets = train.build_targets(sample, cfg)
+        results = []
+        for s in (sample, wide):
+            params = model.init_model_params(cfg, 0)
+            breakdown = train.sample_loss(s, targets, params, cfg)
+            breakdown.total.backward()
+            results.append((breakdown.total.item(), {name: p.grad for name, p in params.items()}))
+        (loss32, grads32), (loss64, grads64) = results
+        assert loss32 == loss64
+        for name in grads32:
+            np.testing.assert_array_equal(grads32[name], grads64[name])
+
 
 class TestTapeBudget:
     # Backward-graph nodes of one toy training sample. Attention is one tape
