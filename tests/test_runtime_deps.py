@@ -15,8 +15,8 @@ print(sorted(name for name in sys.modules if name == "scipy" or name.startswith(
 
 
 def test_no_psrank_module_imports_scipy():
-    # scipy is a test dependency only; a fresh interpreter keeps the test
-    # session's own imports out of the check.
+    # scipy is a test dependency only; a fresh interpreter keeps the imports
+    # made by the other tests out of the check.
     src = str(Path(psrank.__file__).resolve().parent.parent)
     done = subprocess.run([sys.executable, "-c", IMPORT_ALL.format(src=src)],
                           capture_output=True, text=True, timeout=120)
