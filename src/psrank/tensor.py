@@ -177,9 +177,6 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        if np.shape(g) == t.data.shape:
-            t.grad = np.array(g, dtype=np.float64)
-            return
         t.grad = np.zeros_like(t.data)
     t.grad += g
 
