@@ -21,6 +21,13 @@ format stores, so a generated scene and its saved-then-loaded copy are equal.
 Scores are computed in float64, and the model's ``Tensor`` widens the image
 to float64 without rounding.
 
+Generation is vectorized: ramps and ellipses broadcast from 1-D terms, the
+gap test dilates only around the new mask, and painting and scoring work on
+flat pixel indices. A scene is byte-stable per seed. The random draws, their
+order and the arithmetic on them are fixed, and the tests pin the bytes of
+seeds 0-49 and check the scores bit for bit against the boolean-indexing
+formula.
+
 On disk a dataset is ``manifest.json`` plus ``samples/<id>.json``. Images are
 stored as base64 float32 RGB triplets in row-major (H, W, 3) order, or as
 nested arrays when flagged. Masks use run-length counts over row-major
@@ -72,20 +79,44 @@ class SceneSample:
 def instance_scores(image: np.ndarray, masks) -> np.ndarray:
     """The documented saliency score for each mask, from the image alone."""
     image = np.asarray(image, dtype=np.float64)
-    _, h, w = image.shape
-    union = np.zeros((h, w), dtype=bool)
-    for m in masks:
-        union |= m
-    bg_color = image[:, ~union].mean(axis=1)
+    return _scores(image, [np.flatnonzero(m) for m in masks])
+
+
+def _channel_means(rows: np.ndarray) -> np.ndarray:
+    """Mean of each row of a (C, N) pixel selection, summed left to right.
+
+    This is bitwise ``image[:, mask].mean(axis=1)``: boolean indexing returns
+    pixel-major memory, over which numpy adds each channel's pixels in
+    sequence, not pairwise, and ``cumsum`` keeps that order.
+    """
+    if rows.shape[1] == 0:
+        return rows.mean(axis=1)  # NaN, as for any empty selection
+    return np.cumsum(rows, axis=1)[:, -1] / rows.shape[1]
+
+
+def _scores(image: np.ndarray, pixels) -> np.ndarray:
+    """``instance_scores`` from each instance's flat row-major pixel indices.
+
+    ``compress`` and ``take`` on the flat (C, H*W) view select the pixels in
+    the order boolean indexing of the (C, H, W) image does.
+    """
+    c, h, w = image.shape
+    flat = image.reshape(c, h * w)
+    union = np.zeros(h * w, dtype=bool)
+    for idx in pixels:
+        union[idx] = True
+    bg_color = _channel_means(flat.compress(~union, axis=1))
     center = np.array([h / 2.0, w / 2.0])
     half_diag = np.sqrt(h * h + w * w) / 2.0
-    scores = np.zeros(len(masks))
-    for i, m in enumerate(masks):
-        color = image[:, m].mean(axis=1)
+    scores = np.zeros(len(pixels))
+    for i, idx in enumerate(pixels):
+        color = _channel_means(flat.take(idx, axis=1))
         contrast = np.abs(color - bg_color).mean()
-        area_fraction = m.sum() / (h * w)
-        ys, xs = np.nonzero(m)
-        com = np.array([ys.mean() + 0.5, xs.mean() + 0.5])
+        area_fraction = idx.size / (h * w)
+        # integer coordinate sums are exact, so their means match np.mean's
+        y_sum = int((idx // w).sum())
+        x_sum = int(idx.sum()) - w * y_sum
+        com = np.array([y_sum / idx.size + 0.5, x_sum / idx.size + 0.5])
         proximity = 1.0 - np.linalg.norm(com - center) / half_diag
         scores[i] = contrast * area_fraction * proximity
     return scores
@@ -94,13 +125,13 @@ def instance_scores(image: np.ndarray, masks) -> np.ndarray:
 def _textured_background(cfg: GenConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     h = w = cfg.canvas
     base = rng.uniform(0.3, 0.7, size=3)
-    yy, xx = np.meshgrid(np.linspace(-1, 1, h), np.linspace(-1, 1, w), indexing="ij")
+    y = np.linspace(-1, 1, h)[:, None]
+    x = np.linspace(-1, 1, w)
     image = np.empty((3, h, w))
     for c in range(3):
         direction = rng.uniform(-1, 1, size=2)
-        ramp = (direction[0] * yy + direction[1] * xx) * cfg.gradient_amplitude
         noise = rng.uniform(-cfg.noise_amplitude, cfg.noise_amplitude, size=(h, w))
-        image[c] = base[c] + ramp + noise
+        image[c] = (direction[0] * y + direction[1] * x) * cfg.gradient_amplitude + base[c] + noise
     return image, base
 
 
@@ -114,21 +145,32 @@ def _shape_mask(cfg: GenConfig, rng: np.random.Generator) -> np.ndarray | None:
         return None
     cy = rng.uniform(h / 2 + 2, canvas - h / 2 - 2)
     cx = rng.uniform(w / 2 + 2, canvas - w / 2 - 2)
-    mask = np.zeros((canvas, canvas), dtype=bool)
     if rng.random() < 0.5:
+        mask = np.zeros((canvas, canvas), dtype=bool)
         r0, r1 = int(round(cy - h / 2)), int(round(cy + h / 2))
         c0, c1 = int(round(cx - w / 2)), int(round(cx + w / 2))
         mask[r0:r1, c0:c1] = True
     else:
-        yy, xx = np.mgrid[0:canvas, 0:canvas]
-        mask = ((yy + 0.5 - cy) / (h / 2)) ** 2 + ((xx + 0.5 - cx) / (w / 2)) ** 2 <= 1.0
+        centers = np.arange(canvas) + 0.5
+        ty = ((centers - cy) / (h / 2)) ** 2
+        tx = ((centers - cx) / (w / 2)) ** 2
+        mask = ty[:, None] + tx <= 1.0
     return mask if mask.any() else None
 
 
 def _disjoint_with_gap(mask: np.ndarray, others, gap: int = 2) -> bool:
+    """No pixel of ``others`` within 4-neighbour distance ``gap`` of ``mask``.
+
+    The dilation runs on the mask's bounding box grown by ``gap`` and clipped
+    to the canvas, the only pixels it can reach.
+    """
     if not others:
         return True
-    grown = mask.copy()
+    rows = np.flatnonzero(mask.any(axis=1))
+    cols = np.flatnonzero(mask.any(axis=0))
+    box = (slice(max(rows[0] - gap, 0), rows[-1] + gap + 1),
+           slice(max(cols[0] - gap, 0), cols[-1] + gap + 1))
+    grown = mask[box]
     for _ in range(gap):
         g = grown.copy()
         g[1:] |= grown[:-1]
@@ -136,7 +178,7 @@ def _disjoint_with_gap(mask: np.ndarray, others, gap: int = 2) -> bool:
         g[:, 1:] |= grown[:, :-1]
         g[:, :-1] |= grown[:, 1:]
         grown = g
-    return not any((grown & other).any() for other in others)
+    return not any((grown & other[box]).any() for other in others)
 
 
 def _pick_color(bg_base: np.ndarray, taken, cfg: GenConfig, rng: np.random.Generator) -> np.ndarray | None:
@@ -171,9 +213,11 @@ def generate_scene(cfg: GenConfig, seed: int) -> SceneSample:
             colors.append(color)
         if len(masks) < k:
             continue
-        for mask, color in zip(masks, colors):
-            image[:, mask] = color[:, None]
-        scores = instance_scores(image, masks)
+        flat = image.reshape(3, -1)
+        pixels = [np.flatnonzero(m) for m in masks]
+        for idx, color in zip(pixels, colors):
+            flat[:, idx] = color[:, None]
+        scores = _scores(image, pixels)
         order = np.argsort(-scores, kind="stable")
         ordered_scores = scores[order]
         if np.any(ordered_scores[1:] * cfg.score_ratio > ordered_scores[:-1]):

@@ -2,9 +2,9 @@
 
 Each layer runs three attention routes — within-row, within-column, and
 across scales at aligned locations — instead of one joint attention over
-every cell of every scale. Score-pair counts for both designs are available
-analytically and from an instrumented forward pass, since the whole point of
-the decomposition is the reduction from (S*H*W)^2 pairs per layer to
+every cell of every scale. ``count_attention_pairs`` gives the query-key
+pair count of both designs in closed form, since the whole point of the
+decomposition is the reduction from (S*H*W)^2 pairs per layer to
 S*H*W^2 + S*H^2*W + S^2*H*W.
 """
 
@@ -196,42 +196,3 @@ def all_scale_attention(pyr: PyramidFeatures, params, cfg: ModelConfig) -> Pyram
         offset += h * w
         grids.append(FeatureGrid(g.scale_index, T.transpose(T.reshape(block, (h, w, e)), (2, 0, 1))))
     return PyramidFeatures(grids)
-
-
-# instrumentation ---------------------------------------------------------------
-
-
-def _equal_grid_pyramid(scales: int, height: int, width: int, e: int, rng) -> PyramidFeatures:
-    return PyramidFeatures([
-        FeatureGrid(i, Tensor(rng.normal(size=(e, height, width)))) for i in range(scales)
-    ])
-
-
-def measure_dpt_pairs(scales: int, height: int, width: int, channels: int = 8,
-                      heads: int = 2, seed: int = 0) -> int:
-    """Query-key pairs actually formed by one decomposed layer on ``scales``
-    equal grids of ``height x width``; counted inside the attention op.
-    """
-    cfg = ModelConfig(max_rank=1, channels=channels, grid_sides=(4, 2), attn_heads=heads,
-                      gn_groups=1, dpt_layers=1, conv_layers=0)
-    rng = np.random.default_rng(seed)
-    params = init_dpt_params(cfg, rng)
-    pyr = _equal_grid_pyramid(scales, height, width, channels, rng)
-    with T.no_grad():
-        T.reset_attention_pairs()
-        rc = PyramidFeatures([row_column_attention(g, params, cfg, 0) for g in pyr.grids])
-        cross_scale_attention(rc, params, cfg, 0)
-        return T.attention_pairs()
-
-
-def measure_all_scale_pairs(scales: int, height: int, width: int, channels: int = 8,
-                            heads: int = 2, seed: int = 0) -> int:
-    cfg = ModelConfig(max_rank=1, channels=channels, grid_sides=(4, 2), attn_heads=heads,
-                      gn_groups=1, dpt_layers=1, conv_layers=0)
-    rng = np.random.default_rng(seed)
-    params = init_all_scale_params(cfg, rng)
-    pyr = _equal_grid_pyramid(scales, height, width, channels, rng)
-    with T.no_grad():
-        T.reset_attention_pairs()
-        all_scale_attention(pyr, params, cfg)
-        return T.attention_pairs()

@@ -15,7 +15,3 @@ class DataError(ValueError):
 
 class GenerationError(RuntimeError):
     """Raised when synthetic scene generation cannot satisfy its constraints."""
-
-
-class GradCheckError(RuntimeError):
-    """Raised when a gradient check encounters non-finite values."""

@@ -27,19 +27,6 @@ from .errors import ConfigurationError, DimensionError
 
 _grad_enabled = True
 
-# Query-key pair counter for the attention complexity benchmark. Incremented
-# by every multi_head_attention call with (batch * L^2); heads share pairs.
-_attention_pairs = 0
-
-
-def reset_attention_pairs() -> None:
-    global _attention_pairs
-    _attention_pairs = 0
-
-
-def attention_pairs() -> int:
-    return _attention_pairs
-
 
 @contextmanager
 def no_grad():
@@ -579,7 +566,6 @@ def multi_head_attention(x, heads: int, wq, wk, wv, wo) -> Tensor:
     One tape op: the backward is the analytic gradient of the whole block
     with respect to ``x`` and the four projections.
     """
-    global _attention_pairs
     x, wq, wk, wv, wo = (_as_tensor(t) for t in (x, wq, wk, wv, wo))
     squeeze = x.data.ndim == 2
     xb = x.data.reshape((1,) + x.data.shape) if squeeze else x.data
@@ -591,7 +577,6 @@ def multi_head_attention(x, heads: int, wq, wk, wv, wo) -> Tensor:
             raise DimensionError(f"attention projections must be {d}x{d} for width {d}, got {w.data.shape}")
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
-    _attention_pairs += b * length * length
 
     def split(t):  # (B, L, D) -> (B, heads, L, dh)
         return t.reshape(b, length, heads, dh).transpose(0, 2, 1, 3)

@@ -11,8 +11,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GradCheckError
-from .tensor import Tensor, tsum
+from psrank.tensor import Tensor, tsum
+
+
+class GradCheckError(RuntimeError):
+    """Raised when a gradient check encounters non-finite values."""
 
 
 @dataclass

@@ -1,6 +1,7 @@
 """Definition-based re-implementations that the tests check production code
 against, deliberately naive (literal loops, no vectorisation, or composed
-from primitive tape ops), and a mask view that records what a decode reads.
+from primitive tape ops), a mask view that records what a decode reads, and
+a counter of the query-key pairs attention forms.
 """
 
 from __future__ import annotations
@@ -47,6 +48,40 @@ def spearman_oracle(xs, ys) -> float | None:
         return None
     return pearson_oracle(average_ranks(xs), average_ranks(ys))
 
+
+def instance_scores_oracle(image, masks) -> np.ndarray:
+    """``data_synth.instance_scores`` by 2-D boolean indexing of the image."""
+    image = np.asarray(image, dtype=np.float64)
+    _, h, w = image.shape
+    union = np.zeros((h, w), dtype=bool)
+    for m in masks:
+        union |= m
+    bg_color = image[:, ~union].mean(axis=1)
+    center = np.array([h / 2.0, w / 2.0])
+    half_diag = np.sqrt(h * h + w * w) / 2.0
+    scores = np.zeros(len(masks))
+    for i, m in enumerate(masks):
+        color = image[:, m].mean(axis=1)
+        contrast = np.abs(color - bg_color).mean()
+        area_fraction = m.sum() / (h * w)
+        ys, xs = np.nonzero(m)
+        com = np.array([ys.mean() + 0.5, xs.mean() + 0.5])
+        proximity = 1.0 - np.linalg.norm(com - center) / half_diag
+        scores[i] = contrast * area_fraction * proximity
+    return scores
+
+
+def disjoint_with_gap_oracle(mask, others, gap: int = 2) -> bool:
+    """``data_synth._disjoint_with_gap`` by dilating over the whole canvas."""
+    grown = mask.copy()
+    for _ in range(gap):
+        g = grown.copy()
+        g[1:] |= grown[:-1]
+        g[:-1] |= grown[1:]
+        g[:, 1:] |= grown[:, :-1]
+        g[:, :-1] |= grown[:, 1:]
+        grown = g
+    return not any((grown & other).any() for other in others)
 
 def cell_origins(grid_sides) -> list[tuple[int, int, int]]:
     """(scale, x, y) of every grid cell, in row order of the per-cell score matrix."""
@@ -213,3 +248,29 @@ def tape_nodes(root: Tensor) -> int:
                 seen.add(id(parent))
                 stack.append(parent)
     return nodes
+
+
+class AttentionPairs:
+    """Counts the query-key pairs ``tensor.multi_head_attention`` forms while
+    the block runs: batch * L^2 per call (heads share pairs), read from the
+    call's input shape.
+    """
+
+    def __init__(self):
+        self.pairs = 0
+        self._original = None
+
+    def __enter__(self):
+        self._original = original = T.multi_head_attention
+
+        def counting(x, *args, **kwargs):
+            shape = np.shape(x.data if isinstance(x, Tensor) else x)
+            batch, length = (1, shape[0]) if len(shape) == 2 else shape[:2]
+            self.pairs += batch * length * length
+            return original(x, *args, **kwargs)
+
+        T.multi_head_attention = counting
+        return self
+
+    def __exit__(self, *exc_info):
+        T.multi_head_attention = self._original

@@ -1,8 +1,12 @@
+import hashlib
 import json
 from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psrank import data_synth
 from psrank.data_synth import (GenConfig, SceneSample, generate_dataset, generate_scene,
@@ -10,10 +14,48 @@ from psrank.data_synth import (GenConfig, SceneSample, generate_dataset, generat
                                save_dataset)
 from psrank.errors import DataError
 
+from oracles import disjoint_with_gap_oracle, instance_scores_oracle
+
+# The benchmark's 128x128 scenes: shape sizes doubled with the canvas.
+BENCH128 = GenConfig(canvas=128, min_sqrt_area=20.0, max_sqrt_area=52.0)
+GOLDEN_CONFIGS = {"default": GenConfig(), "bench128": BENCH128}
+
 
 @pytest.fixture(scope="module")
 def cfg():
     return GenConfig()
+
+
+def scene_digest(sample: SceneSample) -> str:
+    """sha256 of the image bytes, then each mask's bytes and its rank."""
+    h = hashlib.sha256(sample.image.tobytes())
+    for mask, rank in sample.instances:
+        h.update(mask.tobytes())
+        h.update(str(rank).encode())
+    return h.hexdigest()
+
+
+@st.composite
+def labelled_masks(draw):
+    """1-3 disjoint non-empty masks and a non-empty background on an H x W
+    canvas; with every pixel labelled at random, most touch the border.
+    """
+    h, w = draw(st.integers(2, 12)), draw(st.integers(2, 12))
+    k = draw(st.integers(1, 3))
+    labels = np.array(draw(st.lists(st.integers(0, k), min_size=h * w, max_size=h * w)))
+    anchors = draw(st.permutations(range(h * w)))[: k + 1]
+    labels[anchors] = np.arange(k + 1)  # label 0, the background, and every mask non-empty
+    labels = labels.reshape(h, w)
+    return [labels == i for i in range(1, k + 1)]
+
+
+@st.composite
+def scored_scenes(draw):
+    masks = draw(labelled_masks())
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    width = 32 if dtype == np.float32 else 64
+    image = draw(hnp.arrays(dtype, (3,) + masks[0].shape, elements=st.floats(0.0, 1.0, width=width)))
+    return image, masks
 
 
 class TestGenerateScene:
@@ -81,6 +123,35 @@ class TestGenerateScene:
         image[:, small] = color[:, None]
         scores = instance_scores(image, [big, small])
         assert scores[0] > scores[1]
+
+
+class TestByteIdentity:
+    """Generation is vectorized; these pin it to the boolean-indexing forms."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(scored_scenes())
+    def test_scores_bitwise_equal_oracle(self, scene):
+        image, masks = scene
+        got = instance_scores(image, masks)
+        want = instance_scores_oracle(image, masks)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12), st.integers(2, 12), st.integers(0, 3))
+    def test_gap_test_matches_whole_canvas_dilation(self, seed, h, w, gap):
+        # sparse masks put the nearest other pixel at every distance, on the border too
+        rng = np.random.default_rng(seed)
+        mask = rng.random((h, w)) < 0.1
+        mask.flat[rng.integers(h * w)] = True
+        others = [rng.random((h, w)) < 0.05 for _ in range(rng.integers(0, 3))]
+        assert data_synth._disjoint_with_gap(mask, others, gap) == disjoint_with_gap_oracle(mask, others, gap)
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CONFIGS))
+    def test_scenes_match_golden_digests(self, name):
+        golden = json.loads((Path(__file__).parent / "scene_digests.json").read_text())[name]
+        got = [scene_digest(generate_scene(GOLDEN_CONFIGS[name], seed)) for seed in range(len(golden))]
+        assert len(golden) == 50
+        assert [seed for seed, (a, b) in enumerate(zip(got, golden)) if a != b] == []
 
 
 class TestRle:

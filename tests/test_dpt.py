@@ -5,9 +5,11 @@ import pytest
 
 from psrank import dpt, tensor as T
 from psrank.config import ModelConfig
-from psrank.gradcheck import grad_check
 from psrank.pyramid import FeatureGrid, PyramidFeatures
 from psrank.tensor import Tensor
+
+from gradcheck import grad_check
+from oracles import AttentionPairs
 
 
 def cfg_for(sides=(8, 6, 4), e=16, layers=1, conv_layers=1, heads=4, groups=4):
@@ -21,6 +23,36 @@ def random_pyramid(cfg, seed=0):
         FeatureGrid(i, Tensor(rng.normal(size=(cfg.channels, s, s))))
         for i, s in enumerate(cfg.grid_sides)
     ])
+
+
+def equal_grid_pyramid(scales, height, width, channels, rng):
+    return PyramidFeatures([
+        FeatureGrid(i, Tensor(rng.normal(size=(channels, height, width)))) for i in range(scales)
+    ])
+
+
+PAIR_CFG = ModelConfig(max_rank=1, channels=8, grid_sides=(4, 2), attn_heads=2,
+                       gn_groups=1, dpt_layers=1, conv_layers=0)
+
+
+def measured_dpt_pairs(scales, height, width):
+    """Query-key pairs one decomposed layer forms on ``scales`` equal grids."""
+    rng = np.random.default_rng(0)
+    params = dpt.init_dpt_params(PAIR_CFG, rng)
+    pyr = equal_grid_pyramid(scales, height, width, PAIR_CFG.channels, rng)
+    with T.no_grad(), AttentionPairs() as counted:
+        rc = PyramidFeatures([dpt.row_column_attention(g, params, PAIR_CFG, 0) for g in pyr.grids])
+        dpt.cross_scale_attention(rc, params, PAIR_CFG, 0)
+    return counted.pairs
+
+
+def measured_all_scale_pairs(scales, height, width):
+    rng = np.random.default_rng(0)
+    params = dpt.init_all_scale_params(PAIR_CFG, rng)
+    pyr = equal_grid_pyramid(scales, height, width, PAIR_CFG.channels, rng)
+    with T.no_grad(), AttentionPairs() as counted:
+        dpt.all_scale_attention(pyr, params, PAIR_CFG)
+    return counted.pairs
 
 
 class TestPairCounts:
@@ -56,8 +88,8 @@ class TestPairCounts:
     def test_instrumented_matches_analytic_sample(self):
         for s, h, w in [(1, 1, 1), (2, 4, 4), (3, 2, 5), (5, 8, 8), (4, 1, 3)]:
             r = dpt.count_attention_pairs(s, h, w)
-            assert dpt.measure_dpt_pairs(s, h, w) == r.dpt_pairs, (s, h, w)
-            assert dpt.measure_all_scale_pairs(s, h, w) == r.all_scale_pairs, (s, h, w)
+            assert measured_dpt_pairs(s, h, w) == r.dpt_pairs, (s, h, w)
+            assert measured_all_scale_pairs(s, h, w) == r.all_scale_pairs, (s, h, w)
 
 
 class TestCgr:
@@ -286,6 +318,6 @@ class TestAllScale:
         cfg = cfg_for(sides=(4, 2), e=8, heads=2, groups=2)
         params = dpt.init_all_scale_params(cfg, np.random.default_rng(29))
         pyr = random_pyramid(cfg, seed=30)
-        T.reset_attention_pairs()
-        dpt.all_scale_attention(pyr, params, cfg)
-        assert T.attention_pairs() == 20 * 20
+        with AttentionPairs() as counted:
+            dpt.all_scale_attention(pyr, params, cfg)
+        assert counted.pairs == 20 * 20

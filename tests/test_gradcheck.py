@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from psrank import tensor as T
-from psrank.errors import GradCheckError
-from psrank.gradcheck import grad_check
 from psrank.tensor import Tensor
+
+from gradcheck import GradCheckError, grad_check
 
 TOL = 1e-3
 

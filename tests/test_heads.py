@@ -4,10 +4,10 @@ import pytest
 from psrank import heads, pyramid, tensor as T
 from psrank.config import ModelConfig
 from psrank.errors import DataError
-from psrank.gradcheck import grad_check
 from psrank.pyramid import FeatureGrid, PyramidFeatures
 from psrank.tensor import Tensor
 
+from gradcheck import grad_check
 from oracles import cell_origins
 
 

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from psrank import losses
 from psrank.errors import DataError, DimensionError
-from psrank.gradcheck import grad_check
 from psrank.losses import LossWeights, dice_loss, encode_partition_gt, focal_loss, partition_loss, total_loss
 from psrank.tensor import Tensor
+
+from gradcheck import grad_check
 
 
 class TestEncodePartitionGt:

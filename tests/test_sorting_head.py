@@ -4,10 +4,10 @@ import pytest
 from psrank import model, tensor as T, train
 from psrank.config import toy_model_config
 from psrank.data_synth import GenConfig, generate_scene
-from psrank.gradcheck import grad_check
 from psrank.sorting_head import cross_entropy_loss, sort_to_ranks
 from psrank.tensor import Tensor
 
+from gradcheck import grad_check
 from oracles import CountingMasks
 
 N = 3  # ranks; class N is background

@@ -9,7 +9,8 @@ from psrank import tensor as T
 from psrank.errors import ConfigurationError, DimensionError
 from psrank.tensor import Parameter, Tensor
 
-from oracles import attention_reference, conv2d_reference, conv2d_reference_grads, tape_nodes
+from oracles import (AttentionPairs, attention_reference, conv2d_reference, conv2d_reference_grads,
+                     tape_nodes)
 
 
 def bilinear_1d_oracle(values, dst):
@@ -306,12 +307,15 @@ class TestAttention:
         assert tape_nodes(attention_reference(x, 2, *ws)) > 1
 
     def test_pair_counter(self):
+        # the test-side counter the DPT pair checks rely on: batch * L^2 per call
         wq, wk, wv, wo = self.rand_params(8, seed=10)
-        T.reset_attention_pairs()
-        T.multi_head_attention(Tensor(np.zeros((5, 8))), 2, wq, wk, wv, wo)
-        assert T.attention_pairs() == 25
-        T.multi_head_attention(Tensor(np.zeros((3, 4, 8))), 2, wq, wk, wv, wo)
-        assert T.attention_pairs() == 25 + 3 * 16
+        original = T.multi_head_attention
+        with AttentionPairs() as counted:
+            T.multi_head_attention(Tensor(np.zeros((5, 8))), 2, wq, wk, wv, wo)
+            assert counted.pairs == 25
+            T.multi_head_attention(Tensor(np.zeros((3, 4, 8))), 2, wq, wk, wv, wo)
+            assert counted.pairs == 25 + 3 * 16
+        assert T.multi_head_attention is original
 
 
 class TestAutogradBasics:
