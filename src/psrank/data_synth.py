@@ -29,9 +29,9 @@ seeds 0-49 and check the scores bit for bit against the boolean-indexing
 formula.
 
 On disk a dataset is ``manifest.json`` plus ``samples/<id>.json``. Images are
-stored as base64 float32 RGB triplets in row-major (H, W, 3) order, or as
-nested arrays when flagged. Masks use run-length counts over row-major
-pixels, alternating runs starting with a zero-run.
+stored as base64 float32 RGB triplets in row-major (H, W, 3) order. Masks
+use run-length counts over row-major pixels, alternating runs starting with
+a zero-run.
 """
 
 from __future__ import annotations
@@ -268,23 +268,16 @@ def rle_to_mask(runs, shape) -> np.ndarray:
     return flat.reshape(shape)
 
 
-def _encode_image(image: np.ndarray, image_format: str):
+def _encode_image(image: np.ndarray) -> str:
     hw3 = np.ascontiguousarray(image.transpose(1, 2, 0).astype(np.float32))
-    if image_format == "base64":
-        return base64.b64encode(hw3.tobytes()).decode("ascii")
-    if image_format == "array":
-        return hw3.astype(np.float64).tolist()
-    raise DataError(f"unknown image format {image_format!r}")
+    return base64.b64encode(hw3.tobytes()).decode("ascii")
 
 
 def _decode_image(payload, image_format: str, canvas: int) -> np.ndarray:
-    if image_format == "base64":
-        flat = np.frombuffer(base64.b64decode(payload), dtype="<f4")
-        hw3 = flat.reshape(canvas, canvas, 3)
-    elif image_format == "array":
-        hw3 = np.asarray(payload, dtype=np.float32)
-    else:
+    if image_format != "base64":
         raise DataError(f"unknown image format {image_format!r}")
+    flat = np.frombuffer(base64.b64decode(payload), dtype="<f4")
+    hw3 = flat.reshape(canvas, canvas, 3)
     return np.ascontiguousarray(hw3.transpose(2, 0, 1))
 
 
@@ -292,8 +285,7 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
 
 
-def save_dataset(splits: dict[str, list[SceneSample]], out_dir, max_rank: int,
-                 image_format: str = "base64") -> None:
+def save_dataset(splits: dict[str, list[SceneSample]], out_dir, max_rank: int) -> None:
     out = Path(out_dir)
     (out / "samples").mkdir(parents=True, exist_ok=True)
     entries = []
@@ -305,8 +297,8 @@ def save_dataset(splits: dict[str, list[SceneSample]], out_dir, max_rank: int,
             rel = f"samples/{sample_id}.json"
             payload = {
                 "seed": sample.seed,
-                "image_format": image_format,
-                "image": _encode_image(sample.image, image_format),
+                "image_format": "base64",
+                "image": _encode_image(sample.image),
                 "instances": [
                     {"rle": mask_to_rle(mask), "rank": int(rank)}
                     for mask, rank in sample.instances
@@ -329,8 +321,11 @@ def load_manifest(data_dir) -> dict:
     if not path.exists():
         raise DataError(f"no manifest at {path}")
     manifest = json.loads(path.read_text())
-    if manifest.get("version") != FORMAT_VERSION:
-        raise DataError(f"unsupported dataset version {manifest.get('version')}")
+    missing = [key for key in ("version", "canvas", "count", "samples") if key not in manifest]
+    if missing:
+        raise DataError(f"manifest {path} is missing {', '.join(missing)}")
+    if manifest["version"] != FORMAT_VERSION:
+        raise DataError(f"unsupported dataset version {manifest['version']}")
     listed = manifest["samples"]
     if manifest["count"] != len(listed):
         raise DataError(f"manifest count {manifest['count']} != {len(listed)} listed samples")

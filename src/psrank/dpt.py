@@ -1,5 +1,8 @@
 """Feature interaction over the grid pyramid.
 
+The pyramid is a list of (E, s, s) tensors, finest first; a grid's position
+in the list is its scale index.
+
 Each layer runs three attention routes — within-row, within-column, and
 across scales at aligned locations — instead of one joint attention over
 every cell of every scale. ``count_attention_pairs`` gives the query-key
@@ -16,7 +19,6 @@ import numpy as np
 
 from . import tensor as T
 from .config import ModelConfig
-from .pyramid import FeatureGrid, PyramidFeatures
 from .tensor import Parameter, Tensor
 
 
@@ -89,20 +91,19 @@ def init_all_scale_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[st
 # blocks -----------------------------------------------------------------------
 
 
-def cgr(pyr: PyramidFeatures, params, cfg: ModelConfig) -> PyramidFeatures:
+def cgr(grids: list[Tensor], params, cfg: ModelConfig) -> list[Tensor]:
     """conv -> group norm -> ReLU harmonization, repeated conv_layers times.
 
     Conv weights are shared across scales, as in a pyramid head.
     """
-    grids = pyr.grids
     for j in range(cfg.conv_layers):
         w, b = params[f"cgr.conv{j}.w"], params[f"cgr.conv{j}.b"]
         gamma, beta = params[f"cgr.gn{j}.gamma"], params[f"cgr.gn{j}.beta"]
         grids = [
-            FeatureGrid(g.scale_index, T.relu(T.group_norm(T.conv2d(g.data, w, bias=b), cfg.gn_groups, gamma, beta)))
+            T.relu(T.group_norm(T.conv2d(g, w, bias=b), cfg.gn_groups, gamma, beta))
             for g in grids
         ]
-    return PyramidFeatures(grids)
+    return grids
 
 
 def _attn(x: Tensor, heads: int, params, prefix: str) -> Tensor:
@@ -110,31 +111,28 @@ def _attn(x: Tensor, heads: int, params, prefix: str) -> Tensor:
                                   params[f"{prefix}.wv"], params[f"{prefix}.wo"])
 
 
-def row_column_attention(grid: FeatureGrid, params, cfg: ModelConfig, layer: int = 0) -> FeatureGrid:
+def row_column_attention(x: Tensor, params, cfg: ModelConfig, layer: int = 0) -> Tensor:
     """Attention along each row, then each column, each with a residual;
-    group-normalized at the end.
+    group-normalized at the end. ``x`` is one (E, H, W) grid.
     """
     base = f"dpt.layer{layer}"
-    x = grid.data  # (E, H, W)
     rows = T.transpose(x, (1, 2, 0))  # (H, W, E): rows as batch, width as sequence
     x = x + T.transpose(_attn(rows, cfg.attn_heads, params, f"{base}.row"), (2, 0, 1))
     cols = T.transpose(x, (2, 1, 0))  # (W, H, E): columns as batch, height as sequence
     x = x + T.transpose(_attn(cols, cfg.attn_heads, params, f"{base}.col"), (2, 1, 0))
-    x = T.group_norm(x, cfg.gn_groups, params[f"{base}.gn_rc.gamma"], params[f"{base}.gn_rc.beta"])
-    return FeatureGrid(grid.scale_index, x)
+    return T.group_norm(x, cfg.gn_groups, params[f"{base}.gn_rc.gamma"], params[f"{base}.gn_rc.beta"])
 
 
-def cross_scale_attention(pyr: PyramidFeatures, params, cfg: ModelConfig, layer: int = 0) -> PyramidFeatures:
+def cross_scale_attention(grids: list[Tensor], params, cfg: ModelConfig, layer: int = 0) -> list[Tensor]:
     """Resample every grid to the largest one, attend across the S per-scale
     vectors at each location, resample back, add residually, group-normalize.
     """
     base = f"dpt.layer{layer}"
-    grids = pyr.grids
-    hmax = max(g.data.shape[1] for g in grids)
-    wmax = max(g.data.shape[2] for g in grids)
+    hmax = max(g.shape[1] for g in grids)
+    wmax = max(g.shape[2] for g in grids)
     n_scales = len(grids)
-    e = grids[0].channels
-    up = [T.interpolate(g.data, (hmax, wmax)) for g in grids]
+    e = grids[0].shape[0]
+    up = [T.interpolate(g, (hmax, wmax)) for g in grids]
     piled = T.stack(up, axis=0)  # (S, E, Hm, Wm)
     tokens = T.reshape(T.transpose(piled, (2, 3, 0, 1)), (hmax * wmax, n_scales, e))
     mixed = _attn(tokens, cfg.attn_heads, params, f"{base}.cross")
@@ -142,57 +140,56 @@ def cross_scale_attention(pyr: PyramidFeatures, params, cfg: ModelConfig, layer:
     out = []
     gamma, beta = params[f"{base}.gn_cs.gamma"], params[f"{base}.gn_cs.beta"]
     for i, g in enumerate(grids):
-        h, w = g.data.shape[1], g.data.shape[2]
+        h, w = g.shape[1], g.shape[2]
         delta = T.interpolate(mixed[i], (h, w))
-        out.append(FeatureGrid(g.scale_index, T.group_norm(g.data + delta, cfg.gn_groups, gamma, beta)))
-    return PyramidFeatures(out)
+        out.append(T.group_norm(g + delta, cfg.gn_groups, gamma, beta))
+    return out
 
 
-def clcg(pyr: PyramidFeatures, params, cfg: ModelConfig, layer: int = 0) -> PyramidFeatures:
+def clcg(grids: list[Tensor], params, cfg: ModelConfig, layer: int = 0) -> list[Tensor]:
     """conv -> LeakyReLU -> conv with a residual joined before group norm."""
     base = f"dpt.layer{layer}.clcg"
     w1, b1 = params[f"{base}.conv1.w"], params[f"{base}.conv1.b"]
     w2, b2 = params[f"{base}.conv2.w"], params[f"{base}.conv2.b"]
     gamma, beta = params[f"{base}.gn.gamma"], params[f"{base}.gn.beta"]
-    grids = []
-    for g in pyr.grids:
-        inner = T.conv2d(T.leaky_relu(T.conv2d(g.data, w1, bias=b1)), w2, bias=b2)
-        grids.append(FeatureGrid(g.scale_index, T.group_norm(inner + g.data, cfg.gn_groups, gamma, beta)))
-    return PyramidFeatures(grids)
+    out = []
+    for g in grids:
+        inner = T.conv2d(T.leaky_relu(T.conv2d(g, w1, bias=b1)), w2, bias=b2)
+        out.append(T.group_norm(inner + g, cfg.gn_groups, gamma, beta))
+    return out
 
 
-def dpt_layer(pyr: PyramidFeatures, params, cfg: ModelConfig, layer: int) -> PyramidFeatures:
-    rc = PyramidFeatures([row_column_attention(g, params, cfg, layer) for g in pyr.grids])
+def dpt_layer(grids: list[Tensor], params, cfg: ModelConfig, layer: int) -> list[Tensor]:
+    rc = [row_column_attention(g, params, cfg, layer) for g in grids]
     cs = cross_scale_attention(rc, params, cfg, layer)
     return clcg(cs, params, cfg, layer)
 
 
-def dpt_forward(pyr: PyramidFeatures, params, cfg: ModelConfig) -> PyramidFeatures:
+def dpt_forward(grids: list[Tensor], params, cfg: ModelConfig) -> list[Tensor]:
     """Stack of dpt_layers full layers; positional encoding must already be
     applied. Zero layers is the identity.
     """
     for layer in range(cfg.dpt_layers):
-        pyr = dpt_layer(pyr, params, cfg, layer)
-    return pyr
+        grids = dpt_layer(grids, params, cfg, layer)
+    return grids
 
 
-def all_scale_attention(pyr: PyramidFeatures, params, cfg: ModelConfig) -> PyramidFeatures:
+def all_scale_attention(grids: list[Tensor], params, cfg: ModelConfig) -> list[Tensor]:
     """Reference baseline: one attention over the concatenation of every cell
-    of every scale. Only used for the pair-count benchmark and ablations.
+    of every scale, the joint design that the three routes replace. Kept for
+    the all-scale ablation; the tests check its pair count.
     """
     flat = []
-    shapes = []
-    for g in pyr.grids:
-        e, h, w = g.data.shape
-        shapes.append((h, w))
-        flat.append(T.reshape(T.transpose(g.data, (1, 2, 0)), (h * w, e)))
+    for g in grids:
+        e, h, w = g.shape
+        flat.append(T.reshape(T.transpose(g, (1, 2, 0)), (h * w, e)))
     tokens = T.concat(flat, axis=0)
     mixed = _attn(tokens, cfg.attn_heads, params, "allscale")
-    grids = []
+    out = []
     offset = 0
-    for g, (h, w) in zip(pyr.grids, shapes):
-        e = g.channels
+    for g in grids:
+        e, h, w = g.shape
         block = mixed[offset : offset + h * w]
         offset += h * w
-        grids.append(FeatureGrid(g.scale_index, T.transpose(T.reshape(block, (h, w, e)), (2, 0, 1))))
-    return PyramidFeatures(grids)
+        out.append(T.transpose(T.reshape(block, (h, w, e)), (2, 0, 1)))
+    return out

@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from .config import ModelConfig
 from .errors import DataError
-from .pyramid import PyramidFeatures, _stage_channels
+from .pyramid import _stage_channels
 from .tensor import Parameter, Tensor
 
 
@@ -23,15 +23,16 @@ def total_cells(grid_sides) -> int:
     return sum(s * s for s in grid_sides)
 
 
-def _per_cell(f_hat: PyramidFeatures, w: Parameter, b: Parameter) -> Tensor:
+def _per_cell(f_hat: list[Tensor], w: Parameter, b: Parameter) -> Tensor:
     """A 3x3 conv from E to C channels on every scale, gathered into (K, C)
     with one row per cell in row order.
     """
     c = w.shape[0]
     per_scale = []
-    for g in f_hat.grids:
-        out = T.conv2d(g.data, w, bias=b)  # (C, s, s)
-        per_scale.append(T.reshape(T.transpose(out, (1, 2, 0)), (g.side * g.side, c)))
+    for g in f_hat:
+        side = g.shape[1]
+        out = T.conv2d(g, w, bias=b)  # (C, s, s)
+        per_scale.append(T.reshape(T.transpose(out, (1, 2, 0)), (side * side, c)))
     return T.concat(per_scale, axis=0)
 
 
@@ -46,7 +47,7 @@ def init_partition_head_params(cfg: ModelConfig, rng: np.random.Generator) -> di
     }
 
 
-def partition_forward(f_hat: PyramidFeatures, params) -> Tensor:
+def partition_forward(f_hat: list[Tensor], params) -> Tensor:
     """N binary heads (a 3x3 conv from E channels to one logit each),
     sigmoid-activated into the (K, N) partition matrix.
     """
@@ -87,7 +88,7 @@ def global_mask_features(stage_maps, params, cfg: ModelConfig, canvas: int) -> T
     return T.relu(fused)
 
 
-def mask_branch(f_hat: PyramidFeatures, stage_maps, params, cfg: ModelConfig, canvas: int) -> MaskBranch:
+def mask_branch(f_hat: list[Tensor], stage_maps, params, cfg: ModelConfig, canvas: int) -> MaskBranch:
     features = global_mask_features(stage_maps, params, cfg, canvas)
     kernels = _per_cell(f_hat, params["mask.kernel.w"], params["mask.kernel.b"])
     return MaskBranch(kernels=kernels, features=features)

@@ -13,17 +13,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .config import ModelConfig
 from .errors import DataError, DimensionError
 from .tensor import Tensor
 
 PROB_EPS = 1e-7
 DICE_SMOOTH = 1.0
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    partition: float = 1.0
-    mask: float = 3.0
 
 
 @dataclass
@@ -78,14 +73,15 @@ def partition_loss(partition_probs: Tensor, partition_targets) -> Tensor:
 
 
 def total_loss(classification: Tensor, mask_preds: Tensor | None, mask_targets,
-               weights: LossWeights = LossWeights()) -> LossBreakdown:
-    """Weighted sum of a head's classification term and the positive-cell
-    dice loss. With no positive cells the mask term contributes exactly zero.
+               cfg: ModelConfig) -> LossBreakdown:
+    """Sum of a head's classification term and the positive-cell dice loss,
+    weighted by ``cfg.partition_weight`` and ``cfg.mask_weight``. With no
+    positive cells the mask term contributes exactly zero.
     """
     if mask_preds is not None and mask_preds.shape[0] > 0:
         mask_term = dice_loss(mask_preds, mask_targets)
-        total = weights.partition * classification + weights.mask * mask_term
+        total = cfg.partition_weight * classification + cfg.mask_weight * mask_term
     else:
         mask_term = None
-        total = weights.partition * classification
+        total = cfg.partition_weight * classification
     return LossBreakdown(total=total, partition=classification, mask=mask_term)

@@ -142,13 +142,19 @@ def load_checkpoint(path):
         meta = json.loads(str(blob["__meta__"]))
         if meta.get("format") != 1:
             raise DataError(f"unsupported checkpoint format {meta.get('format')}")
+        missing = [key for key in ("config", "config_hash", "param_names") if key not in meta]
+        if missing:
+            raise DataError(f"checkpoint {path} metadata is missing {', '.join(missing)}")
         params = {}
         for name in meta["param_names"]:
             key = f"param/{name}"
             if key not in blob:
                 raise DataError(f"checkpoint missing parameter {name}")
             params[name] = Parameter(blob[key])
-    model_cfg, train_cfg = config_from_dict(meta["config"])
+    try:
+        model_cfg, train_cfg = config_from_dict(meta["config"])
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"checkpoint {path} has a malformed config: {exc!r}") from exc
     if meta["config_hash"] != config_hash(model_cfg, train_cfg):
         raise ConfigurationError("checkpoint config hash does not match its stored config")
     expected = {name: p.shape for name, p in init_model_params(model_cfg, 0).items()}

@@ -4,11 +4,13 @@ A small trainable encoder stands in for a pretrained backbone: four strided
 conv/GN/ReLU stages whose outputs are resampled onto the configured square
 grids. A fixed 2D sinusoid plus a learned per-scale bias provides the
 positional signal consumed by the transformer stack.
+
+A pyramid is a list of (E, s, s) tensors, finest first; a grid's position in
+the list is its scale index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -19,37 +21,6 @@ from .errors import ConfigurationError
 from .tensor import Parameter, Tensor
 
 STAGE_STRIDES = (2, 4, 8, 16)
-
-
-@dataclass
-class FeatureGrid:
-    scale_index: int
-    data: Tensor  # (channels, side, side)
-
-    @property
-    def channels(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def side(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass
-class PyramidFeatures:
-    grids: list[FeatureGrid]
-
-    def validate(self) -> "PyramidFeatures":
-        idxs = [g.scale_index for g in self.grids]
-        sides = [g.side for g in self.grids]
-        if sorted(idxs) != idxs or len(set(idxs)) != len(idxs):
-            raise ConfigurationError(f"scale indices must strictly increase, got {idxs}")
-        if any(a <= b for a, b in zip(sides, sides[1:])):
-            raise ConfigurationError(f"grid sides must strictly decrease, got {sides}")
-        return self
-
-    def shapes(self) -> list[tuple]:
-        return [g.data.shape for g in self.grids]
 
 
 def _stage_channels(cfg: ModelConfig) -> list[tuple[int, int]]:
@@ -90,17 +61,13 @@ def encoder_stages(image: Tensor, params, cfg: ModelConfig) -> list[Tensor]:
     return outs
 
 
-def pyramid_from_stages(stages, cfg: ModelConfig) -> PyramidFeatures:
+def pyramid_from_stages(stages, cfg: ModelConfig) -> list[Tensor]:
+    """One grid of shape (E, s_i, s_i) per configured scale, finest first."""
     grids = []
     for i, side in enumerate(cfg.grid_sides):
         tap = stages[_stage_for_scale(i)]
-        grids.append(FeatureGrid(scale_index=i, data=T.interpolate(tap, (side, side))))
-    return PyramidFeatures(grids).validate()
-
-
-def encode(image: Tensor, params, cfg: ModelConfig) -> PyramidFeatures:
-    """Image [3,H,W] -> one grid of shape [E, s_i, s_i] per configured scale."""
-    return pyramid_from_stages(encoder_stages(image, params, cfg), cfg)
+        grids.append(T.interpolate(tap, (side, side)))
+    return grids
 
 
 @lru_cache(maxsize=None)
@@ -133,11 +100,11 @@ def init_posenc_params(cfg: ModelConfig) -> dict[str, Parameter]:
             for i in range(len(cfg.grid_sides))}
 
 
-def add_positional_encoding(pyr: PyramidFeatures, params) -> PyramidFeatures:
-    grids = []
-    for g in pyr.grids:
-        code = sinusoid_encoding(g.channels, g.data.shape[1], g.data.shape[2])
-        bias = params[f"posenc.scale{g.scale_index}.bias"]
-        data = g.data + Tensor(code) + T.reshape(bias, (g.channels, 1, 1))
-        grids.append(FeatureGrid(scale_index=g.scale_index, data=data))
-    return PyramidFeatures(grids)
+def add_positional_encoding(grids: list[Tensor], params) -> list[Tensor]:
+    out = []
+    for i, g in enumerate(grids):
+        e, h, w = g.shape
+        code = sinusoid_encoding(e, h, w)
+        bias = params[f"posenc.scale{i}.bias"]
+        out.append(g + Tensor(code) + T.reshape(bias, (e, 1, 1)))
+    return out

@@ -14,7 +14,6 @@ from . import tensor as T
 from .config import ModelConfig
 from .heads import _per_cell
 from .p2r import AcceptedMasks, RankedInstance, binarize
-from .pyramid import PyramidFeatures
 from .tensor import Parameter, Tensor
 
 
@@ -27,7 +26,7 @@ def init_sorting_head_params(cfg: ModelConfig, rng: np.random.Generator) -> dict
     }
 
 
-def sorting_head_forward(f_hat: PyramidFeatures, params) -> Tensor:
+def sorting_head_forward(f_hat: list[Tensor], params) -> Tensor:
     """Per-cell class probabilities (K, N+1), softmax-normalized."""
     return T.softmax(_per_cell(f_hat, params["sorting.w"], params["sorting.b"]), axis=1)
 

@@ -11,8 +11,7 @@ import numpy as np
 from . import heads, losses, model
 from .config import ModelConfig, TrainConfig
 from .data_synth import SceneSample
-from .errors import DimensionError
-from .losses import LossWeights
+from .errors import DataError, DimensionError
 from .tensor import Tensor
 
 
@@ -62,8 +61,7 @@ def sample_loss(sample: SceneSample, targets: SampleTargets, params, cfg: ModelC
     outputs = model.forward(Tensor(sample.image), params, cfg)
     classification = model.head_ops(cfg).loss(outputs.scores, targets)
     mask_preds = outputs.mask.soft_masks(rows=targets.pos_rows) if len(targets.pos_rows) else None
-    weights = LossWeights(partition=cfg.partition_weight, mask=cfg.mask_weight)
-    return losses.total_loss(classification, mask_preds, targets.pos_masks, weights)
+    return losses.total_loss(classification, mask_preds, targets.pos_masks, cfg)
 
 
 class SgdOptimizer:
@@ -107,6 +105,8 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, samples: list[SceneSam
     """Train from scratch on ``samples``; returns the parameters and the
     per-epoch loss log. Deterministic for a fixed config and seed.
     """
+    if not samples:
+        raise DataError("no training samples")
     params = model.init_model_params(model_cfg, train_cfg.seed)
     optimizer = SgdOptimizer(params, train_cfg.momentum)
     targets = [build_targets(s, model_cfg) for s in samples]

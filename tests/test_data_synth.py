@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 
 from psrank import data_synth
 from psrank.data_synth import (GenConfig, SceneSample, generate_dataset, generate_scene,
-                               instance_scores, load_dataset, mask_to_rle, rle_to_mask,
-                               save_dataset)
+                               instance_scores, load_dataset, load_manifest, mask_to_rle,
+                               rle_to_mask, save_dataset)
 from psrank.errors import DataError
 
 from oracles import disjoint_with_gap_oracle, instance_scores_oracle
@@ -187,10 +187,9 @@ class TestPersistence:
             "test": generate_dataset(cfg, n_test, base_seed=1000),
         }
 
-    @pytest.mark.parametrize("image_format", ["base64", "array"])
-    def test_round_trip_exact(self, tmp_path, cfg, image_format):
+    def test_round_trip_exact(self, tmp_path, cfg):
         splits = self.make_splits(cfg)
-        save_dataset(splits, tmp_path, max_rank=cfg.max_rank, image_format=image_format)
+        save_dataset(splits, tmp_path, max_rank=cfg.max_rank)
         loaded = load_dataset(tmp_path)
         assert set(loaded) == {"train", "test"}
         for split in splits:
@@ -229,6 +228,29 @@ class TestPersistence:
         victim.write_text(json.dumps(payload))
         with pytest.raises(DataError, match="test_0000"):
             load_dataset(tmp_path)
+
+    def test_array_image_payload_rejected(self, tmp_path, cfg):
+        # only base64 images are read; a nested-array payload names its file
+        splits = self.make_splits(cfg, 1, 1)
+        save_dataset(splits, tmp_path, max_rank=cfg.max_rank)
+        victim = tmp_path / "samples" / "train_0000.json"
+        payload = json.loads(victim.read_text())
+        assert payload["image_format"] == "base64"
+        payload["image_format"] = "array"
+        payload["image"] = splits["train"][0].image.transpose(1, 2, 0).tolist()
+        victim.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="train_0000"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("key", ["samples", "count", "version", "canvas"])
+    def test_manifest_missing_key_rejected(self, tmp_path, cfg, key):
+        splits = self.make_splits(cfg, 1, 1)
+        save_dataset(splits, tmp_path, max_rank=cfg.max_rank)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        del manifest[key]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=f"missing {key}"):
+            load_manifest(tmp_path)
 
     def test_manifest_count_mismatch(self, tmp_path, cfg):
         splits = self.make_splits(cfg, 2, 1)

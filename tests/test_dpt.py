@@ -5,7 +5,6 @@ import pytest
 
 from psrank import dpt, tensor as T
 from psrank.config import ModelConfig
-from psrank.pyramid import FeatureGrid, PyramidFeatures
 from psrank.tensor import Tensor
 
 from gradcheck import grad_check
@@ -19,16 +18,11 @@ def cfg_for(sides=(8, 6, 4), e=16, layers=1, conv_layers=1, heads=4, groups=4):
 
 def random_pyramid(cfg, seed=0):
     rng = np.random.default_rng(seed)
-    return PyramidFeatures([
-        FeatureGrid(i, Tensor(rng.normal(size=(cfg.channels, s, s))))
-        for i, s in enumerate(cfg.grid_sides)
-    ])
+    return [Tensor(rng.normal(size=(cfg.channels, s, s))) for s in cfg.grid_sides]
 
 
 def equal_grid_pyramid(scales, height, width, channels, rng):
-    return PyramidFeatures([
-        FeatureGrid(i, Tensor(rng.normal(size=(channels, height, width)))) for i in range(scales)
-    ])
+    return [Tensor(rng.normal(size=(channels, height, width))) for _ in range(scales)]
 
 
 PAIR_CFG = ModelConfig(max_rank=1, channels=8, grid_sides=(4, 2), attn_heads=2,
@@ -41,7 +35,7 @@ def measured_dpt_pairs(scales, height, width):
     params = dpt.init_dpt_params(PAIR_CFG, rng)
     pyr = equal_grid_pyramid(scales, height, width, PAIR_CFG.channels, rng)
     with T.no_grad(), AttentionPairs() as counted:
-        rc = PyramidFeatures([dpt.row_column_attention(g, params, PAIR_CFG, 0) for g in pyr.grids])
+        rc = [dpt.row_column_attention(g, params, PAIR_CFG, 0) for g in pyr]
         dpt.cross_scale_attention(rc, params, PAIR_CFG, 0)
     return counted.pairs
 
@@ -97,7 +91,7 @@ class TestCgr:
         cfg = cfg_for(conv_layers=2)
         params = dpt.init_dpt_params(cfg, np.random.default_rng(0))
         out = dpt.cgr(random_pyramid(cfg), params, cfg)
-        assert out.shapes() == [(16, 8, 8), (16, 6, 6), (16, 4, 4)]
+        assert [g.shape for g in out] == [(16, 8, 8), (16, 6, 6), (16, 4, 4)]
 
     def test_zero_weights_zero_output(self):
         cfg = cfg_for(conv_layers=1)
@@ -106,16 +100,15 @@ class TestCgr:
         params["cgr.conv0.b"].data[:] = 0.0
         params["cgr.gn0.beta"].data[:] = 0.0
         out = dpt.cgr(random_pyramid(cfg), params, cfg)
-        for g in out.grids:
-            np.testing.assert_array_equal(g.data.data, 0.0)
+        for g in out:
+            np.testing.assert_array_equal(g.data, 0.0)
 
     def test_gradient(self):
         cfg = cfg_for(sides=(4, 2), e=8, heads=2, groups=2)
         params = dpt.init_dpt_params(cfg, np.random.default_rng(1))
 
         def op(x):
-            pyr = PyramidFeatures([FeatureGrid(0, x), FeatureGrid(1, Tensor(np.zeros((8, 2, 2))))])
-            return dpt.cgr(pyr, params, cfg).grids[0].data
+            return dpt.cgr([x, Tensor(np.zeros((8, 2, 2)))], params, cfg)[0]
 
         x = Tensor(np.random.default_rng(2).normal(size=(8, 4, 4)))
         assert grad_check(op, [x], tolerance=1e-3).passed
@@ -125,9 +118,9 @@ class TestRowColumnAttention:
     def test_shape(self):
         cfg = cfg_for(sides=(6, 4))
         params = dpt.init_dpt_params(cfg, np.random.default_rng(3))
-        g = FeatureGrid(0, Tensor(np.random.default_rng(4).normal(size=(16, 6, 6))))
+        g = Tensor(np.random.default_rng(4).normal(size=(16, 6, 6)))
         out = dpt.row_column_attention(g, params, cfg)
-        assert out.data.shape == (16, 6, 6)
+        assert out.shape == (16, 6, 6)
 
     def test_singleton_grid_oracle(self):
         # 1x1 grid: the attention weight is exactly 1, so each pass adds
@@ -135,15 +128,14 @@ class TestRowColumnAttention:
         cfg = cfg_for(sides=(4, 2), e=8, heads=2, groups=2)
         params = dpt.init_dpt_params(cfg, np.random.default_rng(5))
         x = np.random.default_rng(6).normal(size=(8, 1, 1))
-        g = FeatureGrid(0, Tensor(x))
-        out = dpt.row_column_attention(g, params, cfg)
+        out = dpt.row_column_attention(Tensor(x), params, cfg)
 
         vec = x[:, 0, 0]
         y = vec + vec @ params["dpt.layer0.row.wv"].data @ params["dpt.layer0.row.wo"].data
         z = y + y @ params["dpt.layer0.col.wv"].data @ params["dpt.layer0.col.wo"].data
         expected = T.group_norm(Tensor(z.reshape(8, 1, 1)), cfg.gn_groups,
                                 params["dpt.layer0.gn_rc.gamma"], params["dpt.layer0.gn_rc.beta"])
-        np.testing.assert_allclose(out.data.data, expected.data, atol=1e-10)
+        np.testing.assert_allclose(out.data, expected.data, atol=1e-10)
 
     def test_transpose_symmetry_single_pass(self):
         # with the column route zeroed out, only the row pass acts; feeding
@@ -160,9 +152,9 @@ class TestRowColumnAttention:
         for name in ("wq", "wk", "wv", "wo"):
             col_only[f"dpt.layer0.col.{name}"] = params[f"dpt.layer0.row.{name}"]
         x = rng.normal(size=(8, 3, 3))
-        out = dpt.row_column_attention(FeatureGrid(0, Tensor(x)), row_only, cfg)
-        out_t = dpt.row_column_attention(FeatureGrid(0, Tensor(x.transpose(0, 2, 1))), col_only, cfg)
-        np.testing.assert_allclose(out_t.data.data, out.data.data.transpose(0, 2, 1), atol=1e-9)
+        out = dpt.row_column_attention(Tensor(x), row_only, cfg)
+        out_t = dpt.row_column_attention(Tensor(x.transpose(0, 2, 1)), col_only, cfg)
+        np.testing.assert_allclose(out_t.data, out.data.transpose(0, 2, 1), atol=1e-9)
 
     def test_transpose_swap_equals_reversed_composition(self):
         # the row->column passes are sequential, so transposing plus swapping
@@ -176,7 +168,7 @@ class TestRowColumnAttention:
             swapped[f"dpt.layer0.row.{name}"] = params[f"dpt.layer0.col.{name}"]
             swapped[f"dpt.layer0.col.{name}"] = params[f"dpt.layer0.row.{name}"]
         x = rng.normal(size=(8, 3, 3))
-        out_t = dpt.row_column_attention(FeatureGrid(0, Tensor(x.transpose(0, 2, 1))), swapped, cfg)
+        out_t = dpt.row_column_attention(Tensor(x.transpose(0, 2, 1)), swapped, cfg)
 
         def attend(data, route, axes_in, axes_out):
             seq = T.transpose(Tensor(data), axes_in)
@@ -190,7 +182,7 @@ class TestRowColumnAttention:
         z = y + attend(y, "row", (1, 2, 0), (2, 0, 1))
         expected = T.group_norm(Tensor(z), cfg.gn_groups,
                                 params["dpt.layer0.gn_rc.gamma"], params["dpt.layer0.gn_rc.beta"])
-        np.testing.assert_allclose(out_t.data.data, expected.data.transpose(0, 2, 1), atol=1e-9)
+        np.testing.assert_allclose(out_t.data, expected.data.transpose(0, 2, 1), atol=1e-9)
 
 
 class TestCrossScaleAttention:
@@ -198,20 +190,19 @@ class TestCrossScaleAttention:
         cfg = cfg_for(sides=(4, 2), e=8, heads=2, groups=2)
         params = dpt.init_dpt_params(cfg, np.random.default_rng(8))
         x = np.random.default_rng(9).normal(size=(8, 3, 3))
-        pyr = PyramidFeatures([FeatureGrid(0, Tensor(x))])
-        out = dpt.cross_scale_attention(pyr, params, cfg)
+        out = dpt.cross_scale_attention([Tensor(x)], params, cfg)
         wv = params["dpt.layer0.cross.wv"].data
         wo = params["dpt.layer0.cross.wo"].data
         delta = np.einsum("chw,cd->dhw", x, wv @ wo)
         expected = T.group_norm(Tensor(x + delta), cfg.gn_groups,
                                 params["dpt.layer0.gn_cs.gamma"], params["dpt.layer0.gn_cs.beta"])
-        np.testing.assert_allclose(out.grids[0].data.data, expected.data, atol=1e-10)
+        np.testing.assert_allclose(out[0].data, expected.data, atol=1e-10)
 
     def test_shape_restoration(self):
         cfg = cfg_for(sides=(4, 2), e=8, heads=2, groups=2)
         params = dpt.init_dpt_params(cfg, np.random.default_rng(10))
         out = dpt.cross_scale_attention(random_pyramid(cfg, seed=11), params, cfg)
-        assert out.shapes() == [(8, 4, 4), (8, 2, 2)]
+        assert [g.shape for g in out] == [(8, 4, 4), (8, 2, 2)]
 
     def test_scale_permutation_equivariance_equal_sides(self):
         # equal grid sides make up/downsampling the identity, so permuting
@@ -220,13 +211,13 @@ class TestCrossScaleAttention:
         params = dpt.init_dpt_params(cfg, np.random.default_rng(12))
         rng = np.random.default_rng(13)
         datas = [rng.normal(size=(8, 3, 3)) for _ in range(3)]
-        pyr = PyramidFeatures([FeatureGrid(i, Tensor(d)) for i, d in enumerate(datas)])
+        pyr = [Tensor(d) for d in datas]
         perm = [2, 0, 1]
-        pyr_p = PyramidFeatures([FeatureGrid(i, Tensor(datas[p])) for i, p in enumerate(perm)])
+        pyr_p = [Tensor(datas[p]) for p in perm]
         out = dpt.cross_scale_attention(pyr, params, cfg)
         out_p = dpt.cross_scale_attention(pyr_p, params, cfg)
         for i, p in enumerate(perm):
-            np.testing.assert_allclose(out_p.grids[i].data.data, out.grids[p].data.data, atol=1e-9)
+            np.testing.assert_allclose(out_p[i].data, out[p].data, atol=1e-9)
 
 
 class TestClcg:
@@ -238,24 +229,23 @@ class TestClcg:
             params[f"dpt.layer0.clcg.{name}.b"].data[:] = 0.0
         pyr = random_pyramid(cfg, seed=15)
         out = dpt.clcg(pyr, params, cfg)
-        for g_in, g_out in zip(pyr.grids, out.grids):
-            expected = T.group_norm(g_in.data, cfg.gn_groups,
+        for g_in, g_out in zip(pyr, out):
+            expected = T.group_norm(g_in, cfg.gn_groups,
                                     params["dpt.layer0.clcg.gn.gamma"], params["dpt.layer0.clcg.gn.beta"])
-            np.testing.assert_allclose(g_out.data.data, expected.data, atol=1e-12)
+            np.testing.assert_allclose(g_out.data, expected.data, atol=1e-12)
 
     def test_shape_preserved(self):
         cfg = cfg_for()
         params = dpt.init_dpt_params(cfg, np.random.default_rng(16))
         out = dpt.clcg(random_pyramid(cfg, seed=17), params, cfg)
-        assert out.shapes() == [(16, 8, 8), (16, 6, 6), (16, 4, 4)]
+        assert [g.shape for g in out] == [(16, 8, 8), (16, 6, 6), (16, 4, 4)]
 
     def test_gradient(self):
         cfg = cfg_for(sides=(3, 2), e=4, heads=2, groups=2)
         params = dpt.init_dpt_params(cfg, np.random.default_rng(18))
 
         def op(x):
-            pyr = PyramidFeatures([FeatureGrid(0, x), FeatureGrid(1, Tensor(np.zeros((4, 2, 2))))])
-            return dpt.clcg(pyr, params, cfg).grids[0].data
+            return dpt.clcg([x, Tensor(np.zeros((4, 2, 2)))], params, cfg)[0]
 
         x = Tensor(np.random.default_rng(19).normal(size=(4, 3, 3)))
         assert grad_check(op, [x], tolerance=1e-3).passed
@@ -266,14 +256,14 @@ class TestDptForward:
         cfg = cfg_for(layers=3)
         params = dpt.init_dpt_params(cfg, np.random.default_rng(20))
         out = dpt.dpt_forward(random_pyramid(cfg, seed=21), params, cfg)
-        assert out.shapes() == [(16, 8, 8), (16, 6, 6), (16, 4, 4)]
+        assert [g.shape for g in out] == [(16, 8, 8), (16, 6, 6), (16, 4, 4)]
 
     def test_zero_layers_identity(self):
         cfg = cfg_for(layers=0, conv_layers=0)
         pyr = random_pyramid(cfg, seed=22)
         out = dpt.dpt_forward(pyr, {}, cfg)
-        for g_in, g_out in zip(pyr.grids, out.grids):
-            np.testing.assert_array_equal(g_in.data.data, g_out.data.data)
+        for g_in, g_out in zip(pyr, out):
+            np.testing.assert_array_equal(g_in.data, g_out.data)
 
     def test_perturbation_reaches_far_cell(self):
         # global receptive field: poking one cell of the coarsest grid moves
@@ -281,13 +271,13 @@ class TestDptForward:
         cfg = cfg_for(sides=(8, 6, 4), e=16, layers=2)
         params = dpt.init_dpt_params(cfg, np.random.default_rng(23))
         pyr = random_pyramid(cfg, seed=24)
-        base = dpt.dpt_forward(pyr, params, cfg).grids[0].data.data.copy()
+        base = dpt.dpt_forward(pyr, params, cfg)[0].data.copy()
 
-        bumped_data = pyr.grids[-1].data.data.copy()
+        bumped_data = pyr[-1].data.copy()
         bumped_data[0, 0, 0] += 1.0
-        grids = [FeatureGrid(g.scale_index, Tensor(g.data.data)) for g in pyr.grids[:-1]]
-        grids.append(FeatureGrid(pyr.grids[-1].scale_index, Tensor(bumped_data)))
-        out = dpt.dpt_forward(PyramidFeatures(grids), params, cfg).grids[0].data.data
+        grids = [Tensor(g.data) for g in pyr[:-1]]
+        grids.append(Tensor(bumped_data))
+        out = dpt.dpt_forward(grids, params, cfg)[0].data
         assert abs(out[0, -1, -1] - base[0, -1, -1]) > 1e-9
 
     def test_end_to_end_gradient_two_scale(self):
@@ -295,9 +285,8 @@ class TestDptForward:
         params = dpt.init_dpt_params(cfg, np.random.default_rng(25))
 
         def op(a, b):
-            pyr = PyramidFeatures([FeatureGrid(0, a), FeatureGrid(1, b)])
-            out = dpt.dpt_forward(pyr, params, cfg)
-            return T.concat([T.reshape(g.data, (-1, 1)) for g in out.grids], axis=0)
+            out = dpt.dpt_forward([a, b], params, cfg)
+            return T.concat([T.reshape(g, (-1, 1)) for g in out], axis=0)
 
         rng = np.random.default_rng(26)
         a = Tensor(rng.normal(size=(8, 3, 3)))
@@ -310,9 +299,9 @@ class TestAllScale:
         cfg = cfg_for(sides=(4, 2), e=8, heads=2, groups=2)
         params = dpt.init_all_scale_params(cfg, np.random.default_rng(27))
         pyr = random_pyramid(cfg, seed=28)
-        assert sum(g.side ** 2 for g in pyr.grids) == 20
+        assert sum(g.shape[1] ** 2 for g in pyr) == 20
         out = dpt.all_scale_attention(pyr, params, cfg)
-        assert out.shapes() == [(8, 4, 4), (8, 2, 2)]
+        assert [g.shape for g in out] == [(8, 4, 4), (8, 2, 2)]
 
     def test_instrumented_count_is_square_of_tokens(self):
         cfg = cfg_for(sides=(4, 2), e=8, heads=2, groups=2)

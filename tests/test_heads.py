@@ -4,7 +4,6 @@ import pytest
 from psrank import heads, pyramid, tensor as T
 from psrank.config import ModelConfig
 from psrank.errors import DataError
-from psrank.pyramid import FeatureGrid, PyramidFeatures
 from psrank.tensor import Tensor
 
 from gradcheck import grad_check
@@ -18,10 +17,7 @@ def cfg_for(sides=(4, 2), e=8, n=5):
 
 def feature_pyramid(cfg, seed=0):
     rng = np.random.default_rng(seed)
-    return PyramidFeatures([
-        FeatureGrid(i, Tensor(rng.normal(size=(cfg.channels, s, s))))
-        for i, s in enumerate(cfg.grid_sides)
-    ])
+    return [Tensor(rng.normal(size=(cfg.channels, s, s))) for s in cfg.grid_sides]
 
 
 class TestPartitionForward:

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psrank import losses
+from psrank.config import ModelConfig
 from psrank.errors import DataError, DimensionError
-from psrank.losses import LossWeights, dice_loss, encode_partition_gt, focal_loss, partition_loss, total_loss
+from psrank.losses import dice_loss, encode_partition_gt, focal_loss, partition_loss, total_loss
 from psrank.tensor import Tensor
 
 from gradcheck import grad_check
@@ -131,14 +132,14 @@ class TestTotalLoss:
         masks = Tensor(rng.uniform(0.1, 0.9, size=(2, 4, 4)))
         mask_t = (rng.random((2, 4, 4)) > 0.5).astype(float)
         out = total_loss(partition_loss(probs, targets), masks, mask_t,
-                         LossWeights(partition=1.0, mask=0.0))
+                         ModelConfig(partition_weight=1.0, mask_weight=0.0))
         assert out.total.item() == pytest.approx(out.partition.item())
 
     def test_no_positive_cells_masks_contribute_zero(self):
         rng = np.random.default_rng(6)
         probs = Tensor(rng.uniform(0.1, 0.9, size=(10, 3)))
         targets = np.zeros((10, 3))
-        out = total_loss(partition_loss(probs, targets), None, None)
+        out = total_loss(partition_loss(probs, targets), None, None, ModelConfig())
         assert out.mask is None
         assert out.total.item() == pytest.approx(out.partition.item())
 
@@ -146,7 +147,7 @@ class TestTotalLoss:
         rng = np.random.default_rng(7)
         probs_np = rng.uniform(0.1, 0.9, size=(10, 3))
         targets = rng.integers(0, 2, size=(10, 3)).astype(float)
-        out = total_loss(partition_loss(Tensor(probs_np), targets), None, None)
+        out = total_loss(partition_loss(Tensor(probs_np), targets), None, None, ModelConfig())
         per_head = sum(
             focal_loss(Tensor(probs_np[:, n]), targets[:, n]).item() for n in range(3)
         )
@@ -157,7 +158,7 @@ class TestTotalLoss:
         targets = np.zeros((4, 2))
         t = np.zeros((2, 3, 3))
         t[:, 0, 0] = 1.0
-        out = total_loss(partition_loss(probs, targets), Tensor(t.copy()), t)
+        out = total_loss(partition_loss(probs, targets), Tensor(t.copy()), t, ModelConfig())
         assert out.total.item() == pytest.approx(0.0, abs=1e-10)
 
     def test_gradient_through_both_terms(self):
@@ -167,7 +168,8 @@ class TestTotalLoss:
 
         def op(probs, masks):
             from psrank import tensor as T
-            return total_loss(partition_loss(T.sigmoid(probs), targets), T.sigmoid(masks), mask_t).total
+            return total_loss(partition_loss(T.sigmoid(probs), targets), T.sigmoid(masks), mask_t,
+                              ModelConfig()).total
 
         logits = Tensor(rng.normal(size=(6, 2)))
         mask_logits = Tensor(rng.normal(size=(2, 3, 3)))

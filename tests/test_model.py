@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,31 @@ class TestCheckpoint:
         model.save_checkpoint(tmp_path / "bad.npz", params, cfg, toy_train_config(), seed=0)
         with pytest.raises(DataError):
             model.load_checkpoint(tmp_path / "bad.npz")
+
+
+class TestCheckpointMetadata:
+    def save_with_meta(self, path, edit):
+        """A valid checkpoint whose stored metadata is then changed by ``edit``."""
+        cfg = toy_model_config()
+        model.save_checkpoint(path, model.init_model_params(cfg, 0), cfg, toy_train_config(), seed=0)
+        with np.load(path) as blob:
+            arrays = {name: blob[name] for name in blob.files}
+        meta = json.loads(str(arrays.pop("__meta__")))
+        edit(meta)
+        np.savez(path, __meta__=np.array(json.dumps(meta, sort_keys=True)), **arrays)
+
+    @pytest.mark.parametrize("key", ["config", "config_hash", "param_names"])
+    def test_missing_key_rejected(self, tmp_path, key):
+        path = tmp_path / "bad.npz"
+        self.save_with_meta(path, lambda meta: meta.pop(key))
+        with pytest.raises(DataError, match=f"missing {key}"):
+            model.load_checkpoint(path)
+
+    def test_unknown_config_field_rejected(self, tmp_path):
+        path = tmp_path / "bad.npz"
+        self.save_with_meta(path, lambda meta: meta["config"]["model"].update(unknown_field=1))
+        with pytest.raises(DataError, match="unknown_field"):
+            model.load_checkpoint(path)
 
 
 class TestMalformedImages:

@@ -24,49 +24,64 @@ def params(cfg):
     return pyramid.init_encoder_params(cfg, np.random.default_rng(0))
 
 
+def encode(image, params, cfg):
+    return pyramid.pyramid_from_stages(pyramid.encoder_stages(image, params, cfg), cfg)
+
+
 def test_encode_shapes(cfg, params):
     image = Tensor(np.random.default_rng(1).random(size=(3, 64, 64)))
-    pyr = pyramid.encode(image, params, cfg)
-    assert pyr.shapes() == [(16, 8, 8), (16, 6, 6), (16, 4, 4)]
-    assert [g.scale_index for g in pyr.grids] == [0, 1, 2]
+    grids = encode(image, params, cfg)
+    assert [g.shape for g in grids] == [(16, 8, 8), (16, 6, 6), (16, 4, 4)]
 
 
 def test_encode_zero_image_zero_affine(cfg, params):
     for i in range(4):
         params[f"encoder.stage{i}.gn_gamma"].data[:] = 0.0
         params[f"encoder.stage{i}.gn_beta"].data[:] = 0.0
-    pyr = pyramid.encode(Tensor(np.zeros((3, 64, 64))), params, cfg)
-    for g in pyr.grids:
-        np.testing.assert_array_equal(g.data.data, 0.0)
+    grids = encode(Tensor(np.zeros((3, 64, 64))), params, cfg)
+    for g in grids:
+        np.testing.assert_array_equal(g.data, 0.0)
 
 
 def test_encode_deterministic(cfg):
     image = Tensor(np.random.default_rng(2).random(size=(3, 64, 64)))
-    a = pyramid.encode(image, pyramid.init_encoder_params(cfg, np.random.default_rng(7)), cfg)
-    b = pyramid.encode(image, pyramid.init_encoder_params(cfg, np.random.default_rng(7)), cfg)
-    for ga, gb in zip(a.grids, b.grids):
-        np.testing.assert_array_equal(ga.data.data, gb.data.data)
+    a = encode(image, pyramid.init_encoder_params(cfg, np.random.default_rng(7)), cfg)
+    b = encode(image, pyramid.init_encoder_params(cfg, np.random.default_rng(7)), cfg)
+    for ga, gb in zip(a, b):
+        np.testing.assert_array_equal(ga.data, gb.data)
 
 
 def test_encode_finite(cfg, params):
     image = Tensor(np.random.default_rng(3).normal(size=(3, 64, 64)) * 5)
-    pyr = pyramid.encode(image, params, cfg)
-    for g in pyr.grids:
-        assert np.isfinite(g.data.data).all()
+    grids = encode(image, params, cfg)
+    for g in grids:
+        assert np.isfinite(g.data).all()
 
 
 def test_encode_rejects_indivisible_size(cfg, params):
     with pytest.raises(ConfigurationError):
-        pyramid.encode(Tensor(np.zeros((3, 60, 64))), params, cfg)
+        encode(Tensor(np.zeros((3, 60, 64))), params, cfg)
 
 
 class TestPositionalEncoding:
     def test_zero_input_yields_encoding(self, cfg):
         pe_params = pyramid.init_posenc_params(cfg)
-        grids = [pyramid.FeatureGrid(i, Tensor(np.zeros((16, s, s)))) for i, s in enumerate((8, 6, 4))]
-        out = pyramid.add_positional_encoding(pyramid.PyramidFeatures(grids), pe_params)
-        for g in out.grids:
-            np.testing.assert_array_equal(g.data.data, pyramid.sinusoid_encoding(16, g.side, g.side))
+        grids = [Tensor(np.zeros((16, s, s))) for s in (8, 6, 4)]
+        out = pyramid.add_positional_encoding(grids, pe_params)
+        for g in out:
+            side = g.shape[1]
+            np.testing.assert_array_equal(g.data, pyramid.sinusoid_encoding(16, side, side))
+
+    def test_bias_follows_list_position(self, cfg):
+        # grid i takes posenc.scale{i}.bias: a grid's list position is its scale index
+        pe_params = pyramid.init_posenc_params(cfg)
+        for i in range(3):
+            pe_params[f"posenc.scale{i}.bias"].data[:] = i + 1.0
+        grids = [Tensor(np.zeros((16, s, s))) for s in (8, 6, 4)]
+        out = pyramid.add_positional_encoding(grids, pe_params)
+        for i, g in enumerate(out):
+            side = g.shape[1]
+            np.testing.assert_array_equal(g.data, pyramid.sinusoid_encoding(16, side, side) + (i + 1.0))
 
     def test_distinct_cells_distinct_codes(self):
         # direct evaluation of the sinusoid over all cells
@@ -79,9 +94,9 @@ class TestPositionalEncoding:
     def test_shape_preserved(self, cfg):
         pe_params = pyramid.init_posenc_params(cfg)
         rng = np.random.default_rng(4)
-        grids = [pyramid.FeatureGrid(i, Tensor(rng.normal(size=(16, s, s)))) for i, s in enumerate((8, 6, 4))]
-        out = pyramid.add_positional_encoding(pyramid.PyramidFeatures(grids), pe_params)
-        assert out.shapes() == [(16, 8, 8), (16, 6, 6), (16, 4, 4)]
+        grids = [Tensor(rng.normal(size=(16, s, s))) for s in (8, 6, 4)]
+        out = pyramid.add_positional_encoding(grids, pe_params)
+        assert [g.shape for g in out] == [(16, 8, 8), (16, 6, 6), (16, 4, 4)]
 
     def test_odd_channels_rejected(self):
         with pytest.raises(ConfigurationError):

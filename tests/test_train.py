@@ -128,6 +128,10 @@ class TestTrain:
         for name in params_a:
             np.testing.assert_array_equal(params_a[name].data, params_b[name].data)
 
+    def test_no_samples_rejected(self):
+        with pytest.raises(DataError, match="no training samples"):
+            train.train(toy_model_config(), toy_train_config(seed=0, epochs=1), [])
+
     def test_log_written(self, scenes, tmp_path):
         cfg = toy_model_config()
         seen = []
