@@ -36,14 +36,22 @@ class ModelConfig:
     mask_weight: float = 3.0
 
     def __post_init__(self):
+        # layer counts may be 0 (the ablations); every other size must be positive
+        for name, least in (("max_rank", 1), ("channels", 1), ("attn_heads", 1), ("gn_groups", 1),
+                            ("dpt_layers", 0), ("conv_layers", 0), ("mask_channels", 1), ("mask_stride", 1)):
+            if getattr(self, name) < least:
+                raise ConfigurationError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        if not self.assign_min_size > 0:
+            raise ConfigurationError(f"assign_min_size must be positive, got {self.assign_min_size}")
         if self.channels % self.attn_heads:
             raise ConfigurationError(f"channels {self.channels} not divisible by heads {self.attn_heads}")
         if self.channels % self.gn_groups:
             raise ConfigurationError(f"channels {self.channels} not divisible by groups {self.gn_groups}")
         if self.channels % 2:
             raise ConfigurationError("channels must be even for the positional encoding")
-        if any(a <= b for a, b in zip(self.grid_sides, self.grid_sides[1:])):
-            raise ConfigurationError(f"grid sides must be strictly decreasing, got {self.grid_sides}")
+        sides = self.grid_sides
+        if not sides or sides[-1] < 1 or any(a <= b for a, b in zip(sides, sides[1:])):
+            raise ConfigurationError(f"grid sides must be positive and strictly decreasing, got {sides}")
         for name in ("partition_threshold", "nms_iou", "binarize_threshold"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:

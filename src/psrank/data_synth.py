@@ -320,7 +320,10 @@ def load_manifest(data_dir) -> dict:
     path = Path(data_dir) / "manifest.json"
     if not path.exists():
         raise DataError(f"no manifest at {path}")
-    manifest = json.loads(path.read_text())
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as exc:
+        raise DataError(f"manifest {path} is not valid JSON: {exc}") from exc
     missing = [key for key in ("version", "canvas", "count", "samples") if key not in manifest]
     if missing:
         raise DataError(f"manifest {path} is missing {', '.join(missing)}")
@@ -329,6 +332,9 @@ def load_manifest(data_dir) -> dict:
     listed = manifest["samples"]
     if manifest["count"] != len(listed):
         raise DataError(f"manifest count {manifest['count']} != {len(listed)} listed samples")
+    incomplete = [i for i, entry in enumerate(listed) if "file" not in entry or "split" not in entry]
+    if incomplete:
+        raise DataError(f"manifest {path} entries {incomplete} lack a file or a split")
     return manifest
 
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import ModelConfig
+from .pyramid import attn_params, conv_params, gn_params
 from .tensor import Parameter, Tensor
 
 
@@ -46,46 +47,27 @@ def count_attention_pairs(scales: int, height: int, width: int) -> PairCountRepo
 # parameters -----------------------------------------------------------------
 
 
-def _attn_params(params, prefix, e, rng):
-    std = 1.0 / np.sqrt(e)
-    for name in ("wq", "wk", "wv", "wo"):
-        params[f"{prefix}.{name}"] = Parameter(rng.normal(0.0, std, size=(e, e)))
-
-
-def _gn_params(params, prefix, e):
-    params[f"{prefix}.gamma"] = Parameter(np.ones(e))
-    params[f"{prefix}.beta"] = Parameter(np.zeros(e))
-
-
-def _conv_params(params, prefix, cin, cout, rng, k=3):
-    std = np.sqrt(2.0 / (cin * k * k))
-    params[f"{prefix}.w"] = Parameter(rng.normal(0.0, std, size=(cout, cin, k, k)))
-    params[f"{prefix}.b"] = Parameter(np.zeros(cout))
-
-
 def init_dpt_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Parameter]:
     e = cfg.channels
     params: dict[str, Parameter] = {}
     for j in range(cfg.conv_layers):
-        _conv_params(params, f"cgr.conv{j}", e, e, rng)
-        _gn_params(params, f"cgr.gn{j}", e)
+        params |= conv_params(f"cgr.conv{j}", e, e, rng)
+        params |= gn_params(f"cgr.gn{j}", e)
     for layer in range(cfg.dpt_layers):
         base = f"dpt.layer{layer}"
-        _attn_params(params, f"{base}.row", e, rng)
-        _attn_params(params, f"{base}.col", e, rng)
-        _attn_params(params, f"{base}.cross", e, rng)
-        _gn_params(params, f"{base}.gn_rc", e)
-        _gn_params(params, f"{base}.gn_cs", e)
-        _conv_params(params, f"{base}.clcg.conv1", e, e, rng)
-        _conv_params(params, f"{base}.clcg.conv2", e, e, rng)
-        _gn_params(params, f"{base}.clcg.gn", e)
+        params |= attn_params(f"{base}.row", e, rng)
+        params |= attn_params(f"{base}.col", e, rng)
+        params |= attn_params(f"{base}.cross", e, rng)
+        params |= gn_params(f"{base}.gn_rc", e)
+        params |= gn_params(f"{base}.gn_cs", e)
+        params |= conv_params(f"{base}.clcg.conv1", e, e, rng)
+        params |= conv_params(f"{base}.clcg.conv2", e, e, rng)
+        params |= gn_params(f"{base}.clcg.gn", e)
     return params
 
 
 def init_all_scale_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Parameter]:
-    params: dict[str, Parameter] = {}
-    _attn_params(params, "allscale", cfg.channels, rng)
-    return params
+    return attn_params("allscale", cfg.channels, rng)
 
 
 # blocks -----------------------------------------------------------------------

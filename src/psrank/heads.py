@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from .config import ModelConfig
 from .errors import DataError
-from .pyramid import _stage_channels
+from .pyramid import _stage_channels, conv_params
 from .tensor import Parameter, Tensor
 
 
@@ -37,14 +37,10 @@ def _per_cell(f_hat: list[Tensor], w: Parameter, b: Parameter) -> Tensor:
 
 
 def init_partition_head_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Parameter]:
-    e, n = cfg.channels, cfg.max_rank
-    std = np.sqrt(2.0 / (e * 9))
-    return {
-        # one output channel per head; channels share no weights
-        "partition.w": Parameter(rng.normal(0.0, std, size=(n, e, 3, 3))),
-        # negative bias so untrained heads predict sparse positives
-        "partition.b": Parameter(np.full(n, -2.0)),
-    }
+    n = cfg.max_rank
+    # one output channel per head (channels share no weights), with a negative
+    # bias so untrained heads predict sparse positives
+    return conv_params("partition", cfg.channels, n, rng) | {"partition.b": Parameter(np.full(n, -2.0))}
 
 
 def partition_forward(f_hat: list[Tensor], params) -> Tensor:
@@ -68,16 +64,9 @@ class MaskBranch:
 
 
 def init_mask_head_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Parameter]:
-    e, d = cfg.channels, cfg.mask_channels
     fused = sum(c for _, c in _stage_channels(cfg))
-    params = {}
-    std = np.sqrt(2.0 / (e * 9))
-    params["mask.kernel.w"] = Parameter(rng.normal(0.0, std, size=(d, e, 3, 3)))
-    params["mask.kernel.b"] = Parameter(np.zeros(d))
-    std = np.sqrt(2.0 / fused)
-    params["mask.fuse.w"] = Parameter(rng.normal(0.0, std, size=(d, fused, 1, 1)))
-    params["mask.fuse.b"] = Parameter(np.zeros(d))
-    return params
+    return (conv_params("mask.kernel", cfg.channels, cfg.mask_channels, rng)
+            | conv_params("mask.fuse", fused, cfg.mask_channels, rng, k=1))
 
 
 def global_mask_features(stage_maps, params, cfg: ModelConfig, canvas: int) -> Tensor:

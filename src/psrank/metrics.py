@@ -10,7 +10,7 @@ Pearson on average ranks (tied values share the mean of their ranks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -147,16 +147,7 @@ class MetricReport:
     confusion: np.ndarray
 
     def to_json_dict(self) -> dict:
-        return {
-            "mae": self.mae,
-            "sa_sor": self.sa_sor,
-            "sor": self.sor,
-            "sor_normalized": self.sor_normalized,
-            "images_evaluated": self.images_evaluated,
-            "images_excluded_sor": self.images_excluded_sor,
-            "images_excluded_sasor": self.images_excluded_sasor,
-            "confusion": self.confusion.tolist(),
-        }
+        return asdict(self) | {"confusion": self.confusion.tolist()}
 
 
 def evaluate_images(per_image, n_ranks: int, canvas: int, iou_threshold: float = 0.5) -> MetricReport:

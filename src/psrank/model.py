@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -138,8 +139,13 @@ def load_checkpoint(path):
     path = Path(path)
     if not path.exists():
         raise DataError(f"no checkpoint at {path}")
+    if not zipfile.is_zipfile(path):
+        raise DataError(f"checkpoint {path} is not an .npz archive")
     with np.load(path) as blob:
-        meta = json.loads(str(blob["__meta__"]))
+        try:
+            meta = json.loads(str(blob["__meta__"]))
+        except (KeyError, ValueError) as exc:
+            raise DataError(f"checkpoint {path} has no readable metadata: {exc!r}") from exc
         if meta.get("format") != 1:
             raise DataError(f"unsupported checkpoint format {meta.get('format')}")
         missing = [key for key in ("config", "config_hash", "param_names") if key not in meta]

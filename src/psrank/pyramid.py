@@ -6,7 +6,8 @@ grids. A fixed 2D sinusoid plus a learned per-scale bias provides the
 positional signal consumed by the transformer stack.
 
 A pyramid is a list of (E, s, s) tensors, finest first; a grid's position in
-the list is its scale index.
+the list is its scale index. The conv, group-norm and attention initializers
+every module shares live here too.
 """
 
 from __future__ import annotations
@@ -23,6 +24,25 @@ from .tensor import Parameter, Tensor
 STAGE_STRIDES = (2, 4, 8, 16)
 
 
+def conv_params(prefix: str, cin: int, cout: int, rng: np.random.Generator, k: int = 3) -> dict[str, Parameter]:
+    """A k x k conv's He-normal weights, std sqrt(2 / (cin*k*k)), and zero bias."""
+    std = np.sqrt(2.0 / (cin * k * k))
+    return {f"{prefix}.w": Parameter(rng.normal(0.0, std, size=(cout, cin, k, k))),
+            f"{prefix}.b": Parameter(np.zeros(cout))}
+
+
+def gn_params(prefix: str, e: int) -> dict[str, Parameter]:
+    """A group norm's identity affine, ``{prefix}.gamma`` and ``{prefix}.beta``."""
+    return {f"{prefix}.gamma": Parameter(np.ones(e)), f"{prefix}.beta": Parameter(np.zeros(e))}
+
+
+def attn_params(prefix: str, e: int, rng: np.random.Generator) -> dict[str, Parameter]:
+    """The four (E, E) attention projections, normal with std 1/sqrt(E)."""
+    std = 1.0 / np.sqrt(e)
+    return {f"{prefix}.{name}": Parameter(rng.normal(0.0, std, size=(e, e)))
+            for name in ("wq", "wk", "wv", "wo")}
+
+
 def _stage_channels(cfg: ModelConfig) -> list[tuple[int, int]]:
     e = cfg.channels
     return [(3, 16), (16, e), (e, e), (e, e)]
@@ -31,9 +51,7 @@ def _stage_channels(cfg: ModelConfig) -> list[tuple[int, int]]:
 def init_encoder_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Parameter]:
     params: dict[str, Parameter] = {}
     for i, (cin, cout) in enumerate(_stage_channels(cfg)):
-        std = np.sqrt(2.0 / (cin * 9))
-        params[f"encoder.stage{i}.w"] = Parameter(rng.normal(0.0, std, size=(cout, cin, 3, 3)))
-        params[f"encoder.stage{i}.b"] = Parameter(np.zeros(cout))
+        params |= conv_params(f"encoder.stage{i}", cin, cout, rng)
         params[f"encoder.stage{i}.gn_gamma"] = Parameter(np.ones(cout))
         params[f"encoder.stage{i}.gn_beta"] = Parameter(np.zeros(cout))
     return params

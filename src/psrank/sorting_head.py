@@ -14,16 +14,12 @@ from . import tensor as T
 from .config import ModelConfig
 from .heads import _per_cell
 from .p2r import AcceptedMasks, RankedInstance, binarize
+from .pyramid import conv_params
 from .tensor import Parameter, Tensor
 
 
 def init_sorting_head_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Parameter]:
-    e, n = cfg.channels, cfg.max_rank
-    std = np.sqrt(2.0 / (e * 9))
-    return {
-        "sorting.w": Parameter(rng.normal(0.0, std, size=(n + 1, e, 3, 3))),
-        "sorting.b": Parameter(np.zeros(n + 1)),
-    }
+    return conv_params("sorting", cfg.channels, cfg.max_rank + 1, rng)
 
 
 def sorting_head_forward(f_hat: list[Tensor], params) -> Tensor:

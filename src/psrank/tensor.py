@@ -1,10 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Every learnable operation in the package is built on the ops in this module.
-Forward ops record closures on a tape; ``Tensor.backward`` replays them in
-reverse topological order. Storage and elementwise kernels are numpy; the
-differentiation machinery, convolution, normalization, resampling, and
-attention are implemented here.
+Every learnable operation in the package is built on the ops in this module,
+and a module function (``tsum``, ``reshape``, ``matmul``, ...) is each op's
+only spelling. A ``Tensor`` carries its data, gradient and tape links, the
+arithmetic operators and indexing. Forward ops record closures on a tape;
+``Tensor.backward`` replays them in reverse topological order. Storage and
+elementwise kernels are numpy; the differentiation machinery, convolution,
+normalization, resampling, and attention are implemented here.
 
 Multi-head attention is a single tape op whose backward is written out
 analytically, so one call records one node. ``conv2d`` is im2col + GEMM. The
@@ -58,18 +60,11 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def item(self) -> float:
         return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data) if isinstance(self, Parameter) else None
 
     def backward(self, grad=None) -> None:
         if grad is None:
@@ -126,26 +121,8 @@ class Tensor:
     def __rtruediv__(self, other):
         return mul(_as_tensor(other), power(self, -1.0))
 
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return take(self, idx)
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 or isinstance(shape[0], int) else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes if axes else None)
 
 
 class Parameter(Tensor):
@@ -220,16 +197,6 @@ def power(a, exponent: float) -> Tensor:
     return _result(out, (a,), backward)
 
 
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    out = np.exp(a.data)
-
-    def backward(g):
-        _accumulate(a, g * out)
-
-    return _result(out, (a,), backward)
-
-
 def log(a) -> Tensor:
     a = _as_tensor(a)
     out = np.log(a.data)
@@ -238,10 +205,6 @@ def log(a) -> Tensor:
         _accumulate(a, g / a.data)
 
     return _result(out, (a,), backward)
-
-
-def sqrt(a) -> Tensor:
-    return power(a, 0.5)
 
 
 def clip(a, lo: float, hi: float) -> Tensor:

@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -101,9 +99,12 @@ class EpochStats:
 
 
 def train(model_cfg: ModelConfig, train_cfg: TrainConfig, samples: list[SceneSample],
-          log_path=None, progress=None) -> tuple[dict, list[EpochStats]]:
+          progress=None) -> tuple[dict, list[EpochStats]]:
     """Train from scratch on ``samples``; returns the parameters and the
     per-epoch loss log. Deterministic for a fixed config and seed.
+
+    ``progress`` is how a caller sees each epoch as it ends: it is called
+    with that epoch's ``EpochStats``, the same object the log holds.
     """
     if not samples:
         raise DataError("no training samples")
@@ -134,16 +135,4 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, samples: list[SceneSam
         history.append(stats)
         if progress is not None:
             progress(stats)
-    if log_path is not None:
-        write_log(log_path, history)
     return params, history
-
-
-def write_log(path, history: list[EpochStats]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "total", "partition", "mask"])
-        for row in history:
-            writer.writerow([row.epoch, repr(row.total), repr(row.partition), repr(row.mask)])

@@ -42,11 +42,32 @@ class TestModelConfigRejects:
         with pytest.raises(ConfigurationError, match="head type"):
             ModelConfig(head_type="ranking")
 
+    # Accepted here, each of these sizes would break the model far from its cause:
+    # a ZeroDivisionError, "negative dimensions", an empty predict or degenerate masks.
+    @pytest.mark.parametrize("name, value", [
+        ("max_rank", 0), ("channels", -16), ("attn_heads", 0), ("gn_groups", 0), ("dpt_layers", -1),
+        ("conv_layers", -2), ("mask_channels", 0), ("mask_stride", 0),
+    ])
+    def test_size_below_least(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"{name} must be at least"):
+            toy_model_config(**{name: value})
+
+    @pytest.mark.parametrize("sides", [(4, 0), (), (8, -2)])
+    def test_grid_sides_not_positive(self, sides):
+        with pytest.raises(ConfigurationError, match="grid sides must be positive"):
+            toy_model_config(grid_sides=sides)
+
+    @pytest.mark.parametrize("value", [0.0, -8.0])
+    def test_assign_min_size_not_positive(self, value):
+        with pytest.raises(ConfigurationError, match="assign_min_size"):
+            toy_model_config(assign_min_size=value)
+
 
 class TestModelConfigAccepts:
     def test_boundary_values(self):
         # one scale has no neighbour to compare, and a zero weight is not negative
-        cfg = ModelConfig(grid_sides=(5,), partition_weight=0.0, mask_weight=0.0)
+        # ...and the ablations drop the transformer and the cgr convs
+        cfg = ModelConfig(grid_sides=(5,), partition_weight=0.0, mask_weight=0.0, dpt_layers=0, conv_layers=0)
         assert cfg.grid_sides == (5,)
 
 

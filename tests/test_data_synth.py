@@ -252,6 +252,22 @@ class TestPersistence:
         with pytest.raises(DataError, match=f"missing {key}"):
             load_manifest(tmp_path)
 
+    @pytest.mark.parametrize("key", ["file", "split"])
+    def test_manifest_entry_missing_key_rejected(self, tmp_path, cfg, key):
+        splits = self.make_splits(cfg, 1, 1)
+        save_dataset(splits, tmp_path, max_rank=cfg.max_rank)
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        del manifest["samples"][1][key]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(DataError, match=r"manifest\.json entries \[1\]"):
+            load_dataset(tmp_path)
+
+    def test_manifest_not_json_rejected(self, tmp_path, cfg):
+        save_dataset(self.make_splits(cfg, 1, 1), tmp_path, max_rank=cfg.max_rank)
+        (tmp_path / "manifest.json").write_text('{"version": ')
+        with pytest.raises(DataError, match=r"manifest\.json is not valid JSON"):
+            load_manifest(tmp_path)
+
     def test_manifest_count_mismatch(self, tmp_path, cfg):
         splits = self.make_splits(cfg, 2, 1)
         save_dataset(splits, tmp_path, max_rank=cfg.max_rank)

@@ -1,10 +1,12 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from psrank import model, tensor as T
-from psrank.config import toy_model_config, toy_train_config
+from psrank.config import ModelConfig, toy_model_config, toy_train_config
 from psrank.data_synth import GenConfig, generate_dataset
 from psrank.errors import DataError, DimensionError
 from psrank.p2r import partition_to_rank
@@ -21,6 +23,30 @@ TOY_CELLS = 8 * 8 + 6 * 6 + 4 * 4
 @pytest.fixture(scope="module")
 def heldout():
     return generate_dataset(GenConfig(), 16, 5000)
+
+
+def params_digest(params) -> str:
+    """sha256 of each parameter's name, shape and bytes, in dict order."""
+    h = hashlib.sha256()
+    for name, p in params.items():
+        h.update(name.encode())
+        h.update(str(p.shape).encode())
+        h.update(p.data.tobytes())
+    return h.hexdigest()
+
+
+class TestInitialWeights:
+    """Names, shapes, order and RNG draws of the seed-0 weights are pinned:
+    names are the checkpoint format and the draws fix every trained model.
+    """
+
+    @pytest.mark.parametrize("head_type", ["partition", "sorting"])
+    @pytest.mark.parametrize("config", ["toy", "default"])
+    def test_match_golden_digest(self, config, head_type):
+        make = {"toy": toy_model_config, "default": ModelConfig}[config]
+        golden = json.loads((Path(__file__).parent / "init_digests.json").read_text())
+        params = model.init_model_params(make(head_type=head_type), 0)
+        assert params_digest(params) == golden[f"{config}-{head_type}"]
 
 
 class TestForward:
@@ -174,6 +200,23 @@ class TestCheckpointMetadata:
         self.save_with_meta(path, lambda meta: meta["config"]["model"].update(unknown_field=1))
         with pytest.raises(DataError, match="unknown_field"):
             model.load_checkpoint(path)
+
+    def test_archive_without_metadata_rejected(self, tmp_path):
+        np.savez(tmp_path / "nometa.npz", a=np.zeros(2))
+        with pytest.raises(DataError, match=r"nometa\.npz has no readable metadata"):
+            model.load_checkpoint(tmp_path / "nometa.npz")
+
+    def test_unparsable_metadata_rejected(self, tmp_path):
+        np.savez(tmp_path / "badjson.npz", __meta__=np.array("{not json"))
+        with pytest.raises(DataError, match=r"badjson\.npz has no readable metadata"):
+            model.load_checkpoint(tmp_path / "badjson.npz")
+
+    @pytest.mark.parametrize("content", [b"not an archive", b"", b"PK\x03\x04truncated"],
+                             ids=["text", "empty", "truncated"])
+    def test_not_an_archive_rejected(self, tmp_path, content):
+        (tmp_path / "bad.npz").write_bytes(content)
+        with pytest.raises(DataError, match=r"bad\.npz is not an \.npz archive"):
+            model.load_checkpoint(tmp_path / "bad.npz")
 
 
 class TestMalformedImages:

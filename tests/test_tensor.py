@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from psrank import tensor as T
+from psrank import train
 from psrank.errors import ConfigurationError, DimensionError
 from psrank.tensor import Parameter, Tensor
 
@@ -321,14 +322,14 @@ class TestAttention:
 class TestAutogradBasics:
     def test_sum_of_squares_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
-        loss = (x * x).sum()
+        loss = T.tsum(x * x)
         loss.backward()
         np.testing.assert_allclose(x.grad, [2.0, 4.0])
 
     def test_broadcast_add_gradient(self):
         a = Tensor(np.ones((3, 2)), requires_grad=True)
         b = Tensor(np.ones(2), requires_grad=True)
-        (a + b).sum().backward()
+        T.tsum(a + b).backward()
         np.testing.assert_array_equal(a.grad, np.ones((3, 2)))
         np.testing.assert_array_equal(b.grad, [3.0, 3.0])
 
@@ -347,8 +348,10 @@ class TestAutogradBasics:
     def test_parameter_grad_buffer(self):
         p = Parameter(np.zeros((2, 3)))
         assert p.grad.shape == (2, 3)
-        p.zero_grad()
-        assert p.grad.shape == (2, 3)
+        T.tsum(p * 2.0).backward()
+        assert (p.grad == 2.0).all()
+        train.SgdOptimizer({"p": p}, 0.0).zero_grad()
+        assert p.grad.shape == (2, 3) and (p.grad == 0.0).all()
 
     def test_first_gradient_is_a_copy(self):
         x = Tensor(np.zeros(3), requires_grad=True)
@@ -366,7 +369,7 @@ class TestAutogradBasics:
     def test_take_scatter_gradient(self):
         x = Tensor(np.arange(6, dtype=float).reshape(3, 2), requires_grad=True)
         sel = x[np.array([0, 2, 2])]
-        sel.sum().backward()
+        T.tsum(sel).backward()
         np.testing.assert_array_equal(x.grad, [[1, 1], [0, 0], [2, 2]])
 
     def test_finite_outputs_on_finite_inputs(self):
