@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
 
 from .errors import ConfigurationError
@@ -79,6 +80,19 @@ class TrainConfig:
     decay_epochs: tuple[int, ...] = (42, 54)
     decay_factor: float = 1e-4
     seed: int = 0
+
+    def __post_init__(self):
+        # each of these schedules trains silently into nothing, NaN or divergence
+        for name, least in (("epochs", 1), ("batch_size", 1), ("warmup_iters", 0)):
+            if getattr(self, name) < least:
+                raise ConfigurationError(f"{name} must be at least {least}, got {getattr(self, name)}")
+        for name in ("lr", "decay_factor"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigurationError(f"{name} must be positive and finite, got {getattr(self, name)}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ConfigurationError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if any(e < 0 for e in self.decay_epochs):
+            raise ConfigurationError(f"decay epochs must be nonnegative, got {self.decay_epochs}")
 
 
 def toy_train_config(seed: int = 0, epochs: int = 24) -> TrainConfig:

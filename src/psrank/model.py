@@ -146,6 +146,8 @@ def load_checkpoint(path):
             meta = json.loads(str(blob["__meta__"]))
         except (KeyError, ValueError) as exc:
             raise DataError(f"checkpoint {path} has no readable metadata: {exc!r}") from exc
+        if not isinstance(meta, dict):
+            raise DataError(f"checkpoint {path} metadata is not a JSON object: {type(meta).__name__}")
         if meta.get("format") != 1:
             raise DataError(f"unsupported checkpoint format {meta.get('format')}")
         missing = [key for key in ("config", "config_hash", "param_names") if key not in meta]

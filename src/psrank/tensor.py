@@ -9,12 +9,20 @@ elementwise kernels are numpy; the differentiation machinery, convolution,
 normalization, resampling, and attention are implemented here.
 
 Multi-head attention is a single tape op whose backward is written out
-analytically, so one call records one node. ``conv2d`` is im2col + GEMM. The
-forward gathers every channel plane through one (k*k, Ho*Wo) plane index; the
-backward scatters (col2im) with one ``np.bincount`` over the full
-(C*k*k, Ho*Wo) index. Both depend only on the shapes, so each is built once
-per shape, the full one only when a backward first needs it, and kept in a
-module-level ``functools`` cache.
+analytically, so one call records one node. Its softmax reduces over the key
+axis; when that axis is shorter than 8 (the DPT's cross-scale route, one key
+per scale), the row max is a chain of ``np.maximum`` over the key slices and
+the row sums are sequential adds from +0.0. That is numpy's own order below 8
+terms, so the results are byte-equal to ``max``/``sum`` at a fraction of their
+per-row cost; longer axes keep numpy's reductions.
+
+``conv2d`` is im2col + GEMM. A 1x1, stride-1, unpadded kernel takes the input
+itself as its columns, and its backward's dx is the column gradient reshaped.
+Any other kernel gathers every channel plane of the (zero-padded) input
+through one (k*k, Ho*Wo) plane index, and its backward scatters (col2im) with
+one ``np.bincount`` over the full (C*k*k, Ho*Wo) index. Both indexes depend
+only on the shapes, so each is built once per shape, the full one only when a
+backward first needs it, and kept in a module-level ``functools`` cache.
 """
 
 from __future__ import annotations
@@ -287,10 +295,9 @@ def reshape(a, shape) -> Tensor:
 def transpose(a, axes=None) -> Tensor:
     a = _as_tensor(a)
     out = np.transpose(a.data, axes)
-    inverse = None if axes is None else np.argsort(axes)
 
     def backward(g):
-        _accumulate(a, np.transpose(g, inverse))
+        _accumulate(a, np.transpose(g, None if axes is None else np.argsort(axes)))
 
     return _result(out, (a,), backward)
 
@@ -413,19 +420,24 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding=None) -> Tensor:
         raise DimensionError(f"conv2d kernel {k}x{k} exceeds the padded input {hp}x{wp}")
     ho = (hp - k) // stride + 1
     wo = (wp - k) // stride + 1
-    if pad:
-        xp = np.zeros((c, hp, wp))
-        xp[:, pad : pad + h, pad : pad + w] = x.data
+    pointwise = k == 1 and stride == 1 and not pad
+    if pointwise:
+        cols = np.ascontiguousarray(x.data).reshape(c, h * w)
     else:
-        xp = x.data
-    # gathering every plane along axis 1 beats one flat take of the full index
-    plane = _plane_index(wp, k, stride, ho, wo)
-    cols = xp.reshape(c, hp * wp).take(plane, axis=1).reshape(c * k * k, ho * wo)
+        if pad:
+            xp = np.zeros((c, hp, wp))
+            xp[:, pad : pad + h, pad : pad + w] = x.data
+        else:
+            xp = x.data
+        # gathering every plane along axis 1 beats one flat take of the full index
+        plane = _plane_index(wp, k, stride, ho, wo)
+        cols = xp.reshape(c, hp * wp).take(plane, axis=1).reshape(c * k * k, ho * wo)
+        del xp  # free a padded copy before the GEMM allocates its output
     w2 = weight.data.reshape(co, ci * k * k)
     out = (w2 @ cols).reshape(co, ho, wo)
     if bias is not None:
         bias = _as_tensor(bias)
-        out = out + bias.data[:, None, None]
+        out += bias.data[:, None, None]
 
     def backward(g):
         g2 = g.reshape(co, ho * wo)
@@ -434,6 +446,9 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding=None) -> Tensor:
             _accumulate(bias, g.sum(axis=(1, 2)))
         if x.requires_grad:
             dcols = w2.T @ g2
+            if pointwise:
+                _accumulate(x, dcols.reshape(c, h, w))
+                return
             idx = _col2im_index(c, hp, wp, k, stride, ho, wo)
             dxp = np.bincount(idx.ravel(), weights=dcols.ravel(), minlength=c * hp * wp).reshape(c, hp, wp)
             _accumulate(x, dxp[:, pad : pad + h, pad : pad + w] if pad else dxp)
@@ -521,6 +536,41 @@ def interpolate(x, size) -> Tensor:
 # attention --------------------------------------------------------------------
 
 
+# Below this many keys, numpy reduces a contiguous row one element at a time
+# from +0.0 (sum) or from its first element (max), and the elementwise chains
+# below repeat that order; from here on it sums pairwise with eight partial
+# sums, and its reductions beat a Python-level chain anyway.
+_SHORT_AXIS = 8
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1, keepdims=True)``, byte for byte. For a short last axis
+    it is a chain of ``np.maximum`` over the key slices, which skips the
+    reduction machinery's per-row cost.
+    """
+    n = a.shape[-1]
+    if n >= _SHORT_AXIS:
+        return a.max(axis=-1, keepdims=True)
+    out = a[..., 0:1].copy()
+    for i in range(1, n):
+        np.maximum(out, a[..., i : i + 1], out=out)
+    return out
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1, keepdims=True)``, byte for byte: for a short last axis,
+    sequential adds that start from +0.0, as numpy's own loop does (so an all
+    -0.0 row sums to +0.0).
+    """
+    n = a.shape[-1]
+    if n >= _SHORT_AXIS:
+        return a.sum(axis=-1, keepdims=True)
+    out = a[..., 0:1] + 0.0
+    for i in range(1, n):
+        out += a[..., i : i + 1]
+    return out
+
+
 def multi_head_attention(x, heads: int, wq, wk, wv, wo) -> Tensor:
     """Scaled dot-product self-attention with ``heads`` heads over the
     second-to-last axis. Accepts [L,D] or [B,L,D]; projections are [D,D] and
@@ -551,8 +601,8 @@ def multi_head_attention(x, heads: int, wq, wk, wv, wo) -> Tensor:
     k = split(np.matmul(xb, wk.data))
     v = split(np.matmul(xb, wv.data))
     scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * scale
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    attn = e / e.sum(axis=-1, keepdims=True)
+    e = np.exp(scores - _row_max(scores))
+    attn = e / _row_sum(e)
     merged = merge(np.matmul(attn, v))
     # a [B,L,D] product, as a batched matmul rounds it, not one (B*L, D) GEMM
     out = np.matmul(merged.reshape(b, length, d), wo.data).reshape(x.data.shape)
@@ -562,7 +612,7 @@ def multi_head_attention(x, heads: int, wq, wk, wv, wo) -> Tensor:
         _accumulate(wo, merged.T @ g2)
         g_ctx = split(g2 @ wo.data.T)
         g_attn = np.matmul(g_ctx, v.swapaxes(-1, -2))
-        g_scores = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True)) * scale
+        g_scores = attn * (g_attn - _row_sum(g_attn * attn)) * scale
         grads = (
             (wq, np.matmul(g_scores, k)),
             (wk, np.matmul(g_scores.swapaxes(-1, -2), q)),

@@ -1,7 +1,9 @@
 """Definition-based re-implementations that the tests check production code
 against, deliberately naive (literal loops, no vectorisation, or composed
-from primitive tape ops), a mask view that records what a decode reads, and
-a counter of the query-key pairs attention forms.
+from primitive tape ops); the plain forms of tensor kernels that production
+code shortcuts (numpy reductions, a gather for every conv), which the
+shortcuts must equal byte for byte; a mask view that records what a decode
+reads, and a counter of the query-key pairs attention forms.
 """
 
 from __future__ import annotations
@@ -169,6 +171,98 @@ def attention_reference(x, heads: int, wq, wk, wv, wo) -> Tensor:
     merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, length, d))
     out = T.matmul(merged, wo)
     return T.reshape(out, (length, d)) if squeeze else out
+
+
+def attention_reduce_oracle(x, heads: int, wq, wk, wv, wo) -> Tensor:
+    """``tensor.multi_head_attention`` with its softmax's max and sums taken by
+    numpy's reductions over the key axis, whatever its length.
+    """
+    x, wq, wk, wv, wo = (T._as_tensor(t) for t in (x, wq, wk, wv, wo))
+    squeeze = x.data.ndim == 2
+    xb = x.data.reshape((1,) + x.data.shape) if squeeze else x.data
+    b, length, d = xb.shape
+    dh = d // heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(t):
+        return t.reshape(b, length, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(t):
+        return t.transpose(0, 2, 1, 3).reshape(b * length, d)
+
+    q = split(np.matmul(xb, wq.data))
+    k = split(np.matmul(xb, wk.data))
+    v = split(np.matmul(xb, wv.data))
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * scale
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    merged = merge(np.matmul(attn, v))
+    out = np.matmul(merged.reshape(b, length, d), wo.data).reshape(x.data.shape)
+
+    def backward(g):
+        g2 = g.reshape(b * length, d)
+        T._accumulate(wo, merged.T @ g2)
+        g_ctx = split(g2 @ wo.data.T)
+        g_attn = np.matmul(g_ctx, v.swapaxes(-1, -2))
+        g_scores = attn * (g_attn - (g_attn * attn).sum(axis=-1, keepdims=True)) * scale
+        grads = (
+            (wq, np.matmul(g_scores, k)),
+            (wk, np.matmul(g_scores.swapaxes(-1, -2), q)),
+            (wv, np.matmul(attn.swapaxes(-1, -2), g_ctx)),
+        )
+        x2 = xb.reshape(b * length, d)
+        gx = 0.0
+        for w, g_head in grads:
+            g_proj = merge(g_head)
+            T._accumulate(w, x2.T @ g_proj)
+            gx = gx + g_proj @ w.data.T
+        T._accumulate(x, gx.reshape(x.data.shape))
+
+    return T._result(out, (x, wq, wk, wv, wo), backward)
+
+
+def conv2d_gather_oracle(x, weight, bias=None, stride: int = 1, padding=None) -> Tensor:
+    """``tensor.conv2d`` with every kernel, 1x1 included, gathering its
+    columns through the plane index and scattering dx with ``np.bincount``,
+    and the bias added into a second output array.
+    """
+    x, weight = T._as_tensor(x), T._as_tensor(weight)
+    co, ci, k, _ = weight.data.shape
+    c, h, w = x.data.shape
+    pad = (k - 1) // 2 if padding is None else int(padding)
+    hp, wp = h + 2 * pad, w + 2 * pad
+    ho = (hp - k) // stride + 1
+    wo = (wp - k) // stride + 1
+    xp = np.zeros((c, hp, wp))
+    xp[:, pad : pad + h, pad : pad + w] = x.data
+    plane = T._plane_index(wp, k, stride, ho, wo)
+    cols = xp.reshape(c, hp * wp).take(plane, axis=1).reshape(c * k * k, ho * wo)
+    w2 = weight.data.reshape(co, ci * k * k)
+    out = (w2 @ cols).reshape(co, ho, wo)
+    if bias is not None:
+        bias = T._as_tensor(bias)
+        out = out + bias.data[:, None, None]
+
+    def backward(g):
+        g2 = g.reshape(co, ho * wo)
+        T._accumulate(weight, (g2 @ cols.T).reshape(weight.data.shape))
+        if bias is not None:
+            T._accumulate(bias, g.sum(axis=(1, 2)))
+        dcols = w2.T @ g2
+        idx = T._col2im_index(c, hp, wp, k, stride, ho, wo)
+        dxp = np.bincount(idx.ravel(), weights=dcols.ravel(), minlength=c * hp * wp).reshape(c, hp, wp)
+        T._accumulate(x, dxp[:, pad : pad + h, pad : pad + w])
+
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return T._result(out, parents, backward)
+
+
+def transpose_oracle(a, axes=None) -> Tensor:
+    """``tensor.transpose`` with the inverse permutation computed up front."""
+    a = T._as_tensor(a)
+    inverse = None if axes is None else np.argsort(axes)
+    return T._result(np.transpose(a.data, axes), (a,),
+                     lambda g: T._accumulate(a, np.transpose(g, inverse)))
 
 
 def _conv_windows(x, k: int, pad: int, stride: int):

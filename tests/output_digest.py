@@ -1,0 +1,89 @@
+"""Print one sha256 over the model's numbers, so a change that should leave
+outputs bit-identical can be checked by running this on both commits:
+
+    PYTHONPATH=src python tests/output_digest.py [--verbose]
+
+The digest covers, for the toy model at 64x64 and ``ModelConfig()`` at
+128x128, each with the partition and the sorting head: initial parameters
+for weight seeds 0 and 1, ``forward`` scores and soft masks, ``predict``
+instances (at ``partition_threshold=0.1, objectness_floor=0.05``, so that
+untrained weights emit some), and the loss history and parameters of a
+3-epoch ``train.train`` run. ``--verbose`` prints a digest per part too.
+pytest does not collect this file; it is a script.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import sys
+from dataclasses import replace
+
+import numpy as np
+
+from psrank import model, train
+from psrank.config import ModelConfig, toy_model_config, toy_train_config
+from psrank.data_synth import GenConfig, generate_dataset
+from psrank.tensor import Tensor, no_grad
+
+WEIGHT_SEEDS = (0, 1)
+PREDICT_SCENES = 6
+TRAIN_SCENES = 3
+
+
+def setups():
+    """(name, model config, scene config) for each covered model."""
+    gen128 = GenConfig(canvas=128, min_sqrt_area=20.0, max_sqrt_area=52.0)
+    for head in ("partition", "sorting"):
+        yield f"toy64-{head}", toy_model_config(head_type=head), GenConfig()
+        yield f"full128-{head}", ModelConfig(head_type=head), gen128
+
+
+def feed(h, *arrays) -> None:
+    for a in arrays:
+        a = np.ascontiguousarray(a)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+
+
+def digest_setup(cfg: ModelConfig, gen: GenConfig) -> tuple[str, int]:
+    h = hashlib.sha256()
+    scenes = generate_dataset(gen, PREDICT_SCENES, 7000)
+    decode_cfg = replace(cfg, partition_threshold=0.1, objectness_floor=0.05)
+    instances = 0
+    for seed in WEIGHT_SEEDS:
+        params = model.init_model_params(cfg, seed)
+        for name in sorted(params):
+            feed(h, params[name].data)
+        for scene in scenes:
+            with no_grad():
+                outputs = model.forward(Tensor(scene.image), params, cfg)
+                feed(h, outputs.scores.data, outputs.mask.soft_masks().data)
+            for inst in model.predict(scene.image, params, decode_cfg):
+                feed(h, np.array([inst.rank, inst.score]), inst.mask)
+                instances += 1
+    params, history = train.train(cfg, toy_train_config(seed=0, epochs=3),
+                                  generate_dataset(gen, TRAIN_SCENES, 8000))
+    for stats in history:
+        feed(h, np.array([stats.total, stats.partition, stats.mask]))
+    for name in sorted(params):
+        feed(h, params[name].data)
+    return h.hexdigest(), instances
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--verbose", action="store_true", help="also print each part's digest")
+    args = parser.parse_args(argv)
+    total = hashlib.sha256()
+    for name, cfg, gen in setups():
+        part, instances = digest_setup(cfg, gen)
+        total.update(part.encode())
+        if args.verbose:
+            print(f"{name}: {part} ({instances} predicted instances)")
+    print(total.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

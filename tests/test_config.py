@@ -71,6 +71,44 @@ class TestModelConfigAccepts:
         assert cfg.grid_sides == (5,)
 
 
+class TestTrainConfigRejects:
+    # Accepted, batch_size=0 raised a bare ValueError from range(), batch_size=-1
+    # and lr=nan trained into NaN, epochs=-1 returned an empty history, and a
+    # negative momentum trained silently.
+    @pytest.mark.parametrize("name, value", [
+        ("epochs", -1), ("epochs", 0), ("batch_size", 0), ("batch_size", -1), ("warmup_iters", -5),
+    ])
+    def test_count_below_least(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"{name} must be at least"):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("name", ["lr", "decay_factor"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -0.01])
+    def test_rate_not_positive_and_finite(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"{name} must be positive and finite"):
+            TrainConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [-0.5, 1.0, float("nan")])
+    def test_momentum_outside_unit_interval(self, value):
+        with pytest.raises(ConfigurationError, match="momentum must lie in"):
+            TrainConfig(momentum=value)
+
+    def test_negative_decay_epoch(self):
+        with pytest.raises(ConfigurationError, match="decay epochs"):
+            TrainConfig(decay_epochs=(-1, 4))
+
+
+class TestTrainConfigAccepts:
+    def test_one_epoch_toy_schedule(self):
+        # its milestones are (0, 0): decay from the first epoch on, which is allowed
+        cfg = toy_train_config(epochs=1)
+        assert cfg.decay_epochs == (0, 0)
+
+    def test_boundary_values(self):
+        cfg = TrainConfig(epochs=1, batch_size=1, warmup_iters=0, momentum=0.0, decay_epochs=())
+        assert cfg.momentum == 0.0
+
+
 class TestSerialization:
     @pytest.mark.parametrize("model_cfg, train_cfg", [
         (ModelConfig(), TrainConfig()),

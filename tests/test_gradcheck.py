@@ -88,12 +88,20 @@ def test_conv2d_strided_with_bias():
 
 
 def test_conv2d_pointwise():
-    # 1x1 kernel, as in the mask branch's fuse conv
+    # 1x1, stride-1, unpadded, as in the mask branch's fuse conv: the input is its own columns
     rng = np.random.default_rng(14)
     x = Tensor(rng.normal(size=(4, 3, 3)))
     w = Tensor(rng.normal(size=(2, 4, 1, 1)))
     b = Tensor(rng.normal(size=2))
     assert grad_check(lambda x, w, b: T.conv2d(x, w, bias=b), [x, w, b], tolerance=TOL).passed
+
+
+def test_conv2d_pointwise_padded_strided():
+    # a 1x1 kernel that still gathers: padded, then strided
+    rng = np.random.default_rng(17)
+    x = Tensor(rng.normal(size=(3, 4, 5)))
+    w = Tensor(rng.normal(size=(2, 3, 1, 1)))
+    assert grad_check(lambda x, w: T.conv2d(x, w, padding=1, stride=2), [x, w], tolerance=TOL).passed
 
 
 def test_conv2d_non_square_input():

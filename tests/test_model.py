@@ -211,6 +211,12 @@ class TestCheckpointMetadata:
         with pytest.raises(DataError, match=r"badjson\.npz has no readable metadata"):
             model.load_checkpoint(tmp_path / "badjson.npz")
 
+    @pytest.mark.parametrize("meta", ["[1, 2]", "3", '"format"', "null"])
+    def test_metadata_not_an_object_rejected(self, tmp_path, meta):
+        np.savez(tmp_path / "listmeta.npz", __meta__=np.array(meta))
+        with pytest.raises(DataError, match=r"listmeta\.npz metadata is not a JSON object"):
+            model.load_checkpoint(tmp_path / "listmeta.npz")
+
     @pytest.mark.parametrize("content", [b"not an archive", b"", b"PK\x03\x04truncated"],
                              ids=["text", "empty", "truncated"])
     def test_not_an_archive_rejected(self, tmp_path, content):

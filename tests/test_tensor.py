@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+import hypothesis.extra.numpy as hnp
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from psrank import tensor as T
@@ -10,8 +11,8 @@ from psrank import train
 from psrank.errors import ConfigurationError, DimensionError
 from psrank.tensor import Parameter, Tensor
 
-from oracles import (AttentionPairs, attention_reference, conv2d_reference, conv2d_reference_grads,
-                     tape_nodes)
+from oracles import (AttentionPairs, attention_reduce_oracle, attention_reference, conv2d_gather_oracle,
+                     conv2d_reference, conv2d_reference_grads, tape_nodes, transpose_oracle)
 
 
 def bilinear_1d_oracle(values, dst):
@@ -317,6 +318,97 @@ class TestAttention:
             T.multi_head_attention(Tensor(np.zeros((3, 4, 8))), 2, wq, wk, wv, wo)
             assert counted.pairs == 25 + 3 * 16
         assert T.multi_head_attention is original
+
+
+class TestShortAxisReductions:
+    # few distinct values, signed zeros among them, so rows repeat their maximum,
+    # mix -0.0 with +0.0 and are sometimes all -0.0
+    values = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5]),
+                       st.floats(-1e300, 1e300, allow_nan=False))
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=4, max_side=7), elements=values))
+    @example(np.full((3, 4), -0.0))
+    @example(np.array([[0.0, -0.0], [-0.0, 0.0]]))
+    @example(np.array([[1.0, 3.0, -0.0, 3.0, 3.0]]))
+    def test_chains_equal_numpy_reductions(self, a):
+        assert T._row_max(a).tobytes() == a.max(axis=-1, keepdims=True).tobytes()
+        assert T._row_sum(a).tobytes() == a.sum(axis=-1, keepdims=True).tobytes()
+
+    def test_all_negative_zero_row_sums_to_positive_zero(self):
+        total = T._row_sum(np.full((2, 5), -0.0))
+        assert not np.signbit(total).any()
+
+    @pytest.mark.parametrize("n", [8, 12, 116])
+    def test_long_axis_takes_numpy_path(self, n):
+        # a row whose sequential sum is 1 while numpy's pairwise sum is 0
+        a = np.zeros((2, n))
+        a[:, :4] = [1e16, 1.0, -1e16, 1.0]
+        sequential = a[:, :1] + 0.0
+        for i in range(1, n):
+            sequential += a[:, i : i + 1]
+        assert T._row_sum(a).tobytes() == a.sum(axis=-1, keepdims=True).tobytes()
+        assert T._row_sum(a).tobytes() != sequential.tobytes()
+        assert T._row_max(a).tobytes() == a.max(axis=-1, keepdims=True).tobytes()
+
+
+def outputs_and_grads(op, arrays, seed):
+    """Bytes of ``op``'s output and of every input's gradient for a random seed gradient."""
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    out = op(*inputs)
+    out.backward(np.random.default_rng(seed).normal(size=out.shape))
+    return [out.data.tobytes()] + [t.grad.tobytes() for t in inputs]
+
+
+class TestKernelsMatchPlainForms:
+    """The shortcut kernels against their plain forms in ``oracles``, byte for
+    byte, on the shapes the DPT and the mask branch use.
+    """
+
+    # row/column routes (side, side, E) at every grid side; cross routes (cells, S, E)
+    # at full128 and toy64; the all-scale baseline's single sequence of K cells
+    @pytest.mark.parametrize("shape", [(s, s, 16) for s in range(4, 13)]
+                             + [(144, 5, 16), (64, 3, 16), (116, 16)])
+    def test_attention(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        arrays = [rng.normal(size=shape)] + [rng.normal(size=(16, 16)) / 4.0 for _ in range(4)]
+        got, want = (outputs_and_grads(lambda x, *ws: attention(x, 4, *ws), arrays, 1)
+                     for attention in (T.multi_head_attention, attention_reduce_oracle))
+        assert got == want
+
+    @pytest.mark.parametrize("c, h, co, k, stride, padding", [
+        (64, 32, 8, 1, 1, None),  # full128's mask-fuse conv: the input is its own columns
+        (24, 16, 8, 1, 1, None),  # toy64's
+        (8, 9, 4, 1, 2, None),  # 1x1 with a stride still gathers
+        (8, 9, 4, 1, 1, 1),  # ...as does a padded 1x1
+        (3, 64, 16, 3, 2, None),  # encoder stage 0
+        (16, 12, 16, 3, 1, None),  # padded 3x3, as in cgr
+        (16, 12, 16, 3, 1, 0),
+    ])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_conv2d(self, c, h, co, k, stride, padding, bias):
+        rng = np.random.default_rng(c + h + k)
+        arrays = [rng.normal(size=(c, h, h)), rng.normal(size=(co, c, k, k))]
+        if bias:
+            arrays.append(rng.normal(size=co))
+        got, want = (outputs_and_grads(lambda *ts: conv(*ts, stride=stride, padding=padding), arrays, 2)
+                     for conv in (T.conv2d, conv2d_gather_oracle))
+        assert got == want
+
+    def test_pointwise_conv2d_of_a_strided_view(self):
+        x = np.random.default_rng(3).normal(size=(6, 5, 8)).transpose(0, 2, 1)
+        w = np.random.default_rng(4).normal(size=(3, 6, 1, 1))
+        got, want = (outputs_and_grads(conv, [x, w], 5) for conv in (T.conv2d, conv2d_gather_oracle))
+        assert got == want
+
+    @pytest.mark.parametrize("shape, axes", [
+        ((1, 16, 12, 12), (0, 2, 3, 1)), ((144, 4, 5, 4), (0, 2, 1, 3)), ((2, 3, 4), None), ((3, 4), (1, 0)),
+    ])
+    def test_transpose(self, shape, axes):
+        x = np.random.default_rng(6).normal(size=shape)
+        got, want = (outputs_and_grads(lambda t: transpose(t, axes), [x], 7)
+                     for transpose in (T.transpose, transpose_oracle))
+        assert got == want
 
 
 class TestAutogradBasics:
