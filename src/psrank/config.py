@@ -9,6 +9,10 @@ from dataclasses import asdict, dataclass
 
 from .errors import ConfigurationError
 
+# Width of the encoder's first stage, whatever ``channels`` is; its group norm
+# runs min(gn_groups, STEM_CHANNELS) groups.
+STEM_CHANNELS = 16
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -48,6 +52,9 @@ class ModelConfig:
             raise ConfigurationError(f"channels {self.channels} not divisible by heads {self.attn_heads}")
         if self.channels % self.gn_groups:
             raise ConfigurationError(f"channels {self.channels} not divisible by groups {self.gn_groups}")
+        if STEM_CHANNELS % min(self.gn_groups, STEM_CHANNELS):
+            raise ConfigurationError(f"encoder stage 0's {STEM_CHANNELS} channels not divisible "
+                                     f"by groups {self.gn_groups}")
         if self.channels % 2:
             raise ConfigurationError("channels must be even for the positional encoding")
         sides = self.grid_sides

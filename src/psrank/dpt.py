@@ -5,15 +5,12 @@ in the list is its scale index.
 
 Each layer runs three attention routes — within-row, within-column, and
 across scales at aligned locations — instead of one joint attention over
-every cell of every scale. ``count_attention_pairs`` gives the query-key
-pair count of both designs in closed form, since the whole point of the
-decomposition is the reduction from (S*H*W)^2 pairs per layer to
-S*H*W^2 + S*H^2*W + S^2*H*W.
+every cell of every scale. The whole point of the decomposition is the
+query-key pair count: on S equal H x W grids, one layer forms
+S*H*W^2 + S*H^2*W + S^2*H*W pairs in place of (S*H*W)^2.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,27 +18,6 @@ from . import tensor as T
 from .config import ModelConfig
 from .pyramid import attn_params, conv_params, gn_params
 from .tensor import Parameter, Tensor
-
-
-@dataclass(frozen=True)
-class PairCountReport:
-    scales: int
-    height: int
-    width: int
-    dpt_pairs: int
-    all_scale_pairs: int
-
-    @property
-    def ratio(self) -> float:
-        return self.dpt_pairs / self.all_scale_pairs
-
-
-def count_attention_pairs(scales: int, height: int, width: int) -> PairCountReport:
-    """Exact query-key pair counts per layer for both attention designs."""
-    s, h, w = int(scales), int(height), int(width)
-    dpt = s * h * w * w + s * h * h * w + s * s * h * w
-    full = (s * h * w) ** 2
-    return PairCountReport(s, h, w, dpt_pairs=dpt, all_scale_pairs=full)
 
 
 # parameters -----------------------------------------------------------------

@@ -1,9 +1,13 @@
 """Partition ground-truth encoding and the training losses.
 
-A rank label becomes a monotone boolean vector: entry n is on iff the
-instance belongs to partition n (rank <= n). The partition head trains
-with focal loss over every cell and head (the sorting head brings its own
-cross-entropy); masks train with dice loss over positive cells only.
+A cell's only training label is its rank class: rank - 1 for a cell that
+holds an instance, N for background, one (K,) vector per sample. Each head's
+loss takes its (K, C) scores and that vector and encodes what it needs. The
+partition head's ``partition_loss`` turns it into a monotone boolean matrix,
+whose entry n is on iff the cell's instance belongs to partition n
+(rank <= n), and applies focal loss over every cell and head; the sorting
+head reads it as the class of its cross-entropy. Masks train with dice loss
+over positive cells only.
 """
 
 from __future__ import annotations
@@ -14,11 +18,13 @@ import numpy as np
 
 from . import tensor as T
 from .config import ModelConfig
-from .errors import DataError, DimensionError
+from .errors import DimensionError
 from .tensor import Tensor
 
 PROB_EPS = 1e-7
 DICE_SMOOTH = 1.0
+FOCAL_ALPHA = 0.25  # weight of a positive element; a negative one gets 1 - alpha
+FOCAL_GAMMA = 2.0
 
 
 @dataclass
@@ -28,28 +34,11 @@ class LossBreakdown:
     mask: Tensor | None
 
 
-def encode_partition_gt(rank: int, n_partitions: int) -> np.ndarray:
-    """Boolean vector of length N with entry n set iff rank <= n."""
-    if not 1 <= rank <= n_partitions:
-        raise DataError(f"rank {rank} outside [1, {n_partitions}]")
-    return np.arange(1, n_partitions + 1) >= rank
-
-
-def _focal_elements(pred: Tensor, target: np.ndarray, alpha, gamma: float) -> Tensor:
-    t = np.asarray(target, dtype=np.float64)
-    if t.shape != pred.shape:
-        raise DimensionError(f"focal target shape {t.shape} vs prediction {pred.shape}")
-    p = T.clip(pred, PROB_EPS, 1.0 - PROB_EPS)
-    pt = p * t + (1.0 - p) * (1.0 - t)
-    weight = 1.0 if alpha is None else alpha * t + (1.0 - alpha) * (1.0 - t)
-    return T.mul(weight, T.power(1.0 - pt, gamma) * -T.log(pt))
-
-
-def focal_loss(pred: Tensor, target, alpha: float | None = 0.25, gamma: float = 2.0) -> Tensor:
-    """Mean focal term over every element of ``pred``; ``alpha=None`` drops
-    the class weighting entirely (gamma=0 then reduces it to plain BCE).
+def encode_partition_gt(rank_class, n_partitions: int) -> np.ndarray:
+    """(K, N) boolean matrix whose entry (k, n) is set iff rank_class[k] <= n:
+    rank r (class r - 1) is on in partitions r..N, background (class N) in none.
     """
-    return T.tmean(_focal_elements(pred, target, alpha, gamma))
+    return np.arange(n_partitions) >= np.asarray(rank_class)[:, None]
 
 
 def dice_loss(pred: Tensor, target) -> Tensor:
@@ -66,19 +55,28 @@ def dice_loss(pred: Tensor, target) -> Tensor:
     return T.tmean(1.0 - coeff)
 
 
-def partition_loss(partition_probs: Tensor, partition_targets) -> Tensor:
-    """Sum over the N heads of each head's mean focal loss over every cell."""
-    elements = _focal_elements(partition_probs, partition_targets, alpha=0.25, gamma=2.0)
+def partition_loss(partition_probs: Tensor, rank_class) -> Tensor:
+    """Focal loss of the (K, N) partition matrix against the encoded rank
+    classes: the sum over the N heads of each head's mean over every cell.
+    """
+    t = encode_partition_gt(rank_class, partition_probs.shape[1]).astype(np.float64)
+    if t.shape != partition_probs.shape:
+        raise DimensionError(f"{t.shape[0]} rank classes for {partition_probs.shape[0]} cells")
+    p = T.clip(partition_probs, PROB_EPS, 1.0 - PROB_EPS)
+    pt = p * t + (1.0 - p) * (1.0 - t)
+    weight = FOCAL_ALPHA * t + (1.0 - FOCAL_ALPHA) * (1.0 - t)
+    elements = T.mul(weight, T.power(1.0 - pt, FOCAL_GAMMA) * -T.log(pt))
     return T.tsum(T.tmean(elements, axis=0))
 
 
 def total_loss(classification: Tensor, mask_preds: Tensor | None, mask_targets,
                cfg: ModelConfig) -> LossBreakdown:
     """Sum of a head's classification term and the positive-cell dice loss,
-    weighted by ``cfg.partition_weight`` and ``cfg.mask_weight``. With no
-    positive cells the mask term contributes exactly zero.
+    weighted by ``cfg.partition_weight`` and ``cfg.mask_weight``. A sample
+    with no positive cells passes ``mask_preds=None``; its total is then the
+    weighted classification term alone.
     """
-    if mask_preds is not None and mask_preds.shape[0] > 0:
+    if mask_preds is not None:
         mask_term = dice_loss(mask_preds, mask_targets)
         total = cfg.partition_weight * classification + cfg.mask_weight * mask_term
     else:

@@ -30,7 +30,9 @@ class Head:
 
     init: Callable  # (cfg, rng) -> params
     forward: Callable  # (f_hat, params) -> (K, C) scores
-    loss: Callable  # (scores, targets) -> classification term
+    # (scores (K, C), rank_class (K,)) -> classification term; rank_class holds
+    # rank - 1 per positive cell and N for background, and the loss encodes it
+    loss: Callable
     # (scores (K, C), masks) -> ranked instances; masks is row-indexable:
     # len(masks) == K and masks[rows] is (len(rows), H, W), as a (K, H, W) array is
     decode: Callable
@@ -45,7 +47,7 @@ def head_ops(cfg: ModelConfig) -> Head:
         return Head(
             init=heads.init_partition_head_params,
             forward=heads.partition_forward,
-            loss=lambda scores, targets: losses.partition_loss(scores, targets.partition),
+            loss=losses.partition_loss,
             decode=lambda scores, masks: partition_to_rank(
                 masks, scores, cfg.max_rank, threshold=cfg.partition_threshold, nms_iou=cfg.nms_iou,
                 objectness_floor=cfg.objectness_floor, binarize_threshold=cfg.binarize_threshold),
@@ -53,7 +55,7 @@ def head_ops(cfg: ModelConfig) -> Head:
     return Head(
         init=sorting_head.init_sorting_head_params,
         forward=sorting_head.sorting_head_forward,
-        loss=lambda scores, targets: sorting_head.cross_entropy_loss(scores, targets.rank_class),
+        loss=sorting_head.cross_entropy_loss,
         decode=lambda scores, masks: sorting_head.sort_to_ranks(
             scores, masks, cfg.max_rank, nms_iou=cfg.nms_iou, binarize_threshold=cfg.binarize_threshold),
     )

@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import tensor as T
-from .config import ModelConfig
+from .config import STEM_CHANNELS, ModelConfig
 from .errors import ConfigurationError
 from .tensor import Parameter, Tensor
 
@@ -45,7 +45,7 @@ def attn_params(prefix: str, e: int, rng: np.random.Generator) -> dict[str, Para
 
 def _stage_channels(cfg: ModelConfig) -> list[tuple[int, int]]:
     e = cfg.channels
-    return [(3, 16), (16, e), (e, e), (e, e)]
+    return [(3, STEM_CHANNELS), (STEM_CHANNELS, e), (e, e), (e, e)]
 
 
 def init_encoder_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Parameter]:
@@ -58,7 +58,7 @@ def init_encoder_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str,
 
 
 def _stage_for_scale(scale_index: int) -> int:
-    # stage 0 has 16 channels regardless of E; taps start at stage 1
+    # stage 0 has STEM_CHANNELS channels regardless of E; taps start at stage 1
     return min(1 + scale_index, 3)
 
 

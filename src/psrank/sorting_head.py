@@ -13,6 +13,7 @@ import numpy as np
 from . import tensor as T
 from .config import ModelConfig
 from .heads import _per_cell
+from .losses import PROB_EPS
 from .p2r import AcceptedMasks, RankedInstance, binarize
 from .pyramid import conv_params
 from .tensor import Parameter, Tensor
@@ -24,7 +25,7 @@ def init_sorting_head_params(cfg: ModelConfig, rng: np.random.Generator) -> dict
 
 def sorting_head_forward(f_hat: list[Tensor], params) -> Tensor:
     """Per-cell class probabilities (K, N+1), softmax-normalized."""
-    return T.softmax(_per_cell(f_hat, params["sorting.w"], params["sorting.b"]), axis=1)
+    return T.softmax(_per_cell(f_hat, params["sorting.w"], params["sorting.b"]))
 
 
 def sort_to_ranks(scores: np.ndarray, masks, n_ranks: int, nms_iou: float,
@@ -63,4 +64,4 @@ def cross_entropy_loss(scores: Tensor, classes: np.ndarray) -> Tensor:
     """Mean negative log-probability of the labeled class per cell."""
     rows = np.arange(scores.shape[0])
     picked = scores[(rows, np.asarray(classes))]
-    return T.tmean(-T.log(T.clip(picked, 1e-7, 1.0)))
+    return T.tmean(-T.log(T.clip(picked, PROB_EPS, 1.0)))

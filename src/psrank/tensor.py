@@ -8,13 +8,15 @@ arithmetic operators and indexing. Forward ops record closures on a tape;
 elementwise kernels are numpy; the differentiation machinery, convolution,
 normalization, resampling, and attention are implemented here.
 
-Multi-head attention is a single tape op whose backward is written out
-analytically, so one call records one node. Its softmax reduces over the key
-axis; when that axis is shorter than 8 (the DPT's cross-scale route, one key
-per scale), the row max is a chain of ``np.maximum`` over the key slices and
-the row sums are sequential adds from +0.0. That is numpy's own order below 8
-terms, so the results are byte-equal to ``max``/``sum`` at a fraction of their
-per-row cost; longer axes keep numpy's reductions.
+There is one softmax, over the last axis. ``softmax`` records it as a tape
+op, and multi-head attention, a single tape op whose backward is written out
+analytically (one call records one node), runs the same forward and backward
+on its key axis. When the last axis is shorter than 8 (the DPT's cross-scale
+route, one key per scale; the sorting head's N+1 classes when N < 7), the
+row max is a chain of ``np.maximum`` over the column slices and the row sums
+are sequential adds from +0.0. That is numpy's own order below 8 terms, so
+the results are byte-equal to ``max``/``sum`` at a fraction of their per-row
+cost; longer axes keep numpy's reductions.
 
 ``conv2d`` is im2col + GEMM. A 1x1, stride-1, unpadded kernel takes the input
 itself as its columns, and its backward's dx is the column gradient reshaped.
@@ -358,16 +360,62 @@ def matmul(a, b) -> Tensor:
     return _result(out, (a, b), backward)
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Max-stabilized softmax along ``axis``; outputs sum to 1 there."""
+# softmax ----------------------------------------------------------------------
+
+
+# Below this many entries, numpy reduces a contiguous row one element at a time
+# from +0.0 (sum) or from its first element (max), and the elementwise chains
+# below repeat that order; from here on it sums pairwise with eight partial
+# sums, and its reductions beat a Python-level chain anyway.
+_SHORT_AXIS = 8
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """``a.max(axis=-1, keepdims=True)``, byte for byte. For a short last axis
+    it is a chain of ``np.maximum`` over the column slices, which skips the
+    reduction machinery's per-row cost.
+    """
+    n = a.shape[-1]
+    if n >= _SHORT_AXIS:
+        return a.max(axis=-1, keepdims=True)
+    out = a[..., 0:1].copy()
+    for i in range(1, n):
+        np.maximum(out, a[..., i : i + 1], out=out)
+    return out
+
+
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """``a.sum(axis=-1, keepdims=True)``, byte for byte: for a short last axis,
+    sequential adds that start from +0.0, as numpy's own loop does (so an all
+    -0.0 row sums to +0.0).
+    """
+    n = a.shape[-1]
+    if n >= _SHORT_AXIS:
+        return a.sum(axis=-1, keepdims=True)
+    out = a[..., 0:1] + 0.0
+    for i in range(1, n):
+        out += a[..., i : i + 1]
+    return out
+
+
+def _softmax_rows(a: np.ndarray) -> np.ndarray:
+    """Max-stabilized softmax over the last axis of a plain array."""
+    e = np.exp(a - _row_max(a))
+    return e / _row_sum(e)
+
+
+def _softmax_rows_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The input gradient of ``out = _softmax_rows(a)`` given the output's ``g``."""
+    return out * (g - _row_sum(g * out))
+
+
+def softmax(a) -> Tensor:
+    """Max-stabilized softmax over the last axis; outputs sum to 1 there."""
     a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
+    out = _softmax_rows(a.data)
 
     def backward(g):
-        inner = (g * out).sum(axis=axis, keepdims=True)
-        _accumulate(a, out * (g - inner))
+        _accumulate(a, _softmax_rows_grad(out, g))
 
     return _result(out, (a,), backward)
 
@@ -536,41 +584,6 @@ def interpolate(x, size) -> Tensor:
 # attention --------------------------------------------------------------------
 
 
-# Below this many keys, numpy reduces a contiguous row one element at a time
-# from +0.0 (sum) or from its first element (max), and the elementwise chains
-# below repeat that order; from here on it sums pairwise with eight partial
-# sums, and its reductions beat a Python-level chain anyway.
-_SHORT_AXIS = 8
-
-
-def _row_max(a: np.ndarray) -> np.ndarray:
-    """``a.max(axis=-1, keepdims=True)``, byte for byte. For a short last axis
-    it is a chain of ``np.maximum`` over the key slices, which skips the
-    reduction machinery's per-row cost.
-    """
-    n = a.shape[-1]
-    if n >= _SHORT_AXIS:
-        return a.max(axis=-1, keepdims=True)
-    out = a[..., 0:1].copy()
-    for i in range(1, n):
-        np.maximum(out, a[..., i : i + 1], out=out)
-    return out
-
-
-def _row_sum(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=-1, keepdims=True)``, byte for byte: for a short last axis,
-    sequential adds that start from +0.0, as numpy's own loop does (so an all
-    -0.0 row sums to +0.0).
-    """
-    n = a.shape[-1]
-    if n >= _SHORT_AXIS:
-        return a.sum(axis=-1, keepdims=True)
-    out = a[..., 0:1] + 0.0
-    for i in range(1, n):
-        out += a[..., i : i + 1]
-    return out
-
-
 def multi_head_attention(x, heads: int, wq, wk, wv, wo) -> Tensor:
     """Scaled dot-product self-attention with ``heads`` heads over the
     second-to-last axis. Accepts [L,D] or [B,L,D]; projections are [D,D] and
@@ -601,8 +614,7 @@ def multi_head_attention(x, heads: int, wq, wk, wv, wo) -> Tensor:
     k = split(np.matmul(xb, wk.data))
     v = split(np.matmul(xb, wv.data))
     scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * scale
-    e = np.exp(scores - _row_max(scores))
-    attn = e / _row_sum(e)
+    attn = _softmax_rows(scores)
     merged = merge(np.matmul(attn, v))
     # a [B,L,D] product, as a batched matmul rounds it, not one (B*L, D) GEMM
     out = np.matmul(merged.reshape(b, length, d), wo.data).reshape(x.data.shape)
@@ -612,7 +624,7 @@ def multi_head_attention(x, heads: int, wq, wk, wv, wo) -> Tensor:
         _accumulate(wo, merged.T @ g2)
         g_ctx = split(g2 @ wo.data.T)
         g_attn = np.matmul(g_ctx, v.swapaxes(-1, -2))
-        g_scores = attn * (g_attn - _row_sum(g_attn * attn)) * scale
+        g_scores = _softmax_rows_grad(attn, g_attn) * scale
         grads = (
             (wq, np.matmul(g_scores, k)),
             (wk, np.matmul(g_scores.swapaxes(-1, -2), q)),

@@ -1,4 +1,10 @@
-"""SGD training with linear warmup and multi-step decay."""
+"""SGD training with linear warmup and multi-step decay.
+
+A sample's only classification label is one rank class per grid cell: rank - 1
+where an instance holds the cell, N (``max_rank``) for background. The
+configured head's loss takes that (K,) vector with its scores and encodes
+what it needs; masks train on the positive cells' downsampled instance masks.
+"""
 
 from __future__ import annotations
 
@@ -15,8 +21,7 @@ from .tensor import Tensor
 
 @dataclass
 class SampleTargets:
-    partition: np.ndarray  # (K, N) floats in {0,1}
-    rank_class: np.ndarray  # (K,) ints, N = background
+    rank_class: np.ndarray  # (K,) ints, rank - 1 per positive cell, N = background
     pos_rows: np.ndarray  # (P,) row indices of positive cells
     pos_masks: np.ndarray  # (P, Hm, Wm) binary mask targets
 
@@ -32,32 +37,25 @@ def build_targets(sample: SceneSample, cfg: ModelConfig) -> SampleTargets:
     if canvas % cfg.mask_stride:
         raise DimensionError(f"canvas {canvas} is not divisible by mask_stride {cfg.mask_stride}")
     masks = [m for m, _ in sample.instances]
+    ranks = [r for _, r in sample.instances]
+    for idx, rank in enumerate(ranks):
+        if not (float(rank).is_integer() and 1 <= rank <= cfg.max_rank):
+            raise DataError(f"instance {idx} has rank {rank}; ranks are integers in [1, {cfg.max_rank}]")
     assignment = heads.assign_targets(masks, cfg, canvas)
-    k = len(assignment)
-    n = cfg.max_rank
-    partition = np.zeros((k, n))
-    rank_class = np.full(k, n, dtype=np.int64)
-    pos_rows = []
-    pos_masks = []
-    for row, inst in enumerate(assignment):
-        if inst < 0:
-            continue
-        rank = sample.instances[inst][1]
-        partition[row] = losses.encode_partition_gt(rank, n)
-        rank_class[row] = rank - 1
-        pos_rows.append(row)
-        pos_masks.append(downsample_mask(masks[inst].astype(np.float64), cfg.mask_stride))
+    pos_rows = np.flatnonzero(assignment >= 0)
+    rank_class = np.full(len(assignment), cfg.max_rank, dtype=np.int64)
+    rank_class[pos_rows] = np.asarray(ranks, dtype=np.int64)[assignment[pos_rows]] - 1
+    pos_masks = [downsample_mask(masks[i].astype(np.float64), cfg.mask_stride) for i in assignment[pos_rows]]
     return SampleTargets(
-        partition=partition,
         rank_class=rank_class,
-        pos_rows=np.array(pos_rows, dtype=np.int64),
+        pos_rows=pos_rows,
         pos_masks=np.array(pos_masks) if pos_masks else np.zeros((0, 1, 1)),
     )
 
 
 def sample_loss(sample: SceneSample, targets: SampleTargets, params, cfg: ModelConfig) -> losses.LossBreakdown:
     outputs = model.forward(Tensor(sample.image), params, cfg)
-    classification = model.head_ops(cfg).loss(outputs.scores, targets)
+    classification = model.head_ops(cfg).loss(outputs.scores, targets.rank_class)
     mask_preds = outputs.mask.soft_masks(rows=targets.pos_rows) if len(targets.pos_rows) else None
     return losses.total_loss(classification, mask_preds, targets.pos_masks, cfg)
 

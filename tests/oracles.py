@@ -3,12 +3,14 @@ against, deliberately naive (literal loops, no vectorisation, or composed
 from primitive tape ops); the plain forms of tensor kernels that production
 code shortcuts (numpy reductions, a gather for every conv), which the
 shortcuts must equal byte for byte; a mask view that records what a decode
-reads, and a counter of the query-key pairs attention forms.
+reads, and a counter and closed-form counts of the query-key pairs attention
+forms.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,7 +168,7 @@ def attention_reference(x, heads: int, wq, wk, wv, wo) -> Tensor:
     k = split(T.matmul(xb, wk))
     v = split(T.matmul(xb, wv))
     scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    attn = T.softmax(scores, axis=-1)
+    attn = T.softmax(scores)
     ctx = T.matmul(attn, v)  # (B, heads, L, dh)
     merged = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (b, length, d))
     out = T.matmul(merged, wo)
@@ -301,6 +303,31 @@ def conv2d_reference_grads(x, w, g, pad: int, stride: int = 1):
     return dxp[:, pad : pad + h, pad : pad + wd], dw
 
 
+def partition_gt_oracle(rank: int, n_partitions: int) -> np.ndarray:
+    """The per-rank rule: partition n (1-based) holds rank iff rank <= n."""
+    return np.array([rank <= n for n in range(1, n_partitions + 1)])
+
+
+def focal_oracle(probs, targets, alpha: float = 0.25, gamma: float = 2.0, eps: float = 1e-7) -> float:
+    """Focal loss of a (K, N) probability matrix against 0/1 targets, one
+    element at a time: the sum over columns of each column's mean of
+    alpha_t * (1 - p_t)^gamma * -ln(p_t), with p clipped to [eps, 1 - eps].
+    """
+    probs = np.asarray(probs, dtype=float)
+    k, n = probs.shape
+    total = 0.0
+    for col in range(n):
+        column = 0.0
+        for row in range(k):
+            p = min(max(float(probs[row, col]), eps), 1.0 - eps)
+            if targets[row][col]:
+                column += alpha * (1.0 - p) ** gamma * -math.log(p)
+            else:
+                column += (1.0 - alpha) * p ** gamma * -math.log(1.0 - p)
+        total += column / k
+    return total
+
+
 def eager_predict(image, params, cfg) -> list[RankedInstance]:
     """``model.predict`` with every cell's soft mask upsampled to the canvas
     first, and the configured head decoding that (K, canvas, canvas) array.
@@ -368,3 +395,26 @@ class AttentionPairs:
 
     def __exit__(self, *exc_info):
         T.multi_head_attention = self._original
+
+
+@dataclass(frozen=True)
+class PairCountReport:
+    scales: int
+    height: int
+    width: int
+    dpt_pairs: int
+    all_scale_pairs: int
+
+    @property
+    def ratio(self) -> float:
+        return self.dpt_pairs / self.all_scale_pairs
+
+
+def count_attention_pairs(scales: int, height: int, width: int) -> PairCountReport:
+    """Exact query-key pair counts per layer on ``scales`` equal height x width
+    grids, for the decomposed routes and for joint all-scale attention.
+    """
+    s, h, w = int(scales), int(height), int(width)
+    dpt = s * h * w * w + s * h * h * w + s * s * h * w
+    full = (s * h * w) ** 2
+    return PairCountReport(s, h, w, dpt_pairs=dpt, all_scale_pairs=full)

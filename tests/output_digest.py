@@ -7,8 +7,10 @@ The digest covers, for the toy model at 64x64 and ``ModelConfig()`` at
 128x128, each with the partition and the sorting head: initial parameters
 for weight seeds 0 and 1, ``forward`` scores and soft masks, ``predict``
 instances (at ``partition_threshold=0.1, objectness_floor=0.05``, so that
-untrained weights emit some), and the loss history and parameters of a
-3-epoch ``train.train`` run. ``--verbose`` prints a digest per part too.
+untrained weights emit some), ``train.build_targets``' rank classes, positive
+rows and mask targets for every scene used, and the loss history and
+parameters of a 3-epoch ``train.train`` run. ``--verbose`` prints a digest
+per part too.
 pytest does not collect this file; it is a script.
 """
 
@@ -62,8 +64,11 @@ def digest_setup(cfg: ModelConfig, gen: GenConfig) -> tuple[str, int]:
             for inst in model.predict(scene.image, params, decode_cfg):
                 feed(h, np.array([inst.rank, inst.score]), inst.mask)
                 instances += 1
-    params, history = train.train(cfg, toy_train_config(seed=0, epochs=3),
-                                  generate_dataset(gen, TRAIN_SCENES, 8000))
+    train_scenes = generate_dataset(gen, TRAIN_SCENES, 8000)
+    for scene in scenes + train_scenes:
+        targets = train.build_targets(scene, cfg)
+        feed(h, targets.rank_class, targets.pos_rows, targets.pos_masks)
+    params, history = train.train(cfg, toy_train_config(seed=0, epochs=3), train_scenes)
     for stats in history:
         feed(h, np.array([stats.total, stats.partition, stats.mask]))
     for name in sorted(params):

@@ -1,5 +1,7 @@
+import numpy as np
 import pytest
 
+from psrank import model
 from psrank.config import (ModelConfig, TrainConfig, config_from_dict, config_hash, config_to_dict,
                            toy_model_config, toy_train_config)
 from psrank.errors import ConfigurationError
@@ -17,10 +19,21 @@ class TestModelConfigRejects:
         with pytest.raises(ConfigurationError, match="not divisible"):
             ModelConfig(**overrides)
 
+    @pytest.mark.parametrize("overrides", [
+        dict(channels=12, attn_heads=3, gn_groups=3),
+        dict(channels=12, attn_heads=4, gn_groups=6),
+        dict(channels=24, attn_heads=4, gn_groups=12),
+    ], ids=["3", "6", "12"])
+    def test_groups_indivisible_in_encoder_stem(self, overrides):
+        # channels divide into these groups, but encoder stage 0's 16 do not;
+        # accepted, the config failed in group_norm at the first forward
+        with pytest.raises(ConfigurationError, match="stage 0's 16 channels not divisible"):
+            ModelConfig(**overrides)
+
     def test_odd_channels(self):
-        # 9 channels divide into 3 heads and 3 groups, so only the evenness rule fires
+        # 9 channels divide into 3 heads and 1 group, so only the evenness rule fires
         with pytest.raises(ConfigurationError, match="even"):
-            ModelConfig(channels=9, attn_heads=3, gn_groups=3)
+            ModelConfig(channels=9, attn_heads=3, gn_groups=1)
 
     @pytest.mark.parametrize("sides", [(8, 8, 4), (4, 6, 8), (6, 8)])
     def test_grid_sides_not_strictly_decreasing(self, sides):
@@ -69,6 +82,12 @@ class TestModelConfigAccepts:
         # ...and the ablations drop the transformer and the cgr convs
         cfg = ModelConfig(grid_sides=(5,), partition_weight=0.0, mask_weight=0.0, dpt_layers=0, conv_layers=0)
         assert cfg.grid_sides == (5,)
+
+    def test_groups_past_encoder_stem_width(self):
+        # encoder stage 0 runs min(gn_groups, 16) = 16 groups; the other stages run 32
+        cfg = toy_model_config(channels=32, gn_groups=32, dpt_layers=0, conv_layers=0)
+        params = model.init_model_params(cfg, 0)
+        assert model.predict(np.zeros((3, 64, 64)), params, cfg) == []
 
 
 class TestTrainConfigRejects:

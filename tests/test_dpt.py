@@ -8,7 +8,7 @@ from psrank.config import ModelConfig
 from psrank.tensor import Tensor
 
 from gradcheck import grad_check
-from oracles import AttentionPairs
+from oracles import AttentionPairs, count_attention_pairs
 
 
 def cfg_for(sides=(8, 6, 4), e=16, layers=1, conv_layers=1, heads=4, groups=4):
@@ -51,13 +51,13 @@ def measured_all_scale_pairs(scales, height, width):
 
 class TestPairCounts:
     def test_case_2_4_4(self):
-        report = dpt.count_attention_pairs(2, 4, 4)
+        report = count_attention_pairs(2, 4, 4)
         assert report.dpt_pairs == 320
         assert report.all_scale_pairs == 1024
         assert report.ratio == pytest.approx(0.3125)
 
     def test_case_1_1_1(self):
-        report = dpt.count_attention_pairs(1, 1, 1)
+        report = count_attention_pairs(1, 1, 1)
         assert report.dpt_pairs == 3
         assert report.all_scale_pairs == 1
         # the reduction claim genuinely needs S,H,W >= 2
@@ -68,7 +68,7 @@ class TestPairCounts:
         s, h, w = 5, 12, 12
         expected_dpt = s * h * w * w + s * h * h * w + s * s * h * w
         assert expected_dpt == 20880
-        report = dpt.count_attention_pairs(s, h, w)
+        report = count_attention_pairs(s, h, w)
         assert report.dpt_pairs == expected_dpt
         assert report.all_scale_pairs == (s * h * w) ** 2 == 518400
 
@@ -76,12 +76,12 @@ class TestPairCounts:
         for s in range(2, 6):
             for h in range(2, 9):
                 for w in range(2, 9):
-                    r = dpt.count_attention_pairs(s, h, w)
+                    r = count_attention_pairs(s, h, w)
                     assert r.dpt_pairs < r.all_scale_pairs, (s, h, w)
 
     def test_instrumented_matches_analytic_sample(self):
         for s, h, w in [(1, 1, 1), (2, 4, 4), (3, 2, 5), (5, 8, 8), (4, 1, 3)]:
-            r = dpt.count_attention_pairs(s, h, w)
+            r = count_attention_pairs(s, h, w)
             assert measured_dpt_pairs(s, h, w) == r.dpt_pairs, (s, h, w)
             assert measured_all_scale_pairs(s, h, w) == r.all_scale_pairs, (s, h, w)
 

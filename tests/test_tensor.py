@@ -67,13 +67,26 @@ class TestSoftmax:
     def test_sums_to_one(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(5, 7)) * 10
-        out = T.softmax(Tensor(x), axis=1)
+        out = T.softmax(Tensor(x))
         np.testing.assert_allclose(out.data.sum(axis=1), np.ones(5), atol=1e-9)
         assert (out.data >= 0).all()
 
     def test_large_values_stable(self):
         out = T.softmax(Tensor([1000.0, 1000.0, 999.0]))
         assert np.isfinite(out.data).all()
+
+    @pytest.mark.parametrize("shape", [(6,), (116, 4), (5, 7), (3, 8), (2, 3, 12)])
+    def test_bytes_equal_numpy_reductions(self, shape):
+        # short rows take the elementwise chains, long ones numpy's reductions
+        rng = np.random.default_rng(4)
+        a, g = rng.normal(size=shape) * 5, rng.normal(size=shape)
+        x = Tensor(a, requires_grad=True)
+        out = T.softmax(x)
+        out.backward(g)
+        e = np.exp(a - a.max(axis=-1, keepdims=True))
+        expected = e / e.sum(axis=-1, keepdims=True)
+        assert out.data.tobytes() == expected.tobytes()
+        assert x.grad.tobytes() == (expected * (g - (g * expected).sum(axis=-1, keepdims=True))).tobytes()
 
 
 class TestConv2d:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from psrank import train
+from psrank import heads, train
 from psrank.config import TrainConfig, toy_model_config, toy_train_config
 from psrank.data_synth import GenConfig, SceneSample, generate_dataset
 from psrank.errors import DataError, DimensionError
+from psrank.losses import encode_partition_gt
 
 from oracles import tape_nodes
 
@@ -37,14 +38,31 @@ class TestTargets:
         cfg = toy_model_config()
         for sample in scenes:
             targets = train.build_targets(sample, cfg)
-            assert targets.partition.shape == (116, 3)
+            assert targets.rank_class.shape == (116,)
             assert len(targets.pos_rows) == len(targets.pos_masks) >= 1
+            partition = encode_partition_gt(targets.rank_class, 3)
+            assignment = heads.assign_targets([m for m, _ in sample.instances], cfg, 64)
             for row in targets.pos_rows:
-                rank = targets.rank_class[row] + 1
-                np.testing.assert_array_equal(targets.partition[row], np.arange(1, 4) >= rank)
+                rank = sample.instances[assignment[row]][1]
+                assert targets.rank_class[row] == rank - 1
+                np.testing.assert_array_equal(partition[row], np.arange(1, 4) >= rank)
             background = np.setdiff1d(np.arange(116), targets.pos_rows)
             assert (targets.rank_class[background] == 3).all()
-            assert (targets.partition[background] == 0).all()
+            assert (partition[background] == 0).all()
+
+    @pytest.mark.parametrize("ranks", [(1, 7), (1, 0), (7, 1)])
+    def test_every_rank_checked_when_instances_share_a_cell(self, ranks):
+        # same size and centres one pixel apart: one cell, and only the first
+        # instance is assigned to it
+        first = np.zeros((64, 64), dtype=bool)
+        first[20:36, 20:36] = True
+        second = np.roll(first, (1, 1), axis=(0, 1))
+        cfg = toy_model_config()
+        assignment = heads.assign_targets([first, second], cfg, 64)
+        assert (assignment >= 0).sum() == 1
+        sample = SceneSample(image=np.zeros((3, 64, 64)), instances=list(zip([first, second], ranks)), seed=0)
+        with pytest.raises(DataError, match="ranks are integers in \\[1, 3\\]"):
+            train.build_targets(sample, cfg)
 
     def test_non_square_rejected(self, scenes):
         sample = scenes[0]
