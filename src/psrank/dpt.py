@@ -1,7 +1,9 @@
 """Feature interaction over the grid pyramid.
 
-The pyramid is a list of (E, s, s) tensors, finest first; a grid's position
-in the list is its scale index.
+The pyramid is one (E, K) tensor laid out as ``pyramid`` describes. Layers
+with weights shared across scales (cgr, clcg, the group norms and the
+residual adds that close each route) run once over it; the attention routes
+run per grid, on ``pyramid.grid_views``.
 
 Each layer runs three attention routes — within-row, within-column, and
 across scales at aligned locations — instead of one joint attention over
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import tensor as T
+from . import pyramid, tensor as T
 from .config import ModelConfig
 from .pyramid import attn_params, conv_params, gn_params
 from .tensor import Parameter, Tensor
@@ -49,19 +51,17 @@ def init_all_scale_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[st
 # blocks -----------------------------------------------------------------------
 
 
-def cgr(grids: list[Tensor], params, cfg: ModelConfig) -> list[Tensor]:
+def cgr(x: Tensor, params, cfg: ModelConfig) -> Tensor:
     """conv -> group norm -> ReLU harmonization, repeated conv_layers times.
 
     Conv weights are shared across scales, as in a pyramid head.
     """
+    grids = pyramid.grid_shapes(cfg)
     for j in range(cfg.conv_layers):
         w, b = params[f"cgr.conv{j}.w"], params[f"cgr.conv{j}.b"]
         gamma, beta = params[f"cgr.gn{j}.gamma"], params[f"cgr.gn{j}.beta"]
-        grids = [
-            T.relu(T.group_norm(T.conv2d(g, w, bias=b), cfg.gn_groups, gamma, beta))
-            for g in grids
-        ]
-    return grids
+        x = T.relu(T.group_norm(T.conv2d(x, w, bias=b, grids=grids), cfg.gn_groups, gamma, beta, grids=grids))
+    return x
 
 
 def _attn(x: Tensor, heads: int, params, prefix: str) -> Tensor:
@@ -70,20 +70,20 @@ def _attn(x: Tensor, heads: int, params, prefix: str) -> Tensor:
 
 
 def row_column_attention(x: Tensor, params, cfg: ModelConfig, layer: int = 0) -> Tensor:
-    """Attention along each row, then each column, each with a residual;
-    group-normalized at the end. ``x`` is one (E, H, W) grid.
+    """Attention along each row, then each column, each with a residual.
+    ``x`` is one (E, H, W) grid; ``dpt_layer`` group-normalizes the result.
     """
     base = f"dpt.layer{layer}"
     rows = T.transpose(x, (1, 2, 0))  # (H, W, E): rows as batch, width as sequence
     x = x + T.transpose(_attn(rows, cfg.attn_heads, params, f"{base}.row"), (2, 0, 1))
     cols = T.transpose(x, (2, 1, 0))  # (W, H, E): columns as batch, height as sequence
-    x = x + T.transpose(_attn(cols, cfg.attn_heads, params, f"{base}.col"), (2, 1, 0))
-    return T.group_norm(x, cfg.gn_groups, params[f"{base}.gn_rc.gamma"], params[f"{base}.gn_rc.beta"])
+    return x + T.transpose(_attn(cols, cfg.attn_heads, params, f"{base}.col"), (2, 1, 0))
 
 
 def cross_scale_attention(grids: list[Tensor], params, cfg: ModelConfig, layer: int = 0) -> list[Tensor]:
-    """Resample every grid to the largest one, attend across the S per-scale
-    vectors at each location, resample back, add residually, group-normalize.
+    """Resample every (E, h, w) grid to the largest one, attend across the S
+    per-scale vectors at each location, and resample the result back: one
+    update per grid, which ``dpt_layer`` adds residually.
     """
     base = f"dpt.layer{layer}"
     hmax = max(g.shape[1] for g in grids)
@@ -95,59 +95,48 @@ def cross_scale_attention(grids: list[Tensor], params, cfg: ModelConfig, layer: 
     tokens = T.reshape(T.transpose(piled, (2, 3, 0, 1)), (hmax * wmax, n_scales, e))
     mixed = _attn(tokens, cfg.attn_heads, params, f"{base}.cross")
     mixed = T.transpose(T.reshape(mixed, (hmax, wmax, n_scales, e)), (2, 3, 0, 1))
-    out = []
-    gamma, beta = params[f"{base}.gn_cs.gamma"], params[f"{base}.gn_cs.beta"]
-    for i, g in enumerate(grids):
-        h, w = g.shape[1], g.shape[2]
-        delta = T.interpolate(mixed[i], (h, w))
-        out.append(T.group_norm(g + delta, cfg.gn_groups, gamma, beta))
-    return out
+    return [T.interpolate(mixed[i], (g.shape[1], g.shape[2])) for i, g in enumerate(grids)]
 
 
-def clcg(grids: list[Tensor], params, cfg: ModelConfig, layer: int = 0) -> list[Tensor]:
+def clcg(x: Tensor, params, cfg: ModelConfig, layer: int = 0) -> Tensor:
     """conv -> LeakyReLU -> conv with a residual joined before group norm."""
     base = f"dpt.layer{layer}.clcg"
+    grids = pyramid.grid_shapes(cfg)
     w1, b1 = params[f"{base}.conv1.w"], params[f"{base}.conv1.b"]
     w2, b2 = params[f"{base}.conv2.w"], params[f"{base}.conv2.b"]
     gamma, beta = params[f"{base}.gn.gamma"], params[f"{base}.gn.beta"]
-    out = []
-    for g in grids:
-        inner = T.conv2d(T.leaky_relu(T.conv2d(g, w1, bias=b1)), w2, bias=b2)
-        out.append(T.group_norm(inner + g, cfg.gn_groups, gamma, beta))
-    return out
+    inner = T.conv2d(T.leaky_relu(T.conv2d(x, w1, bias=b1, grids=grids)), w2, bias=b2, grids=grids)
+    return T.group_norm(inner + x, cfg.gn_groups, gamma, beta, grids=grids)
 
 
-def dpt_layer(grids: list[Tensor], params, cfg: ModelConfig, layer: int) -> list[Tensor]:
-    rc = [row_column_attention(g, params, cfg, layer) for g in grids]
-    cs = cross_scale_attention(rc, params, cfg, layer)
+def dpt_layer(x: Tensor, params, cfg: ModelConfig, layer: int) -> Tensor:
+    """Row/column routes per grid, then cross-scale, then clcg; each route
+    closes with one group norm over the whole pyramid.
+    """
+    base = f"dpt.layer{layer}"
+    grids = pyramid.grid_shapes(cfg)
+    rc = pyramid.join([row_column_attention(g, params, cfg, layer) for g in pyramid.grid_views(x, grids)])
+    rc = T.group_norm(rc, cfg.gn_groups, params[f"{base}.gn_rc.gamma"], params[f"{base}.gn_rc.beta"],
+                      grids=grids)
+    delta = pyramid.join(cross_scale_attention(pyramid.grid_views(rc, grids), params, cfg, layer))
+    cs = T.group_norm(rc + delta, cfg.gn_groups, params[f"{base}.gn_cs.gamma"], params[f"{base}.gn_cs.beta"],
+                      grids=grids)
     return clcg(cs, params, cfg, layer)
 
 
-def dpt_forward(grids: list[Tensor], params, cfg: ModelConfig) -> list[Tensor]:
-    """Stack of dpt_layers full layers; positional encoding must already be
-    applied. Zero layers is the identity.
+def dpt_forward(x: Tensor, params, cfg: ModelConfig) -> Tensor:
+    """Stack of dpt_layers full layers over the (E, K) pyramid; positional
+    encoding must already be applied. Zero layers is the identity.
     """
     for layer in range(cfg.dpt_layers):
-        grids = dpt_layer(grids, params, cfg, layer)
-    return grids
+        x = dpt_layer(x, params, cfg, layer)
+    return x
 
 
-def all_scale_attention(grids: list[Tensor], params, cfg: ModelConfig) -> list[Tensor]:
-    """Reference baseline: one attention over the concatenation of every cell
-    of every scale, the joint design that the three routes replace. Kept for
-    the all-scale ablation; the tests check its pair count.
+def all_scale_attention(x: Tensor, params, cfg: ModelConfig) -> Tensor:
+    """Reference baseline: one attention over every cell of every scale, the
+    transposed (K, E) pyramid as a single sequence, the joint design that the
+    three routes replace. Kept for the all-scale ablation; the tests check
+    its pair count.
     """
-    flat = []
-    for g in grids:
-        e, h, w = g.shape
-        flat.append(T.reshape(T.transpose(g, (1, 2, 0)), (h * w, e)))
-    tokens = T.concat(flat, axis=0)
-    mixed = _attn(tokens, cfg.attn_heads, params, "allscale")
-    out = []
-    offset = 0
-    for g in grids:
-        e, h, w = g.shape
-        block = mixed[offset : offset + h * w]
-        offset += h * w
-        out.append(T.transpose(T.reshape(block, (h, w, e)), (2, 0, 1)))
-    return out
+    return T.transpose(_attn(T.transpose(x), cfg.attn_heads, params, "allscale"))

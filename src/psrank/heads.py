@@ -1,9 +1,9 @@
 """Prediction heads over the transformer output.
 
-Every head produces one row per grid cell. Cells are enumerated scale-major,
-then row-major with x fastest, and the row index is the cell's only
-identity: row k of the partition matrix, of the sorting scores and of the
-mask kernels all describe the same cell.
+Every head produces one row per grid cell, in the column order of the (E, K)
+pyramid (see ``pyramid``), and the row index is the cell's only identity:
+row k of the partition matrix, of the sorting scores and of the mask kernels
+all describe the same cell.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 from . import tensor as T
 from .config import ModelConfig
 from .errors import DataError
-from .pyramid import _stage_channels, conv_params
+from .pyramid import _stage_channels, conv_params, grid_shapes
 from .tensor import Parameter, Tensor
 
 
@@ -23,17 +23,11 @@ def total_cells(grid_sides) -> int:
     return sum(s * s for s in grid_sides)
 
 
-def _per_cell(f_hat: list[Tensor], w: Parameter, b: Parameter) -> Tensor:
-    """A 3x3 conv from E to C channels on every scale, gathered into (K, C)
-    with one row per cell in row order.
+def _per_cell(f_hat: Tensor, w: Parameter, b: Parameter, cfg: ModelConfig) -> Tensor:
+    """A 3x3 conv from E to C channels over the (E, K) pyramid, transposed
+    to (K, C): one row per cell.
     """
-    c = w.shape[0]
-    per_scale = []
-    for g in f_hat:
-        side = g.shape[1]
-        out = T.conv2d(g, w, bias=b)  # (C, s, s)
-        per_scale.append(T.reshape(T.transpose(out, (1, 2, 0)), (side * side, c)))
-    return T.concat(per_scale, axis=0)
+    return T.transpose(T.conv2d(f_hat, w, bias=b, grids=grid_shapes(cfg)))
 
 
 def init_partition_head_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Parameter]:
@@ -43,11 +37,11 @@ def init_partition_head_params(cfg: ModelConfig, rng: np.random.Generator) -> di
     return conv_params("partition", cfg.channels, n, rng) | {"partition.b": Parameter(np.full(n, -2.0))}
 
 
-def partition_forward(f_hat: list[Tensor], params) -> Tensor:
+def partition_forward(f_hat: Tensor, params, cfg: ModelConfig) -> Tensor:
     """N binary heads (a 3x3 conv from E channels to one logit each),
     sigmoid-activated into the (K, N) partition matrix.
     """
-    return T.sigmoid(_per_cell(f_hat, params["partition.w"], params["partition.b"]))
+    return T.sigmoid(_per_cell(f_hat, params["partition.w"], params["partition.b"], cfg))
 
 
 @dataclass
@@ -77,9 +71,9 @@ def global_mask_features(stage_maps, params, cfg: ModelConfig, canvas: int) -> T
     return T.relu(fused)
 
 
-def mask_branch(f_hat: list[Tensor], stage_maps, params, cfg: ModelConfig, canvas: int) -> MaskBranch:
+def mask_branch(f_hat: Tensor, stage_maps, params, cfg: ModelConfig, canvas: int) -> MaskBranch:
     features = global_mask_features(stage_maps, params, cfg, canvas)
-    kernels = _per_cell(f_hat, params["mask.kernel.w"], params["mask.kernel.b"])
+    kernels = _per_cell(f_hat, params["mask.kernel.w"], params["mask.kernel.b"], cfg)
     return MaskBranch(kernels=kernels, features=features)
 
 

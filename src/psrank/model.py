@@ -29,7 +29,7 @@ class Head:
     """The operations that differ between the partition and sorting heads."""
 
     init: Callable  # (cfg, rng) -> params
-    forward: Callable  # (f_hat, params) -> (K, C) scores
+    forward: Callable  # (f_hat (E, K) pyramid, params, cfg) -> (K, C) scores
     # (scores (K, C), rank_class (K,)) -> classification term; rank_class holds
     # rank - 1 per positive cell and N for background, and the loss encodes it
     loss: Callable
@@ -84,12 +84,12 @@ def init_model_params(cfg: ModelConfig, seed: int) -> dict[str, Parameter]:
 def forward(image: Tensor, params, cfg: ModelConfig) -> ModelOutputs:
     canvas = image.shape[1]
     stages = pyramid.encoder_stages(image, params, cfg)
-    grids = pyramid.pyramid_from_stages(stages, cfg)
-    harmonized = dpt.cgr(grids, params, cfg)
-    positioned = pyramid.add_positional_encoding(harmonized, params)
+    features = pyramid.pyramid_from_stages(stages, cfg)
+    harmonized = dpt.cgr(features, params, cfg)
+    positioned = pyramid.add_positional_encoding(harmonized, params, cfg)
     f_hat = dpt.dpt_forward(positioned, params, cfg)
     mask = heads.mask_branch(f_hat, stages, params, cfg, canvas)
-    return ModelOutputs(scores=head_ops(cfg).forward(f_hat, params), mask=mask)
+    return ModelOutputs(scores=head_ops(cfg).forward(f_hat, params, cfg), mask=mask)
 
 
 @dataclass(frozen=True)

@@ -5,9 +5,15 @@ conv/GN/ReLU stages whose outputs are resampled onto the configured square
 grids. A fixed 2D sinusoid plus a learned per-scale bias provides the
 positional signal consumed by the transformer stack.
 
-A pyramid is a list of (E, s, s) tensors, finest first; a grid's position in
-the list is its scale index. The conv, group-norm and attention initializers
-every module shares live here too.
+A pyramid is one (E, K) tensor holding the cells of every grid: column k is
+cell k, the grids in scale order (finest first), each grid's cells row-major
+with x fastest. That is the row order of every head's (K, C) output, so
+column k and row k describe the same cell. ``grid_shapes`` gives each grid's
+(h, w), the ``grids`` argument of ``tensor.conv2d`` and ``tensor.group_norm``,
+which run once over the whole pyramid. ``grid_views`` cuts a pyramid into its
+per-grid (E, h, w) column blocks for the layers that run one grid at a time,
+and ``join`` puts such grids back together. The conv, group-norm and attention
+initializers every module shares live here too.
 """
 
 from __future__ import annotations
@@ -79,13 +85,30 @@ def encoder_stages(image: Tensor, params, cfg: ModelConfig) -> list[Tensor]:
     return outs
 
 
-def pyramid_from_stages(stages, cfg: ModelConfig) -> list[Tensor]:
-    """One grid of shape (E, s_i, s_i) per configured scale, finest first."""
-    grids = []
-    for i, side in enumerate(cfg.grid_sides):
-        tap = stages[_stage_for_scale(i)]
-        grids.append(T.interpolate(tap, (side, side)))
-    return grids
+def grid_shapes(cfg: ModelConfig) -> tuple[tuple[int, int], ...]:
+    """The (h, w) of each configured grid, finest first."""
+    return tuple((side, side) for side in cfg.grid_sides)
+
+
+def grid_views(x: Tensor, grids) -> list[Tensor]:
+    """Each grid's column block of the (E, K) pyramid ``x``, as an (E, h, w) view."""
+    views = []
+    lo = 0
+    for h, w in grids:
+        views.append(T.reshape(x[:, lo : lo + h * w], (x.shape[0], h, w)))
+        lo += h * w
+    return views
+
+
+def join(grids: list[Tensor]) -> Tensor:
+    """(E, h, w) grids, finest first, as one (E, K) pyramid."""
+    return T.concat([T.reshape(g, (g.shape[0], -1)) for g in grids], axis=1)
+
+
+def pyramid_from_stages(stages, cfg: ModelConfig) -> Tensor:
+    """The (E, K) pyramid: each configured grid resampled from its encoder stage."""
+    return join([T.interpolate(stages[_stage_for_scale(i)], (side, side))
+                 for i, side in enumerate(cfg.grid_sides)])
 
 
 @lru_cache(maxsize=None)
@@ -118,11 +141,19 @@ def init_posenc_params(cfg: ModelConfig) -> dict[str, Parameter]:
             for i in range(len(cfg.grid_sides))}
 
 
-def add_positional_encoding(grids: list[Tensor], params) -> list[Tensor]:
-    out = []
-    for i, g in enumerate(grids):
-        e, h, w = g.shape
-        code = sinusoid_encoding(e, h, w)
-        bias = params[f"posenc.scale{i}.bias"]
-        out.append(g + Tensor(code) + T.reshape(bias, (e, 1, 1)))
-    return out
+@lru_cache(maxsize=None)
+def _pyramid_code(channels: int, grids) -> tuple[np.ndarray, np.ndarray]:
+    """Every grid's sinusoid as one (E, K) array, and each column's scale index."""
+    code = np.concatenate([sinusoid_encoding(channels, h, w).reshape(channels, -1) for h, w in grids], axis=1)
+    scales = np.repeat(np.arange(len(grids)), [h * w for h, w in grids])
+    code.setflags(write=False)
+    scales.setflags(write=False)
+    return code, scales
+
+
+def add_positional_encoding(x: Tensor, params, cfg: ModelConfig) -> Tensor:
+    """Add each cell's sinusoid and its scale's learned bias to the pyramid."""
+    grids = grid_shapes(cfg)
+    code, scales = _pyramid_code(x.shape[0], grids)
+    biases = T.stack([params[f"posenc.scale{i}.bias"] for i in range(len(grids))], axis=1)  # (E, S)
+    return x + Tensor(code) + biases[:, scales]

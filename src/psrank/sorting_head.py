@@ -23,9 +23,9 @@ def init_sorting_head_params(cfg: ModelConfig, rng: np.random.Generator) -> dict
     return conv_params("sorting", cfg.channels, cfg.max_rank + 1, rng)
 
 
-def sorting_head_forward(f_hat: list[Tensor], params) -> Tensor:
+def sorting_head_forward(f_hat: Tensor, params, cfg: ModelConfig) -> Tensor:
     """Per-cell class probabilities (K, N+1), softmax-normalized."""
-    return T.softmax(_per_cell(f_hat, params["sorting.w"], params["sorting.b"]))
+    return T.softmax(_per_cell(f_hat, params["sorting.w"], params["sorting.b"], cfg))
 
 
 def sort_to_ranks(scores: np.ndarray, masks, n_ranks: int, nms_iou: float,

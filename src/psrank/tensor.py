@@ -16,15 +16,30 @@ route, one key per scale; the sorting head's N+1 classes when N < 7), the
 row max is a chain of ``np.maximum`` over the column slices and the row sums
 are sequential adds from +0.0. That is numpy's own order below 8 terms, so
 the results are byte-equal to ``max``/``sum`` at a fraction of their per-row
-cost; longer axes keep numpy's reductions.
+cost. A longer axis halves its row max with ``np.maximum`` first (the rows
+of 8-12 keys of the larger grids' row and column routes), and keeps numpy's
+sum, whose pairwise order a chain would only slow down.
+
+``conv2d`` and ``group_norm`` take one (C, H, W) grid, or with ``grids`` a
+(C, K) pyramid: column k is cell k, the cells of each (h, w) grid in turn,
+row-major. One grid is the one-entry pyramid of the same code.
 
 ``conv2d`` is im2col + GEMM. A 1x1, stride-1, unpadded kernel takes the input
 itself as its columns, and its backward's dx is the column gradient reshaped.
-Any other kernel gathers every channel plane of the (zero-padded) input
-through one (k*k, Ho*Wo) plane index, and its backward scatters (col2im) with
-one ``np.bincount`` over the full (C*k*k, Ho*Wo) index. Both indexes depend
-only on the shapes, so each is built once per shape, the full one only when a
-backward first needs it, and kept in a module-level ``functools`` cache.
+Any other kernel appends one zero column to the input, which every padding
+tap reads, and gathers the columns of all grids with one (k*k, K_out) index;
+then one GEMM per grid writes that grid's output columns, and one add puts
+the bias on. Its backward scatters (col2im) with one ``np.bincount`` over the
+full (C*k*k, K_out) index. Both indexes depend only on the shapes, so each is
+built once per shape, the full one only when a backward first needs it, and
+kept in a module-level ``functools`` cache.
+
+``group_norm`` reduces each (group, grid) pair's values as one contiguous run,
+one pairwise ``np.add.reduce`` per grid for each statistic, so its sums are
+those of a per-grid call; every other step runs once over the pyramid. A
+shared weight's gradient (conv kernel and bias, norm gamma and beta) is
+accumulated one grid at a time, in grid order, as separate per-grid calls
+accumulate it.
 """
 
 from __future__ import annotations
@@ -102,6 +117,9 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
+                # every consumer has run, so an interior gradient is spent;
+                # leaves and Parameters keep theirs
+                node.grad = None
 
     # arithmetic -----------------------------------------------------------
 
@@ -151,8 +169,10 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # 0 + g in one pass: -0.0 becomes +0.0, as zeros-then-add makes it
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -304,14 +324,28 @@ def transpose(a, axes=None) -> Tensor:
     return _result(out, (a,), backward)
 
 
+def _basic_index(idx) -> bool:
+    """An int, a slice or a tuple of them: an index that selects each element
+    at most once."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(isinstance(p, slice) or (isinstance(p, (int, np.integer)) and not isinstance(p, bool))
+               for p in parts)
+
+
 def take(a, idx) -> Tensor:
     a = _as_tensor(a)
     out = a.data[idx]
 
     def backward(g):
-        full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
-        _accumulate(a, full)
+        if _basic_index(idx):
+            # the selection is a view that holds each element once: add g into it
+            if a.grad is None:
+                a.grad = np.zeros_like(a.data)
+            a.grad[idx] += g
+        else:
+            full = np.zeros_like(a.data)
+            np.add.at(full, idx, g)
+            _accumulate(a, full)
 
     return _result(out, (a,), backward)
 
@@ -371,13 +405,20 @@ _SHORT_AXIS = 8
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:
-    """``a.max(axis=-1, keepdims=True)``, byte for byte. For a short last axis
-    it is a chain of ``np.maximum`` over the column slices, which skips the
-    reduction machinery's per-row cost.
+    """The maximum over the last axis, keepdims, without the reduction
+    machinery's per-row cost: ``np.maximum`` of the two halves of a long axis
+    until fewer than 8 columns are left, then a chain over the column slices.
+    Below 8 entries it is ``a.max(axis=-1, keepdims=True)`` byte for byte;
+    from 8 on, a zero maximum may carry the other sign, which ``a - max``
+    cannot show (x - (+0.0) and x - (-0.0) are equal for x != 0, and both
+    zeros for x = ±0), so the softmax it feeds is byte-equal either way.
     """
     n = a.shape[-1]
-    if n >= _SHORT_AXIS:
-        return a.max(axis=-1, keepdims=True)
+    while n >= _SHORT_AXIS:
+        half = n // 2
+        top = np.maximum(a[..., :half], a[..., half : 2 * half])
+        a = np.concatenate([top, a[..., 2 * half :]], axis=-1) if n % 2 else top
+        n = a.shape[-1]
     out = a[..., 0:1].copy()
     for i in range(1, n):
         np.maximum(out, a[..., i : i + 1], out=out)
@@ -423,34 +464,69 @@ def softmax(a) -> Tensor:
 # convolution -----------------------------------------------------------------
 
 
+def _columns(x: Tensor, grids) -> tuple[np.ndarray, tuple]:
+    """``x``'s data as (C, K) cell columns and the (h, w) of each grid they hold."""
+    if grids is None:
+        if x.data.ndim != 3:
+            raise DimensionError(f"expected one (C, H, W) grid, got shape {x.data.shape}")
+        c, h, w = x.data.shape
+        return x.data.reshape(c, h * w), ((h, w),)
+    cells = sum(h * w for h, w in grids)
+    if x.data.ndim != 2 or x.data.shape[1] != cells:
+        raise DimensionError(f"expected a (C, {cells}) pyramid for grids {grids}, got shape {x.data.shape}")
+    return x.data, grids
+
+
 @lru_cache(maxsize=None)
-def _plane_index(wp: int, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """Flat indices into one padded plane of width ``wp`` that gather its
-    im2col rows: entry ((i, j), (oy, ox)) reads the plane at
-    (oy*stride + i, ox*stride + j).
+def _column_bounds(grids) -> tuple[tuple[int, int], ...]:
+    """(first, end) column of each grid's cells."""
+    ends = np.cumsum([h * w for h, w in grids]).tolist()
+    return tuple(zip([0] + ends[:-1], ends))
+
+
+@lru_cache(maxsize=None)
+def _conv_grids(grids, k: int, stride: int, pad: int) -> tuple:
+    """The (ho, wo) of each output grid."""
+    return tuple(((h + 2 * pad - k) // stride + 1, (w + 2 * pad - k) // stride + 1) for h, w in grids)
+
+
+@lru_cache(maxsize=None)
+def _plane_index(grids, k: int, stride: int, pad: int) -> np.ndarray:
+    """Column indices into the pyramid with one zero column appended that
+    gather its im2col rows: entry ((i, j), cell) reads the input cell at
+    (oy*stride + i - pad, ox*stride + j - pad) of the output cell's grid, or
+    the zero column K where that lies in the padding.
     """
+    cells = sum(h * w for h, w in grids)
     i = np.arange(k).reshape(k, 1, 1, 1)
     j = np.arange(k).reshape(1, k, 1, 1)
-    oy = np.arange(ho).reshape(1, 1, ho, 1) * stride
-    ox = np.arange(wo).reshape(1, 1, 1, wo) * stride
-    idx = ((oy + i) * wp + (ox + j)).reshape(k * k, ho * wo)
+    blocks = []
+    for (h, w), (lo, _), (ho, wo) in zip(grids, _column_bounds(grids), _conv_grids(grids, k, stride, pad)):
+        y = np.arange(ho).reshape(1, 1, ho, 1) * stride + i - pad
+        x = np.arange(wo).reshape(1, 1, 1, wo) * stride + j - pad
+        inside = (y >= 0) & (y < h) & (x >= 0) & (x < w)
+        blocks.append(np.where(inside, lo + y * w + x, cells).reshape(k * k, ho * wo))
+    idx = np.concatenate(blocks, axis=1)
     idx.setflags(write=False)
     return idx
 
 
 @lru_cache(maxsize=None)
-def _col2im_index(c: int, hp: int, wp: int, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
-    """The plane index repeated for each of ``c`` padded (hp, wp) planes:
-    flat indices into the whole padded input, row (ch, i, j) reading plane ch.
+def _col2im_index(c: int, grids, k: int, stride: int, pad: int) -> np.ndarray:
+    """The plane index repeated for each of ``c`` channels: flat indices into
+    the (c, K + 1) padded pyramid, row (ch, i, j) reading channel ch.
     """
-    plane = _plane_index(wp, k, stride, ho, wo)
-    idx = (np.arange(c).reshape(c, 1, 1) * (hp * wp) + plane).reshape(c * k * k, ho * wo)
+    plane = _plane_index(grids, k, stride, pad)
+    cells = sum(h * w for h, w in grids)
+    idx = (np.arange(c).reshape(c, 1, 1) * (cells + 1) + plane).reshape(c * k * k, plane.shape[1])
     idx.setflags(write=False)
     return idx
 
 
-def conv2d(x, weight, bias=None, stride: int = 1, padding=None) -> Tensor:
-    """Cross-correlation of ``x`` [C,H,W] with ``weight`` [Co,C,k,k].
+def conv2d(x, weight, bias=None, stride: int = 1, padding=None, grids=None) -> Tensor:
+    """Cross-correlation of ``x`` with ``weight`` [Co,C,k,k], applied to each
+    grid on its own: ``x`` is one [C,H,W] grid, or with ``grids`` (a tuple of
+    (h, w)) a [C,K] pyramid of them, giving [Co,K_out].
 
     Zero padding; ``padding=None`` selects "same" mode (k-1)//2, which
     preserves spatial size when stride is 1. Kernel side must be odd.
@@ -459,48 +535,55 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding=None) -> Tensor:
     co, ci, k, k2 = weight.data.shape
     if k != k2 or k % 2 == 0:
         raise ConfigurationError(f"conv2d kernel must be square with odd side, got {k}x{k2}")
-    c, h, w = x.data.shape
+    data, shapes = _columns(x, grids)
+    c, cells = data.shape
     if c != ci:
         raise DimensionError(f"conv2d channel mismatch: input {x.data.shape} vs kernel {weight.data.shape}")
     pad = (k - 1) // 2 if padding is None else int(padding)
-    hp, wp = h + 2 * pad, w + 2 * pad
-    if hp < k or wp < k:
-        raise DimensionError(f"conv2d kernel {k}x{k} exceeds the padded input {hp}x{wp}")
-    ho = (hp - k) // stride + 1
-    wo = (wp - k) // stride + 1
+    for h, w in shapes:
+        if h + 2 * pad < k or w + 2 * pad < k:
+            raise DimensionError(f"conv2d kernel {k}x{k} exceeds the padded input {h + 2 * pad}x{w + 2 * pad}")
+    out_grids = _conv_grids(shapes, k, stride, pad)
+    bounds = _column_bounds(out_grids)
     pointwise = k == 1 and stride == 1 and not pad
     if pointwise:
-        cols = np.ascontiguousarray(x.data).reshape(c, h * w)
+        cols = np.ascontiguousarray(data)
     else:
-        if pad:
-            xp = np.zeros((c, hp, wp))
-            xp[:, pad : pad + h, pad : pad + w] = x.data
-        else:
-            xp = x.data
-        # gathering every plane along axis 1 beats one flat take of the full index
-        plane = _plane_index(wp, k, stride, ho, wo)
-        cols = xp.reshape(c, hp * wp).take(plane, axis=1).reshape(c * k * k, ho * wo)
-        del xp  # free a padded copy before the GEMM allocates its output
+        padded = np.empty((c, cells + 1))
+        padded[:, :cells] = data
+        padded[:, cells] = 0.0
+        # gathering every channel along axis 1 beats one flat take of the full index
+        cols = padded.take(_plane_index(shapes, k, stride, pad), axis=1).reshape(c * k * k, -1)
+        del padded  # free the padded copy before the GEMMs allocate their output
     w2 = weight.data.reshape(co, ci * k * k)
-    out = (w2 @ cols).reshape(co, ho, wo)
+    out = np.empty((co, cols.shape[1]))
+    for lo, hi in bounds:
+        np.matmul(w2, cols[:, lo:hi], out=out[:, lo:hi])
     if bias is not None:
         bias = _as_tensor(bias)
-        out += bias.data[:, None, None]
+        out += bias.data[:, None]
 
     def backward(g):
-        g2 = g.reshape(co, ho * wo)
-        _accumulate(weight, (g2 @ cols.T).reshape(weight.data.shape))
+        g2 = g.reshape(co, -1)
+        for lo, hi in bounds:
+            _accumulate(weight, (g2[:, lo:hi] @ cols[:, lo:hi].T).reshape(weight.data.shape))
         if bias is not None:
-            _accumulate(bias, g.sum(axis=(1, 2)))
+            for lo, hi in bounds:
+                _accumulate(bias, np.add.reduce(g2[:, lo:hi], axis=1))
         if x.requires_grad:
-            dcols = w2.T @ g2
+            dcols = np.empty_like(cols)
+            for lo, hi in bounds:
+                np.matmul(w2.T, g2[:, lo:hi], out=dcols[:, lo:hi])
             if pointwise:
-                _accumulate(x, dcols.reshape(c, h, w))
-                return
-            idx = _col2im_index(c, hp, wp, k, stride, ho, wo)
-            dxp = np.bincount(idx.ravel(), weights=dcols.ravel(), minlength=c * hp * wp).reshape(c, hp, wp)
-            _accumulate(x, dxp[:, pad : pad + h, pad : pad + w] if pad else dxp)
+                dx = dcols
+            else:
+                idx = _col2im_index(c, shapes, k, stride, pad)
+                dx = np.bincount(idx.ravel(), weights=dcols.ravel(), minlength=c * (cells + 1))
+                dx = dx.reshape(c, cells + 1)[:, :cells]
+            _accumulate(x, dx.reshape(x.data.shape))
 
+    if grids is None:
+        out = out.reshape((co,) + out_grids[0])
     parents = (x, weight) if bias is None else (x, weight, bias)
     return _result(out, parents, backward)
 
@@ -508,35 +591,83 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding=None) -> Tensor:
 # normalization ----------------------------------------------------------------
 
 
-def group_norm(x, groups: int, gamma, beta, eps: float = 1e-5) -> Tensor:
-    """Per-group zero-mean/unit-variance over [C,H,W], then channelwise affine."""
+@lru_cache(maxsize=None)
+def _group_runs(c: int, grids, groups: int) -> tuple:
+    """How ``group_norm`` lays a (c, K) pyramid out so that each (grid, group)
+    pair is one contiguous run of n values: the gather into that grid-major
+    order and its inverse (None for one grid, whose (groups, n) rows already
+    are the runs), each grid's slice of it, and every run's n, grid-major.
+    """
+    bounds = _column_bounds(grids)
+    cells = bounds[-1][1]
+    if len(grids) == 1:
+        order = inverse = None
+    else:
+        order = np.concatenate([(np.arange(c)[:, None] * cells + np.arange(lo, hi)).ravel() for lo, hi in bounds])
+        inverse = np.argsort(order)
+        order.setflags(write=False)
+        inverse.setflags(write=False)
+    runs = tuple(slice(c * lo, c * hi) for lo, hi in bounds)
+    n = np.repeat([c * (hi - lo) // groups for lo, hi in bounds], groups).reshape(-1, 1)
+    n.setflags(write=False)
+    return order, inverse, runs, n
+
+
+def group_norm(x, groups: int, gamma, beta, eps: float = 1e-5, grids=None) -> Tensor:
+    """Per-group zero-mean/unit-variance, then channelwise affine, over one
+    [C,H,W] grid, or with ``grids`` over each grid of a [C,K] pyramid on its
+    own (see ``conv2d``).
+    """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
-    c, h, w = x.data.shape
+    data, shapes = _columns(x, grids)
+    c = data.shape[0]
     if c % groups != 0:
         raise ConfigurationError(f"group_norm: {c} channels not divisible by {groups} groups")
-    xg = x.data.reshape(groups, -1)
-    n = xg.shape[1]
+    order, inverse, runs, n = _group_runs(c, shapes, groups)
+    bounds = _column_bounds(shapes)
+
+    # One grid's values are its (groups, n) rows and its statistics broadcast
+    # over them; a pyramid's values are flat, each run contiguous, and each
+    # statistic is repeated over its run.
+    def grid_major(a):
+        return a.reshape(groups, -1) if order is None else a.take(order)
+
+    def channel_major(a):
+        return (a if inverse is None else a.take(inverse)).reshape(data.shape)
+
+    def run_means(v):  # one pairwise np.add.reduce per grid, as a per-grid call sums it
+        if order is None:
+            return np.add.reduce(v, axis=1, keepdims=True) / n
+        sums = np.empty(n.shape)
+        for i, r in enumerate(runs):
+            np.add.reduce(v[r].reshape(groups, -1), axis=1, keepdims=True, out=sums[i * groups : (i + 1) * groups])
+        return sums / n
+
+    def spread(stat):  # a statistic per run, against the runs' values
+        return stat if order is None else stat.repeat(n.ravel())
+
     # np.mean / np.var arithmetic without their Python wrappers
-    dev = xg - np.add.reduce(xg, axis=1, keepdims=True) / n
-    var = np.add.reduce(dev * dev, axis=1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat_g = dev * inv
-    xhat = xhat_g.reshape(c, h, w)
-    out = gamma.data[:, None, None] * xhat + beta.data[:, None, None]
+    runs_x = grid_major(data)
+    dev = runs_x - spread(run_means(runs_x))
+    inv = spread(1.0 / np.sqrt(run_means(dev * dev) + eps))
+    xhat_runs = dev * inv
+    xhat = channel_major(xhat_runs)
+    out = xhat * gamma.data[:, None]
+    out += beta.data[:, None]
 
     def backward(g):
-        _accumulate(gamma, (g * xhat).sum(axis=(1, 2)))
-        _accumulate(beta, g.sum(axis=(1, 2)))
+        g2 = g.reshape(data.shape)
+        gx = g2 * xhat
+        for lo, hi in bounds:
+            _accumulate(gamma, np.add.reduce(gx[:, lo:hi], axis=1))
+        for lo, hi in bounds:
+            _accumulate(beta, np.add.reduce(g2[:, lo:hi], axis=1))
         if x.requires_grad:
-            dxhat = (g * gamma.data[:, None, None]).reshape(groups, -1)
-            dxg = inv * (
-                dxhat
-                - np.add.reduce(dxhat, axis=1, keepdims=True) / n
-                - xhat_g * (np.add.reduce(dxhat * xhat_g, axis=1, keepdims=True) / n)
-            )
-            _accumulate(x, dxg.reshape(c, h, w))
+            dxhat = grid_major(g2 * gamma.data[:, None])
+            dx = inv * (dxhat - spread(run_means(dxhat)) - xhat_runs * spread(run_means(dxhat * xhat_runs)))
+            _accumulate(x, channel_major(dx).reshape(x.data.shape))
 
-    return _result(out, (x, gamma, beta), backward)
+    return _result(out.reshape(x.data.shape), (x, gamma, beta), backward)
 
 
 # resampling -------------------------------------------------------------------

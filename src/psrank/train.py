@@ -126,6 +126,8 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, samples: list[SceneSam
                 sums += [breakdown.total.item(), breakdown.partition.item(),
                          breakdown.mask.item() if breakdown.mask is not None else 0.0]
                 count += 1
+                # the loss holds the sample's whole tape; free it before the next forward
+                del breakdown
             optimizer.step(lr_at(step, epoch, train_cfg))
             step += 1
         stats = EpochStats(epoch=epoch, total=sums[0] / count, partition=sums[1] / count,

@@ -2,7 +2,7 @@
 against, deliberately naive (literal loops, no vectorisation, or composed
 from primitive tape ops); the plain forms of tensor kernels that production
 code shortcuts (numpy reductions, a gather for every conv), which the
-shortcuts must equal byte for byte; a mask view that records what a decode
+shortcuts must equal byte for byte, one grid at a time; a mask view that records what a decode
 reads, and a counter and closed-form counts of the query-key pairs attention
 forms.
 """
@@ -223,10 +223,22 @@ def attention_reduce_oracle(x, heads: int, wq, wk, wv, wo) -> Tensor:
     return T._result(out, (x, wq, wk, wv, wo), backward)
 
 
+def _padded_plane_index(wp: int, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
+    """Flat indices into one zero-padded plane of width ``wp``: entry
+    ((i, j), (oy, ox)) reads the plane at (oy*stride + i, ox*stride + j).
+    """
+    i = np.arange(k).reshape(k, 1, 1, 1)
+    j = np.arange(k).reshape(1, k, 1, 1)
+    oy = np.arange(ho).reshape(1, 1, ho, 1) * stride
+    ox = np.arange(wo).reshape(1, 1, 1, wo) * stride
+    return ((oy + i) * wp + (ox + j)).reshape(k * k, ho * wo)
+
+
 def conv2d_gather_oracle(x, weight, bias=None, stride: int = 1, padding=None) -> Tensor:
-    """``tensor.conv2d`` with every kernel, 1x1 included, gathering its
-    columns through the plane index and scattering dx with ``np.bincount``,
-    and the bias added into a second output array.
+    """``tensor.conv2d`` on one grid with every kernel, 1x1 included, copying
+    the input into a zero-padded array, gathering its columns through a
+    per-plane index and scattering dx into the padded array with
+    ``np.bincount``, and the bias added into a second output array.
     """
     x, weight = T._as_tensor(x), T._as_tensor(weight)
     co, ci, k, _ = weight.data.shape
@@ -237,7 +249,7 @@ def conv2d_gather_oracle(x, weight, bias=None, stride: int = 1, padding=None) ->
     wo = (wp - k) // stride + 1
     xp = np.zeros((c, hp, wp))
     xp[:, pad : pad + h, pad : pad + w] = x.data
-    plane = T._plane_index(wp, k, stride, ho, wo)
+    plane = _padded_plane_index(wp, k, stride, ho, wo)
     cols = xp.reshape(c, hp * wp).take(plane, axis=1).reshape(c * k * k, ho * wo)
     w2 = weight.data.reshape(co, ci * k * k)
     out = (w2 @ cols).reshape(co, ho, wo)
@@ -251,12 +263,51 @@ def conv2d_gather_oracle(x, weight, bias=None, stride: int = 1, padding=None) ->
         if bias is not None:
             T._accumulate(bias, g.sum(axis=(1, 2)))
         dcols = w2.T @ g2
-        idx = T._col2im_index(c, hp, wp, k, stride, ho, wo)
+        idx = (np.arange(c).reshape(c, 1, 1) * (hp * wp) + plane).reshape(c * k * k, ho * wo)
         dxp = np.bincount(idx.ravel(), weights=dcols.ravel(), minlength=c * hp * wp).reshape(c, hp, wp)
         T._accumulate(x, dxp[:, pad : pad + h, pad : pad + w])
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     return T._result(out, parents, backward)
+
+
+def group_norm_oracle(x, groups: int, gamma, beta, eps: float = 1e-5) -> Tensor:
+    """``tensor.group_norm`` on one (C, H, W) grid, written on its (groups, n)
+    rows with broadcast statistics.
+    """
+    x, gamma, beta = T._as_tensor(x), T._as_tensor(gamma), T._as_tensor(beta)
+    c, h, w = x.data.shape
+    xg = x.data.reshape(groups, -1)
+    n = xg.shape[1]
+    dev = xg - np.add.reduce(xg, axis=1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(dev * dev, axis=1, keepdims=True) / n + eps)
+    xhat_g = dev * inv
+    xhat = xhat_g.reshape(c, h, w)
+    out = gamma.data[:, None, None] * xhat + beta.data[:, None, None]
+
+    def backward(g):
+        T._accumulate(gamma, (g * xhat).sum(axis=(1, 2)))
+        T._accumulate(beta, g.sum(axis=(1, 2)))
+        dxhat = (g * gamma.data[:, None, None]).reshape(groups, -1)
+        dxg = inv * (dxhat - np.add.reduce(dxhat, axis=1, keepdims=True) / n
+                     - xhat_g * (np.add.reduce(dxhat * xhat_g, axis=1, keepdims=True) / n))
+        T._accumulate(x, dxg.reshape(c, h, w))
+
+    return T._result(out, (x, gamma, beta), backward)
+
+
+def take_scatter_oracle(a, idx) -> Tensor:
+    """``tensor.take`` whose backward scatters into a full zero array with
+    ``np.add.at`` for every index, then accumulates that array.
+    """
+    a = T._as_tensor(a)
+
+    def backward(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, idx, g)
+        T._accumulate(a, full)
+
+    return T._result(a.data[idx], (a,), backward)
 
 
 def transpose_oracle(a, axes=None) -> Tensor:

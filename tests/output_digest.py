@@ -9,8 +9,10 @@ for weight seeds 0 and 1, ``forward`` scores and soft masks, ``predict``
 instances (at ``partition_threshold=0.1, objectness_floor=0.05``, so that
 untrained weights emit some), ``train.build_targets``' rank classes, positive
 rows and mask targets for every scene used, and the loss history and
-parameters of a 3-epoch ``train.train`` run. ``--verbose`` prints a digest
-per part too.
+parameters of a 3-epoch ``train.train`` run. ``--verbose`` also prints one
+digest per part (``init``, ``forward``, ``predict``, ``targets``, ``train``)
+and per setup, so a change that moves one part shows which; the last line
+hashes the same bytes either way.
 pytest does not collect this file; it is a script.
 """
 
@@ -41,39 +43,50 @@ def setups():
         yield f"full128-{head}", ModelConfig(head_type=head), gen128
 
 
-def feed(h, *arrays) -> None:
-    for a in arrays:
-        a = np.ascontiguousarray(a)
-        h.update(f"{a.dtype.str}{a.shape}".encode())
-        h.update(a.tobytes())
+PARTS = ("init", "forward", "predict", "targets", "train")
 
 
-def digest_setup(cfg: ModelConfig, gen: GenConfig) -> tuple[str, int]:
-    h = hashlib.sha256()
+class SetupDigest:
+    """One sha256 over every array fed, in order, and one per part."""
+
+    def __init__(self):
+        self.whole = hashlib.sha256()
+        self.parts = {name: hashlib.sha256() for name in PARTS}
+
+    def feed(self, part: str, *arrays) -> None:
+        for a in arrays:
+            a = np.ascontiguousarray(a)
+            for h in (self.whole, self.parts[part]):
+                h.update(f"{a.dtype.str}{a.shape}".encode())
+                h.update(a.tobytes())
+
+
+def digest_setup(cfg: ModelConfig, gen: GenConfig) -> tuple[SetupDigest, int]:
+    h = SetupDigest()
     scenes = generate_dataset(gen, PREDICT_SCENES, 7000)
     decode_cfg = replace(cfg, partition_threshold=0.1, objectness_floor=0.05)
     instances = 0
     for seed in WEIGHT_SEEDS:
         params = model.init_model_params(cfg, seed)
         for name in sorted(params):
-            feed(h, params[name].data)
+            h.feed("init", params[name].data)
         for scene in scenes:
             with no_grad():
                 outputs = model.forward(Tensor(scene.image), params, cfg)
-                feed(h, outputs.scores.data, outputs.mask.soft_masks().data)
+                h.feed("forward", outputs.scores.data, outputs.mask.soft_masks().data)
             for inst in model.predict(scene.image, params, decode_cfg):
-                feed(h, np.array([inst.rank, inst.score]), inst.mask)
+                h.feed("predict", np.array([inst.rank, inst.score]), inst.mask)
                 instances += 1
     train_scenes = generate_dataset(gen, TRAIN_SCENES, 8000)
     for scene in scenes + train_scenes:
         targets = train.build_targets(scene, cfg)
-        feed(h, targets.rank_class, targets.pos_rows, targets.pos_masks)
+        h.feed("targets", targets.rank_class, targets.pos_rows, targets.pos_masks)
     params, history = train.train(cfg, toy_train_config(seed=0, epochs=3), train_scenes)
     for stats in history:
-        feed(h, np.array([stats.total, stats.partition, stats.mask]))
+        h.feed("train", np.array([stats.total, stats.partition, stats.mask]))
     for name in sorted(params):
-        feed(h, params[name].data)
-    return h.hexdigest(), instances
+        h.feed("train", params[name].data)
+    return h, instances
 
 
 def main(argv=None) -> int:
@@ -82,10 +95,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     total = hashlib.sha256()
     for name, cfg, gen in setups():
-        part, instances = digest_setup(cfg, gen)
-        total.update(part.encode())
+        digest, instances = digest_setup(cfg, gen)
+        total.update(digest.whole.hexdigest().encode())
         if args.verbose:
-            print(f"{name}: {part} ({instances} predicted instances)")
+            print(f"{name}: {digest.whole.hexdigest()} ({instances} predicted instances)")
+            for part, h in digest.parts.items():
+                print(f"  {part:8s} {h.hexdigest()}")
     print(total.hexdigest())
     return 0
 

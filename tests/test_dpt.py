@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from psrank import dpt, tensor as T
+from psrank import dpt, pyramid, tensor as T
 from psrank.config import ModelConfig
 from psrank.tensor import Tensor
 
@@ -16,9 +16,28 @@ def cfg_for(sides=(8, 6, 4), e=16, layers=1, conv_layers=1, heads=4, groups=4):
                        gn_groups=groups, dpt_layers=layers, conv_layers=conv_layers)
 
 
-def random_pyramid(cfg, seed=0):
+def random_grids(cfg, seed=0):
     rng = np.random.default_rng(seed)
-    return [Tensor(rng.normal(size=(cfg.channels, s, s))) for s in cfg.grid_sides]
+    return [rng.normal(size=(cfg.channels, s, s)) for s in cfg.grid_sides]
+
+
+def as_pyramid(grids):
+    """(E, s, s) arrays or tensors, finest first, as one (E, K) tensor."""
+    arrays = [g.data if isinstance(g, Tensor) else g for g in grids]
+    return Tensor(np.concatenate([a.reshape(a.shape[0], -1) for a in arrays], axis=1))
+
+
+def random_pyramid(cfg, seed=0):
+    return as_pyramid(random_grids(cfg, seed))
+
+
+def blocks(x, sides):
+    """Each grid's (E, s, s) block of an (E, K) array."""
+    out, lo = [], 0
+    for s in sides:
+        out.append(x[:, lo : lo + s * s].reshape(x.shape[0], s, s))
+        lo += s * s
+    return out
 
 
 def equal_grid_pyramid(scales, height, width, channels, rng):
@@ -45,7 +64,7 @@ def measured_all_scale_pairs(scales, height, width):
     params = dpt.init_all_scale_params(PAIR_CFG, rng)
     pyr = equal_grid_pyramid(scales, height, width, PAIR_CFG.channels, rng)
     with T.no_grad(), AttentionPairs() as counted:
-        dpt.all_scale_attention(pyr, params, PAIR_CFG)
+        dpt.all_scale_attention(pyramid.join(pyr), params, PAIR_CFG)
     return counted.pairs
 
 
@@ -91,7 +110,7 @@ class TestCgr:
         cfg = cfg_for(conv_layers=2)
         params = dpt.init_dpt_params(cfg, np.random.default_rng(0))
         out = dpt.cgr(random_pyramid(cfg), params, cfg)
-        assert [g.shape for g in out] == [(16, 8, 8), (16, 6, 6), (16, 4, 4)]
+        assert out.shape == (16, 8 * 8 + 6 * 6 + 4 * 4)
 
     def test_zero_weights_zero_output(self):
         cfg = cfg_for(conv_layers=1)
@@ -100,15 +119,14 @@ class TestCgr:
         params["cgr.conv0.b"].data[:] = 0.0
         params["cgr.gn0.beta"].data[:] = 0.0
         out = dpt.cgr(random_pyramid(cfg), params, cfg)
-        for g in out:
-            np.testing.assert_array_equal(g.data, 0.0)
+        np.testing.assert_array_equal(out.data, 0.0)
 
     def test_gradient(self):
         cfg = cfg_for(sides=(4, 2), e=8, heads=2, groups=2)
         params = dpt.init_dpt_params(cfg, np.random.default_rng(1))
 
         def op(x):
-            return dpt.cgr([x, Tensor(np.zeros((8, 2, 2)))], params, cfg)[0]
+            return dpt.cgr(pyramid.join([x, Tensor(np.zeros((8, 2, 2)))]), params, cfg)[:, :16]
 
         x = Tensor(np.random.default_rng(2).normal(size=(8, 4, 4)))
         assert grad_check(op, [x], tolerance=1e-3).passed
@@ -124,7 +142,7 @@ class TestRowColumnAttention:
 
     def test_singleton_grid_oracle(self):
         # 1x1 grid: the attention weight is exactly 1, so each pass adds
-        # x Wv Wo; group norm follows
+        # x Wv Wo (the group norm that follows runs in dpt_layer)
         cfg = cfg_for(sides=(4, 2), e=8, heads=2, groups=2)
         params = dpt.init_dpt_params(cfg, np.random.default_rng(5))
         x = np.random.default_rng(6).normal(size=(8, 1, 1))
@@ -133,9 +151,7 @@ class TestRowColumnAttention:
         vec = x[:, 0, 0]
         y = vec + vec @ params["dpt.layer0.row.wv"].data @ params["dpt.layer0.row.wo"].data
         z = y + y @ params["dpt.layer0.col.wv"].data @ params["dpt.layer0.col.wo"].data
-        expected = T.group_norm(Tensor(z.reshape(8, 1, 1)), cfg.gn_groups,
-                                params["dpt.layer0.gn_rc.gamma"], params["dpt.layer0.gn_rc.beta"])
-        np.testing.assert_allclose(out.data, expected.data, atol=1e-10)
+        np.testing.assert_allclose(out.data, z.reshape(8, 1, 1), atol=1e-10)
 
     def test_transpose_symmetry_single_pass(self):
         # with the column route zeroed out, only the row pass acts; feeding
@@ -180,13 +196,12 @@ class TestRowColumnAttention:
         # column-with-col-params first, then row-with-row-params
         y = x + attend(x, "col", (2, 1, 0), (2, 1, 0))
         z = y + attend(y, "row", (1, 2, 0), (2, 0, 1))
-        expected = T.group_norm(Tensor(z), cfg.gn_groups,
-                                params["dpt.layer0.gn_rc.gamma"], params["dpt.layer0.gn_rc.beta"])
-        np.testing.assert_allclose(out_t.data, expected.data.transpose(0, 2, 1), atol=1e-9)
+        np.testing.assert_allclose(out_t.data, z.transpose(0, 2, 1), atol=1e-9)
 
 
 class TestCrossScaleAttention:
     def test_single_scale_matches_singleton_attention(self):
+        # one scale: the weight of its only key is 1, so the update is x Wv Wo
         cfg = cfg_for(sides=(4, 2), e=8, heads=2, groups=2)
         params = dpt.init_dpt_params(cfg, np.random.default_rng(8))
         x = np.random.default_rng(9).normal(size=(8, 3, 3))
@@ -194,14 +209,13 @@ class TestCrossScaleAttention:
         wv = params["dpt.layer0.cross.wv"].data
         wo = params["dpt.layer0.cross.wo"].data
         delta = np.einsum("chw,cd->dhw", x, wv @ wo)
-        expected = T.group_norm(Tensor(x + delta), cfg.gn_groups,
-                                params["dpt.layer0.gn_cs.gamma"], params["dpt.layer0.gn_cs.beta"])
-        np.testing.assert_allclose(out[0].data, expected.data, atol=1e-10)
+        np.testing.assert_allclose(out[0].data, delta, atol=1e-10)
 
     def test_shape_restoration(self):
         cfg = cfg_for(sides=(4, 2), e=8, heads=2, groups=2)
         params = dpt.init_dpt_params(cfg, np.random.default_rng(10))
-        out = dpt.cross_scale_attention(random_pyramid(cfg, seed=11), params, cfg)
+        grids = [Tensor(g) for g in random_grids(cfg, seed=11)]
+        out = dpt.cross_scale_attention(grids, params, cfg)
         assert [g.shape for g in out] == [(8, 4, 4), (8, 2, 2)]
 
     def test_scale_permutation_equivariance_equal_sides(self):
@@ -227,25 +241,25 @@ class TestClcg:
         for name in ("conv1", "conv2"):
             params[f"dpt.layer0.clcg.{name}.w"].data[:] = 0.0
             params[f"dpt.layer0.clcg.{name}.b"].data[:] = 0.0
-        pyr = random_pyramid(cfg, seed=15)
-        out = dpt.clcg(pyr, params, cfg)
-        for g_in, g_out in zip(pyr, out):
-            expected = T.group_norm(g_in, cfg.gn_groups,
+        grids = random_grids(cfg, seed=15)
+        out = dpt.clcg(as_pyramid(grids), params, cfg)
+        for g_in, g_out in zip(grids, blocks(out.data, cfg.grid_sides)):
+            expected = T.group_norm(Tensor(g_in), cfg.gn_groups,
                                     params["dpt.layer0.clcg.gn.gamma"], params["dpt.layer0.clcg.gn.beta"])
-            np.testing.assert_allclose(g_out.data, expected.data, atol=1e-12)
+            np.testing.assert_allclose(g_out, expected.data, atol=1e-12)
 
     def test_shape_preserved(self):
         cfg = cfg_for()
         params = dpt.init_dpt_params(cfg, np.random.default_rng(16))
         out = dpt.clcg(random_pyramid(cfg, seed=17), params, cfg)
-        assert [g.shape for g in out] == [(16, 8, 8), (16, 6, 6), (16, 4, 4)]
+        assert out.shape == (16, 8 * 8 + 6 * 6 + 4 * 4)
 
     def test_gradient(self):
         cfg = cfg_for(sides=(3, 2), e=4, heads=2, groups=2)
         params = dpt.init_dpt_params(cfg, np.random.default_rng(18))
 
         def op(x):
-            return dpt.clcg([x, Tensor(np.zeros((4, 2, 2)))], params, cfg)[0]
+            return dpt.clcg(pyramid.join([x, Tensor(np.zeros((4, 2, 2)))]), params, cfg)[:, :9]
 
         x = Tensor(np.random.default_rng(19).normal(size=(4, 3, 3)))
         assert grad_check(op, [x], tolerance=1e-3).passed
@@ -256,28 +270,24 @@ class TestDptForward:
         cfg = cfg_for(layers=3)
         params = dpt.init_dpt_params(cfg, np.random.default_rng(20))
         out = dpt.dpt_forward(random_pyramid(cfg, seed=21), params, cfg)
-        assert [g.shape for g in out] == [(16, 8, 8), (16, 6, 6), (16, 4, 4)]
+        assert [g.shape for g in blocks(out.data, cfg.grid_sides)] == [(16, 8, 8), (16, 6, 6), (16, 4, 4)]
 
     def test_zero_layers_identity(self):
         cfg = cfg_for(layers=0, conv_layers=0)
         pyr = random_pyramid(cfg, seed=22)
         out = dpt.dpt_forward(pyr, {}, cfg)
-        for g_in, g_out in zip(pyr, out):
-            np.testing.assert_array_equal(g_in.data, g_out.data)
+        np.testing.assert_array_equal(pyr.data, out.data)
 
     def test_perturbation_reaches_far_cell(self):
         # global receptive field: poking one cell of the coarsest grid moves
         # the far corner of the finest grid
         cfg = cfg_for(sides=(8, 6, 4), e=16, layers=2)
         params = dpt.init_dpt_params(cfg, np.random.default_rng(23))
-        pyr = random_pyramid(cfg, seed=24)
-        base = dpt.dpt_forward(pyr, params, cfg)[0].data.copy()
+        grids = random_grids(cfg, seed=24)
+        base = blocks(dpt.dpt_forward(as_pyramid(grids), params, cfg).data, cfg.grid_sides)[0]
 
-        bumped_data = pyr[-1].data.copy()
-        bumped_data[0, 0, 0] += 1.0
-        grids = [Tensor(g.data) for g in pyr[:-1]]
-        grids.append(Tensor(bumped_data))
-        out = dpt.dpt_forward(grids, params, cfg)[0].data
+        grids[-1][0, 0, 0] += 1.0
+        out = blocks(dpt.dpt_forward(as_pyramid(grids), params, cfg).data, cfg.grid_sides)[0]
         assert abs(out[0, -1, -1] - base[0, -1, -1]) > 1e-9
 
     def test_end_to_end_gradient_two_scale(self):
@@ -285,8 +295,7 @@ class TestDptForward:
         params = dpt.init_dpt_params(cfg, np.random.default_rng(25))
 
         def op(a, b):
-            out = dpt.dpt_forward([a, b], params, cfg)
-            return T.concat([T.reshape(g, (-1, 1)) for g in out], axis=0)
+            return dpt.dpt_forward(pyramid.join([a, b]), params, cfg)
 
         rng = np.random.default_rng(26)
         a = Tensor(rng.normal(size=(8, 3, 3)))
@@ -294,14 +303,56 @@ class TestDptForward:
         assert grad_check(op, [a, b], tolerance=1e-3).passed
 
 
+def per_grid_layer(grids, params, cfg, layer):
+    """``dpt.dpt_layer`` written as one conv and group-norm call per grid."""
+    base = f"dpt.layer{layer}"
+
+    def norm(x, name):
+        return T.group_norm(x, cfg.gn_groups, params[f"{base}.{name}.gamma"], params[f"{base}.{name}.beta"])
+
+    rc = [norm(dpt.row_column_attention(g, params, cfg, layer), "gn_rc") for g in grids]
+    cs = [norm(g + d, "gn_cs") for g, d in zip(rc, dpt.cross_scale_attention(rc, params, cfg, layer))]
+    out = []
+    for g in cs:
+        hidden = T.conv2d(g, params[f"{base}.clcg.conv1.w"], bias=params[f"{base}.clcg.conv1.b"])
+        inner = T.conv2d(T.leaky_relu(hidden), params[f"{base}.clcg.conv2.w"], bias=params[f"{base}.clcg.conv2.b"])
+        out.append(norm(inner + g, "clcg.gn"))
+    return out
+
+
+class TestDptLayer:
+    @pytest.mark.parametrize("sides", [(8, 6, 4), (12, 10, 8, 6, 4)])
+    def test_equals_per_grid_calls(self, sides):
+        # byte for byte, in the output and in the gradient of the input and of
+        # every parameter: the shared weights' per-grid gradients add up in
+        # grid order either way
+        cfg = cfg_for(sides=sides)
+        grids = random_grids(cfg, seed=31)
+        g = np.random.default_rng(32).normal(size=(cfg.channels, sum(s * s for s in sides)))
+        results = []
+        for pyramid_form in (True, False):
+            params = dpt.init_dpt_params(cfg, np.random.default_rng(30))
+            if pyramid_form:
+                inputs = [Tensor(as_pyramid(grids).data, requires_grad=True)]
+                out = dpt.dpt_layer(inputs[0], params, cfg, 0)
+            else:
+                inputs = [Tensor(a, requires_grad=True) for a in grids]
+                out = pyramid.join(per_grid_layer(inputs, params, cfg, 0))
+            out.backward(g)
+            dx = inputs[0].grad if pyramid_form else as_pyramid([t.grad for t in inputs]).data
+            results.append([out.data.tobytes(), dx.tobytes()]
+                           + [params[name].grad.tobytes() for name in sorted(params)])
+        assert results[0] == results[1]
+
+
 class TestAllScale:
     def test_token_count_and_shape_restoration(self):
         cfg = cfg_for(sides=(4, 2), e=8, heads=2, groups=2)
         params = dpt.init_all_scale_params(cfg, np.random.default_rng(27))
         pyr = random_pyramid(cfg, seed=28)
-        assert sum(g.shape[1] ** 2 for g in pyr) == 20
+        assert pyr.shape == (8, 20)
         out = dpt.all_scale_attention(pyr, params, cfg)
-        assert [g.shape for g in out] == [(8, 4, 4), (8, 2, 2)]
+        assert out.shape == (8, 20)
 
     def test_instrumented_count_is_square_of_tokens(self):
         cfg = cfg_for(sides=(4, 2), e=8, heads=2, groups=2)

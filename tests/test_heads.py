@@ -17,14 +17,14 @@ def cfg_for(sides=(4, 2), e=8, n=5):
 
 def feature_pyramid(cfg, seed=0):
     rng = np.random.default_rng(seed)
-    return [Tensor(rng.normal(size=(cfg.channels, s, s))) for s in cfg.grid_sides]
+    return pyramid.join([Tensor(rng.normal(size=(cfg.channels, s, s))) for s in cfg.grid_sides])
 
 
 class TestPartitionForward:
     def test_matrix_shape(self):
         cfg = cfg_for(sides=(4, 2), n=5)
         params = heads.init_partition_head_params(cfg, np.random.default_rng(0))
-        pm = heads.partition_forward(feature_pyramid(cfg), params)
+        pm = heads.partition_forward(feature_pyramid(cfg), params, cfg)
         assert pm.shape == (20, 5)
         assert len(cell_origins(cfg.grid_sides)) == 20
 
@@ -33,13 +33,13 @@ class TestPartitionForward:
         params = heads.init_partition_head_params(cfg, np.random.default_rng(1))
         params["partition.w"].data[:] = 0.0
         params["partition.b"].data[:] = 0.0
-        pm = heads.partition_forward(feature_pyramid(cfg), params)
+        pm = heads.partition_forward(feature_pyramid(cfg), params, cfg)
         np.testing.assert_allclose(pm.data, 0.5)
 
     def test_open_interval(self):
         cfg = cfg_for()
         params = heads.init_partition_head_params(cfg, np.random.default_rng(2))
-        pm = heads.partition_forward(feature_pyramid(cfg, seed=3), params)
+        pm = heads.partition_forward(feature_pyramid(cfg, seed=3), params, cfg)
         assert (pm.data > 0.0).all() and (pm.data < 1.0).all()
 
     def test_cell_order_round_trip(self):

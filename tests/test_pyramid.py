@@ -30,32 +30,30 @@ def encode(image, params, cfg):
 
 def test_encode_shapes(cfg, params):
     image = Tensor(np.random.default_rng(1).random(size=(3, 64, 64)))
-    grids = encode(image, params, cfg)
-    assert [g.shape for g in grids] == [(16, 8, 8), (16, 6, 6), (16, 4, 4)]
+    features = encode(image, params, cfg)
+    assert features.shape == (16, 8 * 8 + 6 * 6 + 4 * 4)
+    views = pyramid.grid_views(features, pyramid.grid_shapes(cfg))
+    assert [g.shape for g in views] == [(16, 8, 8), (16, 6, 6), (16, 4, 4)]
 
 
 def test_encode_zero_image_zero_affine(cfg, params):
     for i in range(4):
         params[f"encoder.stage{i}.gn_gamma"].data[:] = 0.0
         params[f"encoder.stage{i}.gn_beta"].data[:] = 0.0
-    grids = encode(Tensor(np.zeros((3, 64, 64))), params, cfg)
-    for g in grids:
-        np.testing.assert_array_equal(g.data, 0.0)
+    features = encode(Tensor(np.zeros((3, 64, 64))), params, cfg)
+    np.testing.assert_array_equal(features.data, 0.0)
 
 
 def test_encode_deterministic(cfg):
     image = Tensor(np.random.default_rng(2).random(size=(3, 64, 64)))
     a = encode(image, pyramid.init_encoder_params(cfg, np.random.default_rng(7)), cfg)
     b = encode(image, pyramid.init_encoder_params(cfg, np.random.default_rng(7)), cfg)
-    for ga, gb in zip(a, b):
-        np.testing.assert_array_equal(ga.data, gb.data)
+    np.testing.assert_array_equal(a.data, b.data)
 
 
 def test_encode_finite(cfg, params):
     image = Tensor(np.random.default_rng(3).normal(size=(3, 64, 64)) * 5)
-    grids = encode(image, params, cfg)
-    for g in grids:
-        assert np.isfinite(g.data).all()
+    assert np.isfinite(encode(image, params, cfg).data).all()
 
 
 def test_encode_rejects_indivisible_size(cfg, params):
@@ -66,20 +64,18 @@ def test_encode_rejects_indivisible_size(cfg, params):
 class TestPositionalEncoding:
     def test_zero_input_yields_encoding(self, cfg):
         pe_params = pyramid.init_posenc_params(cfg)
-        grids = [Tensor(np.zeros((16, s, s))) for s in (8, 6, 4)]
-        out = pyramid.add_positional_encoding(grids, pe_params)
-        for g in out:
+        out = pyramid.add_positional_encoding(Tensor(np.zeros((16, 116))), pe_params, cfg)
+        for g in pyramid.grid_views(out, pyramid.grid_shapes(cfg)):
             side = g.shape[1]
             np.testing.assert_array_equal(g.data, pyramid.sinusoid_encoding(16, side, side))
 
     def test_bias_follows_list_position(self, cfg):
-        # grid i takes posenc.scale{i}.bias: a grid's list position is its scale index
+        # grid i takes posenc.scale{i}.bias: a grid's position in the pyramid is its scale index
         pe_params = pyramid.init_posenc_params(cfg)
         for i in range(3):
             pe_params[f"posenc.scale{i}.bias"].data[:] = i + 1.0
-        grids = [Tensor(np.zeros((16, s, s))) for s in (8, 6, 4)]
-        out = pyramid.add_positional_encoding(grids, pe_params)
-        for i, g in enumerate(out):
+        out = pyramid.add_positional_encoding(Tensor(np.zeros((16, 116))), pe_params, cfg)
+        for i, g in enumerate(pyramid.grid_views(out, pyramid.grid_shapes(cfg))):
             side = g.shape[1]
             np.testing.assert_array_equal(g.data, pyramid.sinusoid_encoding(16, side, side) + (i + 1.0))
 
@@ -94,9 +90,8 @@ class TestPositionalEncoding:
     def test_shape_preserved(self, cfg):
         pe_params = pyramid.init_posenc_params(cfg)
         rng = np.random.default_rng(4)
-        grids = [Tensor(rng.normal(size=(16, s, s))) for s in (8, 6, 4)]
-        out = pyramid.add_positional_encoding(grids, pe_params)
-        assert [g.shape for g in out] == [(16, 8, 8), (16, 6, 6), (16, 4, 4)]
+        out = pyramid.add_positional_encoding(Tensor(rng.normal(size=(16, 116))), pe_params, cfg)
+        assert out.shape == (16, 116)
 
     def test_odd_channels_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -11,8 +11,10 @@ from psrank import train
 from psrank.errors import ConfigurationError, DimensionError
 from psrank.tensor import Parameter, Tensor
 
+from gradcheck import grad_check
 from oracles import (AttentionPairs, attention_reduce_oracle, attention_reference, conv2d_gather_oracle,
-                     conv2d_reference, conv2d_reference_grads, tape_nodes, transpose_oracle)
+                     conv2d_reference, conv2d_reference_grads, group_norm_oracle, take_scatter_oracle, tape_nodes,
+                     transpose_oracle)
 
 
 def bilinear_1d_oracle(values, dst):
@@ -352,6 +354,19 @@ class TestShortAxisReductions:
         total = T._row_sum(np.full((2, 5), -0.0))
         assert not np.signbit(total).any()
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(st.integers(1, 4), st.integers(8, 40)).flatmap(
+        lambda shape, elements=values: hnp.arrays(np.float64, shape, elements=elements)))
+    @example(np.array([[-0.0] * 5 + [0.0] * 4]))
+    @example(np.array([[0.0] * 9 + [-0.0] * 3]))
+    def test_long_axis_max_equals_numpy_up_to_zero_sign(self, a):
+        got, want = T._row_max(a), a.max(axis=-1, keepdims=True)
+        assert np.array_equal(got, want)
+        nonzero = want != 0.0
+        assert got[nonzero].tobytes() == want[nonzero].tobytes()
+        # which the softmax it feeds cannot see: a - (±0) is the same for every a
+        assert np.exp(a - got).tobytes() == np.exp(a - want).tobytes()
+
     @pytest.mark.parametrize("n", [8, 12, 116])
     def test_long_axis_takes_numpy_path(self, n):
         # a row whose sequential sum is 1 while numpy's pairwise sum is 0
@@ -424,6 +439,153 @@ class TestKernelsMatchPlainForms:
         assert got == want
 
 
+# toy64's and full128's grids, a one-grid pyramid, and non-square grids
+PYRAMIDS = [((8, 8), (6, 6), (4, 4)), ((12, 12), (10, 10), (8, 8), (6, 6), (4, 4)), ((7, 7),),
+            ((5, 3), (3, 4))]
+
+
+def grid_blocks(x, grids):
+    """Each (h, w) grid's (C, h, w) block of a (C, K) array."""
+    out, lo = [], 0
+    for h, w in grids:
+        out.append(x[:, lo : lo + h * w].reshape(x.shape[0], h, w))
+        lo += h * w
+    return out
+
+
+def flat(blocks):
+    return np.concatenate([b.reshape(b.shape[0], -1) for b in blocks], axis=1)
+
+
+class TestPyramidForms:
+    """``conv2d`` and ``group_norm`` over a (C, K) pyramid equal one call per
+    grid, byte for byte, in the output and in every gradient. The per-grid
+    calls accumulate a shared weight's gradient one grid at a time, in grid
+    order (the order the tape runs them in), and so must the pyramid form.
+    """
+
+    @staticmethod
+    def compare(op, grids, x, params, seed):
+        """Bytes of (output, dx, parameter grads) of ``op`` run once over the
+        pyramid and once per grid, the grids' outputs concatenated."""
+        g = None
+        results = []
+        for pyramid_form in (True, False):
+            ps = [Tensor(p, requires_grad=True) for p in params]
+            if pyramid_form:
+                xs = [Tensor(x, requires_grad=True)]
+                out = op(xs[0], *ps, grids=grids)
+            else:
+                xs = [Tensor(b, requires_grad=True) for b in grid_blocks(x, grids)]
+                outs = [op(xb, *ps) for xb in xs]
+                out = T.concat([T.reshape(o, (o.shape[0], -1)) for o in outs], axis=1)
+            if g is None:
+                g = np.random.default_rng(seed).normal(size=out.shape)
+            out.backward(g)
+            dx = xs[0].grad if pyramid_form else flat([t.grad for t in xs])
+            results.append([out.data.tobytes(), dx.tobytes()] + [p.grad.tobytes() for p in ps])
+        return results
+
+    @pytest.mark.parametrize("grids", PYRAMIDS)
+    @pytest.mark.parametrize("k, stride, padding, bias", [
+        (3, 1, None, True),  # cgr, clcg and the heads
+        (3, 1, None, False),
+        (1, 1, None, True),  # pointwise: the input is its own columns
+        (3, 2, None, True),  # strided, as the encoder runs one grid
+        (3, 1, 0, False),
+    ])
+    def test_conv2d_equals_per_grid_calls(self, grids, k, stride, padding, bias):
+        rng = np.random.default_rng(len(grids) + k + stride)
+        cells = sum(h * w for h, w in grids)
+        x = rng.normal(size=(5, cells))
+        params = [rng.normal(size=(4, 5, k, k))] + ([rng.normal(size=4)] if bias else [])
+
+        def op(x, w, *b, grids=None):
+            return T.conv2d(x, w, bias=b[0] if b else None, stride=stride, padding=padding, grids=grids)
+
+        pyramid_form, per_grid = self.compare(op, grids, x, params, seed=1)
+        assert pyramid_form == per_grid
+
+    @pytest.mark.parametrize("grids", PYRAMIDS)
+    @pytest.mark.parametrize("groups", [1, 4])
+    def test_group_norm_equals_per_grid_calls(self, grids, groups):
+        rng = np.random.default_rng(len(grids) + groups)
+        cells = sum(h * w for h, w in grids)
+        x = rng.normal(size=(8, cells)) * 3 + 1
+        params = [rng.normal(size=8), rng.normal(size=8)]
+
+        def op(x, gamma, beta, grids=None):
+            return T.group_norm(x, groups, gamma, beta, grids=grids)
+
+        pyramid_form, per_grid = self.compare(op, grids, x, params, seed=2)
+        assert pyramid_form == per_grid
+
+    @pytest.mark.parametrize("shape, groups", [((8, 5, 3), 4), ((16, 12, 12), 4), ((4, 1, 1), 2)])
+    def test_one_grid_group_norm_equals_plain_form(self, shape, groups):
+        rng = np.random.default_rng(sum(shape))
+        arrays = [rng.normal(size=shape), rng.normal(size=shape[0]), rng.normal(size=shape[0])]
+        got, want = (outputs_and_grads(lambda *ts: norm(ts[0], groups, *ts[1:]), arrays, 3)
+                     for norm in (T.group_norm, group_norm_oracle))
+        assert got == want
+
+    def test_conv2d_gradcheck(self):
+        grids = ((3, 3), (2, 2), (1, 1))
+        rng = np.random.default_rng(20)
+        x = Tensor(rng.normal(size=(2, 14)))
+        w = Tensor(rng.normal(size=(3, 2, 3, 3)))
+        b = Tensor(rng.normal(size=3))
+        assert grad_check(lambda x, w, b: T.conv2d(x, w, bias=b, grids=grids), [x, w, b], tolerance=1e-3).passed
+
+    def test_group_norm_gradcheck(self):
+        grids = ((3, 3), (2, 2))
+        rng = np.random.default_rng(21)
+        x = Tensor(rng.normal(size=(4, 13)) * 2 + 1)
+        gamma, beta = Tensor(rng.normal(size=4)), Tensor(rng.normal(size=4))
+        assert grad_check(lambda x, g, b: T.group_norm(x, 2, g, b, grids=grids),
+                          [x, gamma, beta], tolerance=1e-3).passed
+
+    def test_pyramid_width_checked(self):
+        with pytest.raises(DimensionError, match=r"\(C, 20\) pyramid"):
+            T.conv2d(Tensor(np.zeros((2, 19))), Tensor(np.zeros((1, 2, 3, 3))), grids=((4, 4), (2, 2)))
+        with pytest.raises(DimensionError, match=r"\(C, 20\) pyramid"):
+            T.group_norm(Tensor(np.zeros((2, 4, 5))), 1, Tensor(np.ones(2)), Tensor(np.zeros(2)),
+                         grids=((4, 4), (2, 2)))
+
+
+class TestTakeBackward:
+    # g holds -0.0 among its values: both forms must turn it into +0.0
+    @pytest.mark.parametrize("shape, idx", [
+        ((16, 360), (slice(None), slice(100, 244))),  # a pyramid's column block
+        ((5, 16, 12, 12), 2),  # the cross route's mixed[i]
+        ((6, 4), slice(1, 5, 2)),
+        ((3, 4, 5), (1, slice(None), 3)),
+        ((3, 4, 5), (np.int64(2), slice(-3, None))),
+    ])
+    def test_basic_index_equals_add_at_form(self, shape, idx):
+        rng = np.random.default_rng(len(shape))
+        a = rng.normal(size=shape)
+
+        def op(take):
+            # a second consumer makes the take add into an existing gradient
+            return lambda t: T.concat([T.reshape(take(t, idx), (-1,)), T.reshape(t * 2.0, (-1,))], axis=0)
+
+        got, want = (outputs_and_grads(op(take), [a], 4) for take in (T.take, take_scatter_oracle))
+        assert got == want
+        x = Tensor(a, requires_grad=True)
+        sel = T.take(x, idx)
+        sel.backward(np.where(rng.random(sel.shape) < 0.5, -0.0, 1.0))
+        assert not np.signbit(x.grad).any()
+
+    def test_repeated_fancy_index_accumulates(self):
+        a = np.random.default_rng(5).normal(size=(4, 3))
+        idx = np.array([0, 2, 2, 3, 2])
+        got, want = (outputs_and_grads(lambda t: take(t, idx), [a], 6) for take in (T.take, take_scatter_oracle))
+        assert got == want
+        x = Tensor(a, requires_grad=True)
+        T.tsum(x[idx]).backward()
+        np.testing.assert_array_equal(x.grad, [[1, 1, 1], [0, 0, 0], [3, 3, 3], [1, 1, 1]])
+
+
 class TestAutogradBasics:
     def test_sum_of_squares_gradient(self):
         x = Tensor([1.0, 2.0], requires_grad=True)
@@ -470,6 +632,22 @@ class TestAutogradBasics:
         x = Tensor(np.zeros((2, 3)), requires_grad=True)
         T._accumulate(x, np.array([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(x.grad, [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
+
+    def test_first_gradient_turns_negative_zero_positive(self):
+        # 0 + g, as a zeros-then-add first write gives
+        x = Tensor(np.zeros(3), requires_grad=True)
+        T._accumulate(x, np.array([-0.0, 1.0, -2.0]))
+        assert x.grad.tobytes() == (np.zeros(3) + np.array([-0.0, 1.0, -2.0])).tobytes()
+
+    def test_backward_frees_interior_gradients(self):
+        leaf = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        p = Parameter(np.array([3.0, 4.0]))
+        interior = leaf * p
+        loss = T.tsum(interior)
+        loss.backward()
+        assert interior.grad is None and loss.grad is None
+        np.testing.assert_array_equal(leaf.grad, [3.0, 4.0])
+        np.testing.assert_array_equal(p.grad, [1.0, 2.0])
 
     def test_take_scatter_gradient(self):
         x = Tensor(np.arange(6, dtype=float).reshape(3, 2), requires_grad=True)
