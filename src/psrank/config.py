@@ -64,8 +64,13 @@ class ModelConfig:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ConfigurationError(f"{name} must lie in (0,1), got {v}")
-        if self.partition_weight < 0 or self.mask_weight < 0:
-            raise ConfigurationError("loss weights must be nonnegative")
+        for name in ("partition_weight", "mask_weight"):
+            v = getattr(self, name)
+            if not 0.0 <= v < math.inf:  # NaN fails this too; it trained into NaN
+                raise ConfigurationError(f"loss weights must be finite and nonnegative, got {name}={v}")
+        # a NaN or >= 1 floor keeps no row, so predict silently returns nothing
+        if not 0.0 <= self.objectness_floor < 1.0:
+            raise ConfigurationError(f"objectness_floor must lie in [0, 1), got {self.objectness_floor}")
         if self.head_type not in ("partition", "sorting"):
             raise ConfigurationError(f"unknown head type {self.head_type!r}")
 

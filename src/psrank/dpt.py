@@ -1,9 +1,12 @@
 """Feature interaction over the grid pyramid.
 
-The pyramid is one (E, K) tensor laid out as ``pyramid`` describes. Layers
-with weights shared across scales (cgr, clcg, the group norms and the
-residual adds that close each route) run once over it; the attention routes
-run per grid, on ``pyramid.grid_views``.
+The pyramid is one (E, K) tensor laid out as ``pyramid`` describes, and
+every block here (cgr, the routes, clcg, a layer, the stack) maps an (E, K)
+pyramid to an (E, K) pyramid. Layers with weights shared across scales run
+once over it. The row/column route attends within each grid's rows and
+columns; the cross-scale route resamples the whole pyramid up to its largest
+grid, attends across scales at each location, and resamples back, one
+``tensor.interpolate`` each way.
 
 Each layer runs three attention routes — within-row, within-column, and
 across scales at aligned locations — instead of one joint attention over
@@ -69,33 +72,34 @@ def _attn(x: Tensor, heads: int, params, prefix: str) -> Tensor:
                                   params[f"{prefix}.wv"], params[f"{prefix}.wo"])
 
 
-def row_column_attention(x: Tensor, params, cfg: ModelConfig, layer: int = 0) -> Tensor:
-    """Attention along each row, then each column, each with a residual.
-    ``x`` is one (E, H, W) grid; ``dpt_layer`` group-normalizes the result.
+def row_column_attention(x: Tensor, grids, params, cfg: ModelConfig, layer: int = 0) -> Tensor:
+    """Attention along each row, then each column, each with a residual, in
+    every (h, w) grid of the (E, K) pyramid ``x``; ``dpt_layer``
+    group-normalizes the result.
     """
     base = f"dpt.layer{layer}"
-    rows = T.transpose(x, (1, 2, 0))  # (H, W, E): rows as batch, width as sequence
-    x = x + T.transpose(_attn(rows, cfg.attn_heads, params, f"{base}.row"), (2, 0, 1))
-    cols = T.transpose(x, (2, 1, 0))  # (W, H, E): columns as batch, height as sequence
-    return x + T.transpose(_attn(cols, cfg.attn_heads, params, f"{base}.col"), (2, 1, 0))
+    out = []
+    for g in pyramid.grid_views(x, grids):
+        rows = T.transpose(g, (1, 2, 0))  # (h, w, E): rows as batch, width as sequence
+        g = g + T.transpose(_attn(rows, cfg.attn_heads, params, f"{base}.row"), (2, 0, 1))
+        cols = T.transpose(g, (2, 1, 0))  # (w, h, E): columns as batch, height as sequence
+        out.append(g + T.transpose(_attn(cols, cfg.attn_heads, params, f"{base}.col"), (2, 1, 0)))
+    return pyramid.join(out)
 
 
-def cross_scale_attention(grids: list[Tensor], params, cfg: ModelConfig, layer: int = 0) -> list[Tensor]:
-    """Resample every (E, h, w) grid to the largest one, attend across the S
-    per-scale vectors at each location, and resample the result back: one
-    update per grid, which ``dpt_layer`` adds residually.
+def cross_scale_attention(x: Tensor, grids, params, cfg: ModelConfig, layer: int = 0) -> Tensor:
+    """Resample every (h, w) grid of the (E, K) pyramid ``x`` to the largest
+    one, attend across the S per-scale vectors at each location, and resample
+    the result back: the update that ``dpt_layer`` adds residually.
     """
     base = f"dpt.layer{layer}"
-    hmax = max(g.shape[1] for g in grids)
-    wmax = max(g.shape[2] for g in grids)
-    n_scales = len(grids)
-    e = grids[0].shape[0]
-    up = [T.interpolate(g, (hmax, wmax)) for g in grids]
-    piled = T.stack(up, axis=0)  # (S, E, Hm, Wm)
-    tokens = T.reshape(T.transpose(piled, (2, 3, 0, 1)), (hmax * wmax, n_scales, e))
+    e, n_scales = x.shape[0], len(grids)
+    hmax, wmax = max(h for h, _ in grids), max(w for _, w in grids)
+    largest = ((hmax, wmax),) * n_scales  # every grid at the largest grid's size
+    up = T.interpolate(x, largest, grids=grids)  # (E, S*Hm*Wm)
+    tokens = T.transpose(T.reshape(up, (e, n_scales, hmax * wmax)), (2, 1, 0))  # (Hm*Wm, S, E)
     mixed = _attn(tokens, cfg.attn_heads, params, f"{base}.cross")
-    mixed = T.transpose(T.reshape(mixed, (hmax, wmax, n_scales, e)), (2, 3, 0, 1))
-    return [T.interpolate(mixed[i], (g.shape[1], g.shape[2])) for i, g in enumerate(grids)]
+    return T.interpolate(T.reshape(T.transpose(mixed, (2, 1, 0)), (e, -1)), grids, grids=largest)
 
 
 def clcg(x: Tensor, params, cfg: ModelConfig, layer: int = 0) -> Tensor:
@@ -110,17 +114,15 @@ def clcg(x: Tensor, params, cfg: ModelConfig, layer: int = 0) -> Tensor:
 
 
 def dpt_layer(x: Tensor, params, cfg: ModelConfig, layer: int) -> Tensor:
-    """Row/column routes per grid, then cross-scale, then clcg; each route
-    closes with one group norm over the whole pyramid.
+    """Row/column routes, then cross-scale, then clcg; each route closes with
+    one group norm over the whole pyramid.
     """
     base = f"dpt.layer{layer}"
     grids = pyramid.grid_shapes(cfg)
-    rc = pyramid.join([row_column_attention(g, params, cfg, layer) for g in pyramid.grid_views(x, grids)])
-    rc = T.group_norm(rc, cfg.gn_groups, params[f"{base}.gn_rc.gamma"], params[f"{base}.gn_rc.beta"],
-                      grids=grids)
-    delta = pyramid.join(cross_scale_attention(pyramid.grid_views(rc, grids), params, cfg, layer))
-    cs = T.group_norm(rc + delta, cfg.gn_groups, params[f"{base}.gn_cs.gamma"], params[f"{base}.gn_cs.beta"],
-                      grids=grids)
+    rc = T.group_norm(row_column_attention(x, grids, params, cfg, layer), cfg.gn_groups,
+                      params[f"{base}.gn_rc.gamma"], params[f"{base}.gn_rc.beta"], grids=grids)
+    cs = T.group_norm(rc + cross_scale_attention(rc, grids, params, cfg, layer), cfg.gn_groups,
+                      params[f"{base}.gn_cs.gamma"], params[f"{base}.gn_cs.beta"], grids=grids)
     return clcg(cs, params, cfg, layer)
 
 

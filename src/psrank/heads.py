@@ -19,10 +19,6 @@ from .pyramid import _stage_channels, conv_params, grid_shapes
 from .tensor import Parameter, Tensor
 
 
-def total_cells(grid_sides) -> int:
-    return sum(s * s for s in grid_sides)
-
-
 def _per_cell(f_hat: Tensor, w: Parameter, b: Parameter, cfg: ModelConfig) -> Tensor:
     """A 3x3 conv from E to C channels over the (E, K) pyramid, transposed
     to (K, C): one row per cell.
@@ -104,7 +100,7 @@ def assign_targets(instance_masks, cfg: ModelConfig, canvas: int) -> np.ndarray:
     sides = cfg.grid_sides
     edges = scale_size_edges(cfg, canvas)
     offsets = np.cumsum([0] + [s * s for s in sides])
-    cell_instance = np.full(total_cells(sides), -1, dtype=np.int64)
+    cell_instance = np.full(offsets[-1], -1, dtype=np.int64)
     for idx, mask in enumerate(instance_masks):
         area = float(mask.sum())
         if area == 0:

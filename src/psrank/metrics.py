@@ -14,6 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .errors import DataError
 from .p2r import mask_iou
 
 
@@ -154,8 +155,11 @@ def evaluate_images(per_image, n_ranks: int, canvas: int, iou_threshold: float =
     """Aggregate metrics over (preds, gts) pairs, one per image. ``preds``
     are RankedInstance lists; ``gts`` are (mask, rank) lists. Images where a
     correlation is undefined are excluded from that correlation's mean and
-    counted.
+    counted. No image raises ``DataError``: it has no MAE, and 0 would read
+    as a perfect score.
     """
+    if len(per_image) == 0:
+        raise DataError("evaluate_images needs at least one image")
     maes = []
     sors = []
     sasors = []
@@ -172,7 +176,7 @@ def evaluate_images(per_image, n_ranks: int, canvas: int, iou_threshold: float =
             sasors.append(p)
     mean_sor = float(np.mean(sors)) if sors else None
     return MetricReport(
-        mae=float(np.mean(maes)) if maes else 0.0,
+        mae=float(np.mean(maes)),
         sa_sor=float(np.mean(sasors)) if sasors else None,
         sor=mean_sor,
         sor_normalized=None if mean_sor is None else (mean_sor + 1.0) / 2.0,

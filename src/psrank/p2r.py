@@ -72,7 +72,7 @@ class AcceptedMasks:
         self.areas.append(np.count_nonzero(binary))
 
 
-def associate(masks, values, objectness_floor: float = 0.1) -> np.ndarray:
+def associate(masks, values, objectness_floor: float) -> np.ndarray:
     """Rows that pair a mask with a partition row whose best probability
     reaches ``objectness_floor``.
     """
@@ -95,7 +95,7 @@ def alleviate(values, rows, threshold: float) -> np.ndarray:
 
 
 def select_ranks(masks, values, rows, n_ranks: int, threshold: float, nms_iou: float,
-                 binarize_threshold: float = 0.5) -> list[RankedInstance]:
+                 binarize_threshold: float) -> list[RankedInstance]:
     """Iterative rank assignment over the alleviated ``rows``.
 
     For rank n the rows are walked in descending partition-n probability,
@@ -138,7 +138,7 @@ def select_ranks(masks, values, rows, n_ranks: int, threshold: float, nms_iou: f
 
 
 def partition_to_rank(masks, values, n_ranks: int, threshold: float, nms_iou: float,
-                      objectness_floor: float = 0.1, binarize_threshold: float = 0.5) -> list[RankedInstance]:
+                      objectness_floor: float, binarize_threshold: float) -> list[RankedInstance]:
     """Full pipeline: associate -> alleviate -> iterative selection."""
     rows = associate(masks, values, objectness_floor)
     return select_ranks(masks, values, alleviate(values, rows, threshold), n_ranks, threshold, nms_iou,

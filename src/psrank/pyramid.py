@@ -9,11 +9,13 @@ A pyramid is one (E, K) tensor holding the cells of every grid: column k is
 cell k, the grids in scale order (finest first), each grid's cells row-major
 with x fastest. That is the row order of every head's (K, C) output, so
 column k and row k describe the same cell. ``grid_shapes`` gives each grid's
-(h, w), the ``grids`` argument of ``tensor.conv2d`` and ``tensor.group_norm``,
-which run once over the whole pyramid. ``grid_views`` cuts a pyramid into its
-per-grid (E, h, w) column blocks for the layers that run one grid at a time,
-and ``join`` puts such grids back together. The conv, group-norm and attention
-initializers every module shares live here too.
+(h, w), the ``grids`` argument of ``tensor.conv2d``, ``tensor.group_norm`` and
+``tensor.interpolate``, which run once over the whole pyramid. Every DPT
+block maps an (E, K) pyramid to an (E, K) pyramid. ``grid_views`` cuts a
+pyramid into its per-grid (E, h, w) column blocks, for the row/column route
+that attends within one grid at a time, and ``join`` puts such grids (or the
+encoder stages' resampled maps) back together. The conv, group-norm and
+attention initializers every module shares live here too.
 """
 
 from __future__ import annotations

@@ -29,7 +29,7 @@ def sorting_head_forward(f_hat: Tensor, params, cfg: ModelConfig) -> Tensor:
 
 
 def sort_to_ranks(scores: np.ndarray, masks, n_ranks: int, nms_iou: float,
-                  binarize_threshold: float = 0.5) -> list[RankedInstance]:
+                  binarize_threshold: float) -> list[RankedInstance]:
     """Greedy decode: non-background argmax cells ordered by confidence (ties
     to the lower row); a candidate is dropped if its class is already taken or
     its mask overlaps an accepted one beyond the NMS threshold. The accepted

@@ -20,9 +20,11 @@ cost. A longer axis halves its row max with ``np.maximum`` first (the rows
 of 8-12 keys of the larger grids' row and column routes), and keeps numpy's
 sum, whose pairwise order a chain would only slow down.
 
-``conv2d`` and ``group_norm`` take one (C, H, W) grid, or with ``grids`` a
-(C, K) pyramid: column k is cell k, the cells of each (h, w) grid in turn,
-row-major. One grid is the one-entry pyramid of the same code.
+``conv2d``, ``group_norm`` and ``interpolate`` take one (C, H, W) grid, or
+with ``grids`` a (C, K) pyramid: column k is cell k, the cells of each (h, w)
+grid in turn, row-major. One grid is the one-entry pyramid of the same code.
+``interpolate`` resamples each grid to its own (h', w') with two matmuls (one
+per axis), or copies it when it keeps its size.
 
 ``conv2d`` is im2col + GEMM. A 1x1, stride-1, unpadded kernel takes the input
 itself as its columns, and its backward's dx is the column gradient reshaped.
@@ -690,24 +692,41 @@ def _interp_matrix(src: int, dst: int) -> np.ndarray:
     return m
 
 
-def interpolate(x, size) -> Tensor:
-    """Bilinear resample of ``x`` [C,H,W] to spatial ``size`` (H', W')."""
+def interpolate(x, size, grids=None) -> Tensor:
+    """Bilinear resample of one [C,H,W] grid to ``size`` (H', W'), or with
+    ``grids`` of each grid of a [C,K] pyramid to its own entry of ``size``,
+    a tuple of (h', w') per grid, giving a [C,K'] pyramid (see ``conv2d``).
+    A grid already at its size is copied.
+    """
     x = _as_tensor(x)
-    c, h, w = x.data.shape
-    h2, w2 = int(size[0]), int(size[1])
-    if (h2, w2) == (h, w):
-        out = x.data.copy()
+    data, shapes = _columns(x, grids)
+    sizes = ((int(size[0]), int(size[1])),) if grids is None else tuple((int(h), int(w)) for h, w in size)
+    if len(sizes) != len(shapes):
+        raise DimensionError(f"interpolate: {len(sizes)} sizes for {len(shapes)} grids")
+    c = data.shape[0]
+    # each grid's row and column matrices, None where the grid keeps its size
+    maps = [None if s == d else (_interp_matrix(s[0], d[0]), _interp_matrix(s[1], d[1]).T)
+            for s, d in zip(shapes, sizes)]
 
-        def backward_identity(g):
-            _accumulate(x, g)
+    def resample(a, a_grids, out_grids, mats):
+        """Grid i of the (c, ·) array ``a`` as mats[i][0] @ grid @ mats[i][1], or copied where mats[i] is None."""
+        res = np.empty((c, _column_bounds(out_grids)[-1][1]))
+        for ga, go, (lo, hi), (lo2, hi2), m in zip(a_grids, out_grids, _column_bounds(a_grids),
+                                                   _column_bounds(out_grids), mats):
+            block, target = a[:, lo:hi].reshape((c,) + ga), res[:, lo2:hi2].reshape((c,) + go)
+            if m is None:
+                target[...] = block
+            else:
+                np.matmul(np.matmul(m[0], block), m[1], out=target)
+        return res
 
-        return _result(out, (x,), backward_identity)
-    wh = _interp_matrix(h, h2)
-    wwt = _interp_matrix(w, w2).T
-    out = np.matmul(np.matmul(wh, x.data), wwt)
+    out = resample(data, shapes, sizes, maps)
+    if grids is None:
+        out = out.reshape((c,) + sizes[0])
 
     def backward(g):
-        _accumulate(x, np.matmul(np.matmul(wh.T, g), wwt.T))
+        adjoints = [None if m is None else (m[0].T, m[1].T) for m in maps]
+        _accumulate(x, resample(g.reshape(c, -1), sizes, shapes, adjoints).reshape(x.data.shape))
 
     return _result(out, (x,), backward)
 

@@ -2,9 +2,10 @@
 against, deliberately naive (literal loops, no vectorisation, or composed
 from primitive tape ops); the plain forms of tensor kernels that production
 code shortcuts (numpy reductions, a gather for every conv), which the
-shortcuts must equal byte for byte, one grid at a time; a mask view that records what a decode
-reads, and a counter and closed-form counts of the query-key pairs attention
-forms.
+shortcuts must equal byte for byte, one grid at a time; the per-grid form of
+the DPT's row/column and cross-scale routes, which their pyramid form must
+equal byte for byte; a mask view that records what a decode reads, and a
+counter and closed-form counts of the query-key pairs attention forms.
 """
 
 from __future__ import annotations
@@ -223,6 +224,35 @@ def attention_reduce_oracle(x, heads: int, wq, wk, wv, wo) -> Tensor:
     return T._result(out, (x, wq, wk, wv, wo), backward)
 
 
+def _route_attention(x, params, cfg, name: str) -> Tensor:
+    return T.multi_head_attention(x, cfg.attn_heads, params[f"{name}.wq"], params[f"{name}.wk"],
+                                  params[f"{name}.wv"], params[f"{name}.wo"])
+
+
+def row_column_reference(x, params, cfg, layer: int = 0) -> Tensor:
+    """``dpt.row_column_attention`` on one (E, h, w) grid, in its per-grid form."""
+    base = f"dpt.layer{layer}"
+    rows = T.transpose(x, (1, 2, 0))
+    x = x + T.transpose(_route_attention(rows, params, cfg, f"{base}.row"), (2, 0, 1))
+    cols = T.transpose(x, (2, 1, 0))
+    return x + T.transpose(_route_attention(cols, params, cfg, f"{base}.col"), (2, 1, 0))
+
+
+def cross_scale_reference(grids, params, cfg, layer: int = 0) -> list[Tensor]:
+    """``dpt.cross_scale_attention`` over a list of (E, h, w) grids, in its
+    per-grid form: one resample of each grid up to the largest, a stack, the
+    attention, and one resample of each scale's slice back down.
+    """
+    hmax = max(g.shape[1] for g in grids)
+    wmax = max(g.shape[2] for g in grids)
+    n_scales, e = len(grids), grids[0].shape[0]
+    piled = T.stack([T.interpolate(g, (hmax, wmax)) for g in grids], axis=0)  # (S, E, Hm, Wm)
+    tokens = T.reshape(T.transpose(piled, (2, 3, 0, 1)), (hmax * wmax, n_scales, e))
+    mixed = _route_attention(tokens, params, cfg, f"dpt.layer{layer}.cross")
+    mixed = T.transpose(T.reshape(mixed, (hmax, wmax, n_scales, e)), (2, 3, 0, 1))
+    return [T.interpolate(mixed[i], (g.shape[1], g.shape[2])) for i, g in enumerate(grids)]
+
+
 def _padded_plane_index(wp: int, k: int, stride: int, ho: int, wo: int) -> np.ndarray:
     """Flat indices into one zero-padded plane of width ``wp``: entry
     ((i, j), (oy, ox)) reads the plane at (oy*stride + i, ox*stride + j).
@@ -294,6 +324,20 @@ def group_norm_oracle(x, groups: int, gamma, beta, eps: float = 1e-5) -> Tensor:
         T._accumulate(x, dxg.reshape(c, h, w))
 
     return T._result(out, (x, gamma, beta), backward)
+
+
+def interpolate_oracle(x, size) -> Tensor:
+    """``tensor.interpolate`` on one (C, H, W) grid: its row matrix, then its
+    column matrix, each a broadcast matmul over the channels, or a copy when
+    the size is kept.
+    """
+    x = T._as_tensor(x)
+    _, h, w = x.data.shape
+    if tuple(size) == (h, w):
+        return T._result(x.data.copy(), (x,), lambda g: T._accumulate(x, g))
+    wh, wwt = T._interp_matrix(h, size[0]), T._interp_matrix(w, size[1]).T
+    out = np.matmul(np.matmul(wh, x.data), wwt)
+    return T._result(out, (x,), lambda g: T._accumulate(x, np.matmul(np.matmul(wh.T, g), wwt.T)))
 
 
 def take_scatter_oracle(a, idx) -> Tensor:

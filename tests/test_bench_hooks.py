@@ -74,3 +74,20 @@ def test_repeated_predictions_pass_benchmark_checks():
             assert bench_run.same_prediction(model.predict(sample.image, params, cfg), first)
         found += len(first)
     assert found > 0
+
+
+def test_route_pairs_match_closed_form():
+    # the tracer reads each route's pairs from the shape of its attention call
+    cfg = toy_model_config()
+    tracer = bench_tracer.Tracer()
+    tracer.install()
+    try:
+        params = model.init_model_params(cfg, 0)
+        sample = data_synth.generate_scene(data_synth.GenConfig(), 3)
+        tracer.phase = "predict"
+        model.predict(sample.image, params, cfg)
+    finally:
+        tracer.uninstall()
+    expected = bench_tracer.attention_pairs_closed_form(cfg.grid_sides)
+    for route in bench_tracer.ROUTES:
+        assert tracer.counts[("predict", f"dpt.{route}.qk_pairs")] == expected[route] * cfg.dpt_layers, route

@@ -51,6 +51,17 @@ class TestModelConfigRejects:
         with pytest.raises(ConfigurationError, match="loss weights"):
             ModelConfig(**{name: -0.5})
 
+    @pytest.mark.parametrize("name, value", [("partition_weight", float("nan")), ("mask_weight", float("inf"))])
+    def test_loss_weight_not_finite(self, name, value):
+        with pytest.raises(ConfigurationError, match=f"loss weights must be finite and nonnegative, got {name}"):
+            ModelConfig(**{name: value})
+
+    # accepted, each of these floors made associate keep no row: predict returned nothing
+    @pytest.mark.parametrize("value", [float("nan"), 2.0, -1.0])
+    def test_objectness_floor_outside_unit_interval(self, value):
+        with pytest.raises(ConfigurationError, match="objectness_floor must lie in"):
+            ModelConfig(objectness_floor=value)
+
     def test_unknown_head_type(self):
         with pytest.raises(ConfigurationError, match="head type"):
             ModelConfig(head_type="ranking")

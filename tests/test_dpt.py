@@ -8,7 +8,7 @@ from psrank.config import ModelConfig
 from psrank.tensor import Tensor
 
 from gradcheck import grad_check
-from oracles import AttentionPairs, count_attention_pairs
+from oracles import AttentionPairs, count_attention_pairs, cross_scale_reference, row_column_reference
 
 
 def cfg_for(sides=(8, 6, 4), e=16, layers=1, conv_layers=1, heads=4, groups=4):
@@ -41,7 +41,14 @@ def blocks(x, sides):
 
 
 def equal_grid_pyramid(scales, height, width, channels, rng):
-    return [Tensor(rng.normal(size=(channels, height, width))) for _ in range(scales)]
+    """``scales`` random height x width grids as one (E, K) pyramid, and its grids."""
+    grids = [rng.normal(size=(channels, height, width)) for _ in range(scales)]
+    return as_pyramid(grids), ((height, width),) * scales
+
+
+def one_grid(x):
+    """One (E, h, w) array as a one-grid pyramid, and its grids."""
+    return as_pyramid([x]), (x.shape[1:],)
 
 
 PAIR_CFG = ModelConfig(max_rank=1, channels=8, grid_sides=(4, 2), attn_heads=2,
@@ -52,19 +59,19 @@ def measured_dpt_pairs(scales, height, width):
     """Query-key pairs one decomposed layer forms on ``scales`` equal grids."""
     rng = np.random.default_rng(0)
     params = dpt.init_dpt_params(PAIR_CFG, rng)
-    pyr = equal_grid_pyramid(scales, height, width, PAIR_CFG.channels, rng)
+    pyr, grids = equal_grid_pyramid(scales, height, width, PAIR_CFG.channels, rng)
     with T.no_grad(), AttentionPairs() as counted:
-        rc = [dpt.row_column_attention(g, params, PAIR_CFG, 0) for g in pyr]
-        dpt.cross_scale_attention(rc, params, PAIR_CFG, 0)
+        rc = dpt.row_column_attention(pyr, grids, params, PAIR_CFG, 0)
+        dpt.cross_scale_attention(rc, grids, params, PAIR_CFG, 0)
     return counted.pairs
 
 
 def measured_all_scale_pairs(scales, height, width):
     rng = np.random.default_rng(0)
     params = dpt.init_all_scale_params(PAIR_CFG, rng)
-    pyr = equal_grid_pyramid(scales, height, width, PAIR_CFG.channels, rng)
+    pyr, _ = equal_grid_pyramid(scales, height, width, PAIR_CFG.channels, rng)
     with T.no_grad(), AttentionPairs() as counted:
-        dpt.all_scale_attention(pyramid.join(pyr), params, PAIR_CFG)
+        dpt.all_scale_attention(pyr, params, PAIR_CFG)
     return counted.pairs
 
 
@@ -136,9 +143,8 @@ class TestRowColumnAttention:
     def test_shape(self):
         cfg = cfg_for(sides=(6, 4))
         params = dpt.init_dpt_params(cfg, np.random.default_rng(3))
-        g = Tensor(np.random.default_rng(4).normal(size=(16, 6, 6)))
-        out = dpt.row_column_attention(g, params, cfg)
-        assert out.shape == (16, 6, 6)
+        out = dpt.row_column_attention(*one_grid(np.random.default_rng(4).normal(size=(16, 6, 6))), params, cfg)
+        assert out.shape == (16, 36)
 
     def test_singleton_grid_oracle(self):
         # 1x1 grid: the attention weight is exactly 1, so each pass adds
@@ -146,12 +152,12 @@ class TestRowColumnAttention:
         cfg = cfg_for(sides=(4, 2), e=8, heads=2, groups=2)
         params = dpt.init_dpt_params(cfg, np.random.default_rng(5))
         x = np.random.default_rng(6).normal(size=(8, 1, 1))
-        out = dpt.row_column_attention(Tensor(x), params, cfg)
+        out = dpt.row_column_attention(*one_grid(x), params, cfg)
 
         vec = x[:, 0, 0]
         y = vec + vec @ params["dpt.layer0.row.wv"].data @ params["dpt.layer0.row.wo"].data
         z = y + y @ params["dpt.layer0.col.wv"].data @ params["dpt.layer0.col.wo"].data
-        np.testing.assert_allclose(out.data, z.reshape(8, 1, 1), atol=1e-10)
+        np.testing.assert_allclose(out.data, z.reshape(8, 1), atol=1e-10)
 
     def test_transpose_symmetry_single_pass(self):
         # with the column route zeroed out, only the row pass acts; feeding
@@ -168,9 +174,10 @@ class TestRowColumnAttention:
         for name in ("wq", "wk", "wv", "wo"):
             col_only[f"dpt.layer0.col.{name}"] = params[f"dpt.layer0.row.{name}"]
         x = rng.normal(size=(8, 3, 3))
-        out = dpt.row_column_attention(Tensor(x), row_only, cfg)
-        out_t = dpt.row_column_attention(Tensor(x.transpose(0, 2, 1)), col_only, cfg)
-        np.testing.assert_allclose(out_t.data, out.data.transpose(0, 2, 1), atol=1e-9)
+        out = dpt.row_column_attention(*one_grid(x), row_only, cfg)
+        out_t = dpt.row_column_attention(*one_grid(x.transpose(0, 2, 1)), col_only, cfg)
+        np.testing.assert_allclose(out_t.data.reshape(8, 3, 3), out.data.reshape(8, 3, 3).transpose(0, 2, 1),
+                                   atol=1e-9)
 
     def test_transpose_swap_equals_reversed_composition(self):
         # the row->column passes are sequential, so transposing plus swapping
@@ -184,7 +191,7 @@ class TestRowColumnAttention:
             swapped[f"dpt.layer0.row.{name}"] = params[f"dpt.layer0.col.{name}"]
             swapped[f"dpt.layer0.col.{name}"] = params[f"dpt.layer0.row.{name}"]
         x = rng.normal(size=(8, 3, 3))
-        out_t = dpt.row_column_attention(Tensor(x.transpose(0, 2, 1)), swapped, cfg)
+        out_t = dpt.row_column_attention(*one_grid(x.transpose(0, 2, 1)), swapped, cfg)
 
         def attend(data, route, axes_in, axes_out):
             seq = T.transpose(Tensor(data), axes_in)
@@ -196,7 +203,7 @@ class TestRowColumnAttention:
         # column-with-col-params first, then row-with-row-params
         y = x + attend(x, "col", (2, 1, 0), (2, 1, 0))
         z = y + attend(y, "row", (1, 2, 0), (2, 0, 1))
-        np.testing.assert_allclose(out_t.data, z.transpose(0, 2, 1), atol=1e-9)
+        np.testing.assert_allclose(out_t.data.reshape(8, 3, 3), z.transpose(0, 2, 1), atol=1e-9)
 
 
 class TestCrossScaleAttention:
@@ -205,18 +212,17 @@ class TestCrossScaleAttention:
         cfg = cfg_for(sides=(4, 2), e=8, heads=2, groups=2)
         params = dpt.init_dpt_params(cfg, np.random.default_rng(8))
         x = np.random.default_rng(9).normal(size=(8, 3, 3))
-        out = dpt.cross_scale_attention([Tensor(x)], params, cfg)
+        out = dpt.cross_scale_attention(*one_grid(x), params, cfg)
         wv = params["dpt.layer0.cross.wv"].data
         wo = params["dpt.layer0.cross.wo"].data
         delta = np.einsum("chw,cd->dhw", x, wv @ wo)
-        np.testing.assert_allclose(out[0].data, delta, atol=1e-10)
+        np.testing.assert_allclose(out.data.reshape(8, 3, 3), delta, atol=1e-10)
 
     def test_shape_restoration(self):
         cfg = cfg_for(sides=(4, 2), e=8, heads=2, groups=2)
         params = dpt.init_dpt_params(cfg, np.random.default_rng(10))
-        grids = [Tensor(g) for g in random_grids(cfg, seed=11)]
-        out = dpt.cross_scale_attention(grids, params, cfg)
-        assert [g.shape for g in out] == [(8, 4, 4), (8, 2, 2)]
+        out = dpt.cross_scale_attention(random_pyramid(cfg, seed=11), pyramid.grid_shapes(cfg), params, cfg)
+        assert out.shape == (8, 4 * 4 + 2 * 2)
 
     def test_scale_permutation_equivariance_equal_sides(self):
         # equal grid sides make up/downsampling the identity, so permuting
@@ -225,13 +231,49 @@ class TestCrossScaleAttention:
         params = dpt.init_dpt_params(cfg, np.random.default_rng(12))
         rng = np.random.default_rng(13)
         datas = [rng.normal(size=(8, 3, 3)) for _ in range(3)]
-        pyr = [Tensor(d) for d in datas]
+        grids = ((3, 3),) * 3
         perm = [2, 0, 1]
-        pyr_p = [Tensor(datas[p]) for p in perm]
-        out = dpt.cross_scale_attention(pyr, params, cfg)
-        out_p = dpt.cross_scale_attention(pyr_p, params, cfg)
+        out = blocks(dpt.cross_scale_attention(as_pyramid(datas), grids, params, cfg).data, (3, 3, 3))
+        out_p = blocks(dpt.cross_scale_attention(as_pyramid([datas[p] for p in perm]), grids, params, cfg).data,
+                       (3, 3, 3))
         for i, p in enumerate(perm):
-            np.testing.assert_allclose(out_p[i].data, out[p].data, atol=1e-9)
+            np.testing.assert_allclose(out_p[i], out[p], atol=1e-9)
+
+
+def pyramid_and_per_grid(route, reference, sides, seed):
+    """Bytes of (output, dx, every parameter grad) of a route run once over
+    the pyramid and once through its per-grid reference on separate grids."""
+    cfg = cfg_for(sides=sides)
+    grids = random_grids(cfg, seed=seed)
+    g = np.random.default_rng(seed + 1).normal(size=(cfg.channels, sum(s * s for s in sides)))
+    results = []
+    for pyramid_form in (True, False):
+        params = dpt.init_dpt_params(cfg, np.random.default_rng(seed + 2))
+        if pyramid_form:
+            inputs = [Tensor(as_pyramid(grids).data, requires_grad=True)]
+            out = route(inputs[0], pyramid.grid_shapes(cfg), params, cfg)
+        else:
+            inputs = [Tensor(a, requires_grad=True) for a in grids]
+            out = pyramid.join(reference(inputs, params, cfg))
+        out.backward(g)
+        dx = inputs[0].grad if pyramid_form else as_pyramid([t.grad for t in inputs]).data
+        results.append([out.data.tobytes(), dx.tobytes()] + [params[name].grad.tobytes() for name in sorted(params)])
+    return results
+
+
+class TestRoutesMatchPerGridReference:
+    # byte for byte, in the output and in the gradient of the input and of
+    # every parameter
+    @pytest.mark.parametrize("sides", [(8, 6, 4), (12, 10, 8, 6, 4)])
+    def test_row_column(self, sides):
+        pyramid_form, per_grid = pyramid_and_per_grid(
+            dpt.row_column_attention, lambda xs, p, c: [row_column_reference(x, p, c) for x in xs], sides, 40)
+        assert pyramid_form == per_grid
+
+    @pytest.mark.parametrize("sides", [(8, 6, 4), (12, 10, 8, 6, 4)])
+    def test_cross_scale(self, sides):
+        pyramid_form, per_grid = pyramid_and_per_grid(dpt.cross_scale_attention, cross_scale_reference, sides, 50)
+        assert pyramid_form == per_grid
 
 
 class TestClcg:
@@ -304,14 +346,14 @@ class TestDptForward:
 
 
 def per_grid_layer(grids, params, cfg, layer):
-    """``dpt.dpt_layer`` written as one conv and group-norm call per grid."""
+    """``dpt.dpt_layer`` written as one route, conv and group-norm call per grid."""
     base = f"dpt.layer{layer}"
 
     def norm(x, name):
         return T.group_norm(x, cfg.gn_groups, params[f"{base}.{name}.gamma"], params[f"{base}.{name}.beta"])
 
-    rc = [norm(dpt.row_column_attention(g, params, cfg, layer), "gn_rc") for g in grids]
-    cs = [norm(g + d, "gn_cs") for g, d in zip(rc, dpt.cross_scale_attention(rc, params, cfg, layer))]
+    rc = [norm(row_column_reference(g, params, cfg, layer), "gn_rc") for g in grids]
+    cs = [norm(g + d, "gn_cs") for g, d in zip(rc, cross_scale_reference(rc, params, cfg, layer))]
     out = []
     for g in cs:
         hidden = T.conv2d(g, params[f"{base}.clcg.conv1.w"], bias=params[f"{base}.clcg.conv1.b"])

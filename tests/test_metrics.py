@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psrank import metrics
+from psrank.errors import DataError
 from psrank.metrics import (MatchResult, confusion, evaluate_images, mae, match_instances, pearson, sa_sor, sor,
                             spearman)
 from psrank.p2r import RankedInstance
@@ -272,6 +273,11 @@ class TestEvaluateImages:
         assert report.images_excluded_sor == 1
         assert report.images_excluded_sasor == 1
         assert report.sor is None and report.sa_sor is None
+
+    def test_no_images_raises(self):
+        # the mean of no MAE read 0.0, a perfect score
+        with pytest.raises(DataError, match="at least one image"):
+            evaluate_images([], 3, 16)
 
     def test_json_schema(self):
         canvas = 16

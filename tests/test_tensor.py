@@ -13,8 +13,8 @@ from psrank.tensor import Parameter, Tensor
 
 from gradcheck import grad_check
 from oracles import (AttentionPairs, attention_reduce_oracle, attention_reference, conv2d_gather_oracle,
-                     conv2d_reference, conv2d_reference_grads, group_norm_oracle, take_scatter_oracle, tape_nodes,
-                     transpose_oracle)
+                     conv2d_reference, conv2d_reference_grads, group_norm_oracle, interpolate_oracle,
+                     take_scatter_oracle, tape_nodes, transpose_oracle)
 
 
 def bilinear_1d_oracle(values, dst):
@@ -429,6 +429,18 @@ class TestKernelsMatchPlainForms:
         got, want = (outputs_and_grads(conv, [x, w], 5) for conv in (T.conv2d, conv2d_gather_oracle))
         assert got == want
 
+    # the cross route's resampling at toy64 and full128, the mask branch's,
+    # a kept size and non-square grids
+    @pytest.mark.parametrize("shape, size", [
+        ((16, 6, 6), (8, 8)), ((16, 8, 8), (4, 4)), ((16, 4, 4), (12, 12)), ((16, 12, 12), (10, 10)),
+        ((8, 16, 16), (32, 32)), ((3, 5, 4), (5, 4)), ((2, 5, 3), (7, 2)),
+    ])
+    def test_interpolate(self, shape, size):
+        x = np.random.default_rng(sum(shape)).normal(size=shape)
+        got, want = (outputs_and_grads(lambda t: resample(t, size), [x], 8)
+                     for resample in (T.interpolate, interpolate_oracle))
+        assert got == want
+
     @pytest.mark.parametrize("shape, axes", [
         ((1, 16, 12, 12), (0, 2, 3, 1)), ((144, 4, 5, 4), (0, 2, 1, 3)), ((2, 3, 4), None), ((3, 4), (1, 0)),
     ])
@@ -458,8 +470,9 @@ def flat(blocks):
 
 
 class TestPyramidForms:
-    """``conv2d`` and ``group_norm`` over a (C, K) pyramid equal one call per
-    grid, byte for byte, in the output and in every gradient. The per-grid
+    """``conv2d``, ``group_norm`` and ``interpolate`` over a (C, K) pyramid
+    equal one call per grid, byte for byte, in the output and in every
+    gradient. The per-grid
     calls accumulate a shared weight's gradient one grid at a time, in grid
     order (the order the tape runs them in), and so must the pyramid form.
     """
@@ -528,6 +541,37 @@ class TestPyramidForms:
                      for norm in (T.group_norm, group_norm_oracle))
         assert got == want
 
+    @pytest.mark.parametrize("grids, sizes", [
+        (((5, 3), (3, 4), (4, 4)), ((8, 6), (2, 3), (4, 4))),  # up, down and same size, non-square
+        (PYRAMIDS[0], ((8, 8),) * 3),  # toy64's cross route: every grid up to the largest...
+        (((8, 8),) * 3, PYRAMIDS[0]),  # ...and back down
+        (PYRAMIDS[1], ((12, 12),) * 5),  # full128's
+        (((12, 12),) * 5, PYRAMIDS[1]),
+        (((7, 7),), ((3, 5),)),
+    ])
+    def test_interpolate_equals_per_grid_calls(self, grids, sizes):
+        rng = np.random.default_rng(len(grids) + len(sizes[0]))
+        x = rng.normal(size=(6, sum(h * w for h, w in grids)))
+        g = rng.normal(size=(6, sum(h * w for h, w in sizes)))
+        pyr = Tensor(x, requires_grad=True)
+        out = T.interpolate(pyr, sizes, grids=grids)
+        out.backward(g)
+        xs = [Tensor(b, requires_grad=True) for b in grid_blocks(x, grids)]
+        outs = [T.interpolate(xb, size) for xb, size in zip(xs, sizes)]
+        per_grid = T.concat([T.reshape(o, (o.shape[0], -1)) for o in outs], axis=1)
+        per_grid.backward(g)
+        assert out.data.tobytes() == per_grid.data.tobytes()
+        assert pyr.grad.tobytes() == flat([t.grad for t in xs]).tobytes()
+
+    def test_interpolate_gradcheck(self):
+        grids, sizes = ((3, 3), (2, 2), (2, 3)), ((2, 4), (3, 3), (2, 3))
+        x = Tensor(np.random.default_rng(22).normal(size=(2, 19)))
+        assert grad_check(lambda x: T.interpolate(x, sizes, grids=grids), [x], tolerance=1e-3).passed
+
+    def test_interpolate_needs_one_size_per_grid(self):
+        with pytest.raises(DimensionError, match="2 sizes for 3 grids"):
+            T.interpolate(Tensor(np.zeros((2, 21))), ((4, 4), (2, 2)), grids=((4, 4), (2, 2), (1, 1)))
+
     def test_conv2d_gradcheck(self):
         grids = ((3, 3), (2, 2), (1, 1))
         rng = np.random.default_rng(20)
@@ -550,6 +594,8 @@ class TestPyramidForms:
         with pytest.raises(DimensionError, match=r"\(C, 20\) pyramid"):
             T.group_norm(Tensor(np.zeros((2, 4, 5))), 1, Tensor(np.ones(2)), Tensor(np.zeros(2)),
                          grids=((4, 4), (2, 2)))
+        with pytest.raises(DimensionError, match=r"\(C, 20\) pyramid"):
+            T.interpolate(Tensor(np.zeros((2, 21))), ((4, 4), (2, 2)), grids=((4, 4), (2, 2)))
 
 
 class TestTakeBackward:
