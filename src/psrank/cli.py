@@ -2,11 +2,13 @@
 
     psrank gen --out data/ --count 64 --heldout 32 --seed 0 --canvas 64
 
-``gen`` writes a synthetic ranked dataset (``data_synth.save_dataset``) with
-a ``train`` split of ``--count`` scenes from base seed ``--seed`` and a
-``heldout`` split of ``--heldout`` scenes from base seed
+``gen`` writes a synthetic ranked dataset to the ``--out`` directory with
+``data_synth.save_dataset``: ``train.npz`` holds ``--count`` scenes from base
+seed ``--seed`` and ``heldout.npz`` holds ``--heldout`` scenes from base seed
 ``--seed + HELDOUT_SEED_OFFSET``, so the splits share no seed while the
-training scenes use fewer than a million seeds. Shape sizes scale with
+training scenes use fewer than a million seeds. ``data_synth.load_dataset``
+reads every ``.npz`` in the directory as a split, so ``--heldout 0`` removes
+a ``heldout.npz`` left there by an earlier run. Shape sizes scale with
 ``--canvas``, so instances cover the same share of the canvas at every size;
 ``--canvas 64`` is ``GenConfig()``.
 """
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from . import data_synth
 from .errors import DataError
@@ -35,7 +38,9 @@ def _gen(args) -> None:
     splits = {"train": data_synth.generate_dataset(cfg, args.count, args.seed)}
     if args.heldout:
         splits["heldout"] = data_synth.generate_dataset(cfg, args.heldout, args.seed + HELDOUT_SEED_OFFSET)
-    data_synth.save_dataset(splits, args.out, max_rank=cfg.max_rank)
+    data_synth.save_dataset(splits, args.out)
+    if not args.heldout:
+        (Path(args.out) / "heldout.npz").unlink(missing_ok=True)
     print(f"wrote {args.count} train and {args.heldout} heldout scenes "
           f"({cfg.canvas}x{cfg.canvas}) to {args.out}")
 

@@ -124,11 +124,11 @@ def toy_train_config(seed: int = 0, epochs: int = 24) -> TrainConfig:
 
 
 def toy_model_config(**overrides) -> ModelConfig:
-    """Small model matching the default synthetic dataset (64x64, 3 ranks)."""
-    base = dict(max_rank=3, channels=16, grid_sides=(8, 6, 4), attn_heads=4,
-                gn_groups=4, dpt_layers=2, conv_layers=2)
-    base.update(overrides)
-    return ModelConfig(**base)
+    """Small model for the default synthetic dataset (64x64, 3 ranks):
+    ``ModelConfig``'s defaults on three coarser grids, with two DPT and two
+    cgr layers.
+    """
+    return ModelConfig(**(dict(grid_sides=(8, 6, 4), dpt_layers=2, conv_layers=2) | overrides))
 
 
 def config_to_dict(model_cfg: ModelConfig, train_cfg: TrainConfig) -> dict:

@@ -28,16 +28,16 @@ order and the arithmetic on them are fixed, and the tests pin the bytes of
 seeds 0-49 and check the scores bit for bit against the boolean-indexing
 formula.
 
-On disk a dataset is ``manifest.json`` plus ``samples/<id>.json``. Images are
-stored as base64 float32 RGB triplets in row-major (H, W, 3) order. Masks
-use run-length counts over row-major pixels, alternating runs starting with
-a zero-run.
+On disk a dataset is a directory of ``<split>.npz`` archives, each holding
+``version`` (``FORMAT_VERSION``), ``images`` (N, 3, H, W) float32, ``seeds``
+and ``counts`` (N,), and every scene's instances in turn as ``masks``
+(M, H, W) bool and ``ranks`` (M,). Members are dated ``ZIP_DATE``, so equal
+splits save to equal bytes. A malformed archive raises ``DataError`` naming it.
 """
 
 from __future__ import annotations
 
-import base64
-import json
+import zipfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -45,7 +45,7 @@ import numpy as np
 
 from .errors import DataError, GenerationError
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 PLACEMENT_BUDGET = 100
 
 
@@ -242,120 +242,68 @@ def generate_dataset(cfg: GenConfig, count: int, base_seed: int) -> list[SceneSa
 
 # persistence ----------------------------------------------------------------
 
-
-def mask_to_rle(mask: np.ndarray) -> list[int]:
-    flat = np.asarray(mask, dtype=bool).reshape(-1).astype(np.int8)
-    changes = np.nonzero(np.diff(flat))[0] + 1
-    bounds = np.concatenate([[0], changes, [flat.size]])
-    runs = np.diff(bounds).tolist()
-    if flat[0]:
-        runs = [0] + runs
-    return [int(r) for r in runs]
+ZIP_DATE = (1980, 1, 1, 0, 0, 0)  # every zip member's date, in place of the wall clock
+# each archive member's dtype and number of axes
+LAYOUT = {"version": (np.int64, 0), "images": (np.float32, 4), "seeds": (np.int64, 1),
+          "counts": (np.int64, 1), "masks": (np.bool_, 3), "ranks": (np.int64, 1)}
 
 
-def rle_to_mask(runs, shape) -> np.ndarray:
-    total = int(np.prod(shape))
-    if sum(runs) != total or any(r < 0 for r in runs):
-        raise DataError(f"run-length data does not cover {total} pixels")
-    flat = np.zeros(total, dtype=bool)
-    pos = 0
-    value = False
-    for run in runs:
-        if value:
-            flat[pos : pos + run] = True
-        pos += run
-        value = not value
-    return flat.reshape(shape)
-
-
-def _encode_image(image: np.ndarray) -> str:
-    hw3 = np.ascontiguousarray(image.transpose(1, 2, 0).astype(np.float32))
-    return base64.b64encode(hw3.tobytes()).decode("ascii")
-
-
-def _decode_image(payload, image_format: str, canvas: int) -> np.ndarray:
-    if image_format != "base64":
-        raise DataError(f"unknown image format {image_format!r}")
-    flat = np.frombuffer(base64.b64decode(payload), dtype="<f4")
-    hw3 = flat.reshape(canvas, canvas, 3)
-    return np.ascontiguousarray(hw3.transpose(2, 0, 1))
-
-
-def _json_bytes(obj) -> bytes:
-    return (json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n").encode()
-
-
-def save_dataset(splits: dict[str, list[SceneSample]], out_dir, max_rank: int) -> None:
+def save_dataset(splits: dict[str, list[SceneSample]], out_dir) -> None:
+    """Write each split as ``<split>.npz`` in ``out_dir``, which is created if missing."""
     out = Path(out_dir)
-    (out / "samples").mkdir(parents=True, exist_ok=True)
-    entries = []
-    canvas = None
-    for split in sorted(splits):
-        for i, sample in enumerate(splits[split]):
-            canvas = sample.image.shape[1]
-            sample_id = f"{split}_{i:04d}"
-            rel = f"samples/{sample_id}.json"
-            payload = {
-                "seed": sample.seed,
-                "image_format": "base64",
-                "image": _encode_image(sample.image),
-                "instances": [
-                    {"rle": mask_to_rle(mask), "rank": int(rank)}
-                    for mask, rank in sample.instances
-                ],
-            }
-            (out / rel).write_bytes(_json_bytes(payload))
-            entries.append({"id": sample_id, "file": rel, "split": split})
-    manifest = {
-        "version": FORMAT_VERSION,
-        "max_rank": int(max_rank),
-        "canvas": int(canvas),
-        "count": len(entries),
-        "samples": entries,
-    }
-    (out / "manifest.json").write_bytes(_json_bytes(manifest))
-
-
-def load_manifest(data_dir) -> dict:
-    path = Path(data_dir) / "manifest.json"
-    if not path.exists():
-        raise DataError(f"no manifest at {path}")
-    try:
-        manifest = json.loads(path.read_text())
-    except ValueError as exc:
-        raise DataError(f"manifest {path} is not valid JSON: {exc}") from exc
-    missing = [key for key in ("version", "canvas", "count", "samples") if key not in manifest]
-    if missing:
-        raise DataError(f"manifest {path} is missing {', '.join(missing)}")
-    if manifest["version"] != FORMAT_VERSION:
-        raise DataError(f"unsupported dataset version {manifest['version']}")
-    listed = manifest["samples"]
-    if manifest["count"] != len(listed):
-        raise DataError(f"manifest count {manifest['count']} != {len(listed)} listed samples")
-    incomplete = [i for i, entry in enumerate(listed) if "file" not in entry or "split" not in entry]
-    if incomplete:
-        raise DataError(f"manifest {path} entries {incomplete} lack a file or a split")
-    return manifest
+    out.mkdir(parents=True, exist_ok=True)
+    for split, samples in splits.items():
+        path = out / f"{split}.npz"
+        if not samples:
+            raise DataError(f"split {split!r} has no scenes to write to {path}")
+        instances = [inst for sample in samples for inst in sample.instances]
+        arrays = {"version": FORMAT_VERSION, "images": [sample.image for sample in samples],
+                  "seeds": [sample.seed for sample in samples],
+                  "counts": [len(sample.instances) for sample in samples],
+                  "masks": np.reshape([mask for mask, _ in instances], (-1, *samples[0].image.shape[1:])),
+                  "ranks": [rank for _, rank in instances]}
+        with zipfile.ZipFile(path, "w") as archive:
+            for key, (dtype, _) in LAYOUT.items():
+                member = zipfile.ZipInfo(f"{key}.npy", date_time=ZIP_DATE)
+                member.compress_type = zipfile.ZIP_DEFLATED
+                with archive.open(member, "w", force_zip64=True) as stream:
+                    np.lib.format.write_array(stream, np.asarray(arrays[key], dtype=dtype), allow_pickle=False)
 
 
 def load_dataset(data_dir) -> dict[str, list[SceneSample]]:
+    """Every ``<split>.npz`` in ``data_dir`` as ``{split: [SceneSample]}``."""
     root = Path(data_dir)
-    manifest = load_manifest(root)
-    canvas = manifest["canvas"]
-    splits: dict[str, list[SceneSample]] = {}
-    for entry in manifest["samples"]:
-        path = root / entry["file"]
-        if not path.exists():
-            raise DataError(f"sample file missing: {path}")
-        try:
-            payload = json.loads(path.read_text())
-            image = _decode_image(payload["image"], payload["image_format"], canvas)
-            instances = [
-                (rle_to_mask(inst["rle"], (canvas, canvas)), int(inst["rank"]))
-                for inst in payload["instances"]
-            ]
-            sample = SceneSample(image=image, instances=instances, seed=int(payload["seed"]))
-        except Exception as exc:
-            raise DataError(f"corrupt sample {path}: {exc}") from exc
-        splits.setdefault(entry["split"], []).append(sample)
-    return splits
+    paths = sorted(root.glob("*.npz"))
+    if not paths:
+        format_1 = (root / "manifest.json").exists()
+        hint = "; its manifest.json is format 1, which is no longer read: run psrank gen again" if format_1 else ""
+        raise DataError(f"no <split>.npz archives in {root}{hint}")
+    return {path.stem: _load_split(path) for path in paths}
+
+
+def _load_split(path: Path) -> list[SceneSample]:
+    try:
+        with zipfile.ZipFile(path) as archive:
+            arrays = {key: np.lib.format.read_array(archive.open(f"{key}.npy"), allow_pickle=False)
+                      for key in LAYOUT if f"{key}.npy" in archive.namelist()}
+    except Exception as exc:  # a damaged file raises zipfile, zlib, tokenize, OS and value errors
+        raise DataError(f"unreadable dataset archive {path}: {exc}") from exc
+    missing = [key for key in LAYOUT if key not in arrays]
+    if missing:
+        raise DataError(f"dataset archive {path} is missing {', '.join(missing)}")
+    version = arrays["version"]
+    if version.shape != () or version != FORMAT_VERSION:
+        raise DataError(f"unsupported dataset version {version} in {path}")
+    for key, (dtype, ndim) in LAYOUT.items():
+        if arrays[key].dtype != dtype or arrays[key].ndim != ndim:
+            raise DataError(f"{key} in {path} is {arrays[key].dtype} {arrays[key].shape}, "
+                            f"not {ndim}-d {np.dtype(dtype)}")
+    _, images, seeds, counts, masks, ranks = arrays.values()
+    if (images.shape[1] != 3 or masks.shape[1:] != images.shape[2:] or (counts < 0).any()
+            or not len(images) == len(seeds) == len(counts) or not counts.sum() == len(masks) == len(ranks)):
+        shapes = ", ".join(f"{key} {a.shape}" for key, a in arrays.items() if key != "version")
+        raise DataError(f"arrays in {path} disagree: {shapes}, counts summing to {counts.sum()}")
+    ends = np.cumsum(counts)[:-1]
+    per_scene = zip(images, seeds, np.split(masks, ends), np.split(ranks, ends))
+    return [SceneSample(image=image, instances=list(zip(scene_masks, scene_ranks.tolist())), seed=int(seed))
+            for image, seed, scene_masks, scene_ranks in per_scene]

@@ -75,16 +75,21 @@ def _attn(x: Tensor, heads: int, params, prefix: str) -> Tensor:
 def row_column_attention(x: Tensor, grids, params, cfg: ModelConfig, layer: int = 0) -> Tensor:
     """Attention along each row, then each column, each with a residual, in
     every (h, w) grid of the (E, K) pyramid ``x``; ``dpt_layer``
-    group-normalizes the result.
+    group-normalizes the result. The pyramid is transposed once to (K, E)
+    tokens, so each grid is an (h, w, E) block of rows, and its (w, h, E)
+    transpose holds its columns.
     """
     base = f"dpt.layer{layer}"
-    out = []
-    for g in pyramid.grid_views(x, grids):
-        rows = T.transpose(g, (1, 2, 0))  # (h, w, E): rows as batch, width as sequence
-        g = g + T.transpose(_attn(rows, cfg.attn_heads, params, f"{base}.row"), (2, 0, 1))
-        cols = T.transpose(g, (2, 1, 0))  # (w, h, E): columns as batch, height as sequence
-        out.append(g + T.transpose(_attn(cols, cfg.attn_heads, params, f"{base}.col"), (2, 1, 0)))
-    return pyramid.join(out)
+    tokens = T.transpose(x)  # (K, E)
+    out, lo = [], 0
+    for h, w in grids:
+        rows = T.reshape(tokens[lo : lo + h * w], (h, w, -1))  # rows as batch, width as sequence
+        rows = rows + _attn(rows, cfg.attn_heads, params, f"{base}.row")
+        cols = T.transpose(rows, (1, 0, 2))  # (w, h, E): columns as batch, height as sequence
+        cols = cols + _attn(cols, cfg.attn_heads, params, f"{base}.col")
+        out.append(T.reshape(T.transpose(cols, (1, 0, 2)), (h * w, -1)))
+        lo += h * w
+    return T.transpose(T.concat(out, axis=0))
 
 
 def cross_scale_attention(x: Tensor, grids, params, cfg: ModelConfig, layer: int = 0) -> Tensor:

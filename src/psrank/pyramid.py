@@ -11,10 +11,8 @@ with x fastest. That is the row order of every head's (K, C) output, so
 column k and row k describe the same cell. ``grid_shapes`` gives each grid's
 (h, w), the ``grids`` argument of ``tensor.conv2d``, ``tensor.group_norm`` and
 ``tensor.interpolate``, which run once over the whole pyramid. Every DPT
-block maps an (E, K) pyramid to an (E, K) pyramid. ``grid_views`` cuts a
-pyramid into its per-grid (E, h, w) column blocks, for the row/column route
-that attends within one grid at a time, and ``join`` puts such grids (or the
-encoder stages' resampled maps) back together. The conv, group-norm and
+block maps an (E, K) pyramid to an (E, K) pyramid, and ``join`` builds one
+from the encoder stages' resampled (E, h, w) maps. The conv, group-norm and
 attention initializers every module shares live here too.
 """
 
@@ -90,16 +88,6 @@ def encoder_stages(image: Tensor, params, cfg: ModelConfig) -> list[Tensor]:
 def grid_shapes(cfg: ModelConfig) -> tuple[tuple[int, int], ...]:
     """The (h, w) of each configured grid, finest first."""
     return tuple((side, side) for side in cfg.grid_sides)
-
-
-def grid_views(x: Tensor, grids) -> list[Tensor]:
-    """Each grid's column block of the (E, K) pyramid ``x``, as an (E, h, w) view."""
-    views = []
-    lo = 0
-    for h, w in grids:
-        views.append(T.reshape(x[:, lo : lo + h * w], (x.shape[0], h, w)))
-        lo += h * w
-    return views
 
 
 def join(grids: list[Tensor]) -> Tensor:

@@ -31,6 +31,7 @@ def test_gen_round_trips_to_generated_scenes(tmp_path, capsys):
     cfg = GenConfig()
     expected = {"train": generate_dataset(cfg, 3, 5),
                 "heldout": generate_dataset(cfg, 2, 5 + cli.HELDOUT_SEED_OFFSET)}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["heldout.npz", "train.npz"]
     loaded = load_dataset(tmp_path)
     assert sorted(loaded) == sorted(expected)
     for split, samples in expected.items():
@@ -41,6 +42,13 @@ def test_gen_round_trips_to_generated_scenes(tmp_path, capsys):
             assert [r for _, r in got.instances] == [r for _, r in want.instances]
             for (mg, _), (mw, _) in zip(got.instances, want.instances):
                 np.testing.assert_array_equal(mg, mw)
+
+
+def test_gen_without_heldout_removes_an_earlier_heldout_split(tmp_path):
+    assert cli.main(["gen", "--out", str(tmp_path), "--count", "2", "--heldout", "1"]) == 0
+    assert cli.main(["gen", "--out", str(tmp_path), "--count", "1", "--heldout", "0", "--seed", "9"]) == 0
+    loaded = load_dataset(tmp_path)
+    assert list(loaded) == ["train"] and [s.seed for s in loaded["train"]] == [9]
 
 
 @pytest.mark.parametrize("bad", [["--count", "0"], ["--seed", "-1"], ["--canvas", "16"]])

@@ -1,5 +1,7 @@
 import hashlib
+import io
 import json
+import zipfile
 from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
@@ -8,10 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from psrank import data_synth
+from psrank import cli, data_synth
 from psrank.data_synth import (GenConfig, SceneSample, generate_dataset, generate_scene,
-                               instance_scores, load_dataset, load_manifest, mask_to_rle,
-                               rle_to_mask, save_dataset)
+                               instance_scores, load_dataset, save_dataset)
 from psrank.errors import DataError
 
 from oracles import disjoint_with_gap_oracle, instance_scores_oracle
@@ -154,30 +155,36 @@ class TestByteIdentity:
         assert [seed for seed, (a, b) in enumerate(zip(got, golden)) if a != b] == []
 
 
-class TestRle:
-    @pytest.mark.parametrize("pattern", [
-        np.zeros((4, 4), dtype=bool),
-        np.ones((4, 4), dtype=bool),
-        np.eye(4, dtype=bool),
-    ])
-    def test_round_trip(self, pattern):
-        runs = mask_to_rle(pattern)
-        assert runs[0] == 0 or not pattern.reshape(-1)[0] or runs[0] >= 0
-        np.testing.assert_array_equal(rle_to_mask(runs, pattern.shape), pattern)
+def npy_bytes(array) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
 
-    def test_starts_with_zero_run(self):
-        m = np.ones((2, 2), dtype=bool)
-        assert mask_to_rle(m) == [0, 4]
 
-    def test_random_round_trips(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            m = rng.random((8, 8)) > 0.5
-            np.testing.assert_array_equal(rle_to_mask(mask_to_rle(m), m.shape), m)
+NPY_BYTES = npy_bytes(np.zeros(3))
 
-    def test_bad_total_rejected(self):
-        with pytest.raises(DataError):
-            rle_to_mask([3, 2], (2, 2))
+
+def members(path) -> dict:
+    with np.load(path) as archive:
+        return {key: archive[key] for key in archive.files}
+
+
+def rewrite(path, **changes):
+    """Save the archive at ``path`` again with members replaced, or dropped where None."""
+    arrays = members(path) | changes
+    np.savez(path, **{key: a for key, a in arrays.items() if a is not None})
+
+
+def assert_same_scenes(want, got):
+    assert len(got) == len(want)
+    for a, b in zip(want, got):
+        assert b.image.dtype == np.float32 and b.image.flags.writeable
+        assert b.image.tobytes() == a.image.tobytes()
+        assert b.seed == a.seed and type(b.seed) is int
+        assert [r for _, r in b.instances] == [r for _, r in a.instances]
+        for (ma, _), (mb, _) in zip(a.instances, b.instances):
+            assert mb.dtype == bool
+            np.testing.assert_array_equal(ma, mb)
 
 
 class TestPersistence:
@@ -187,101 +194,147 @@ class TestPersistence:
             "test": generate_dataset(cfg, n_test, base_seed=1000),
         }
 
+    def saved(self, tmp_path, cfg, n_train=2, n_test=1):
+        save_dataset(self.make_splits(cfg, n_train, n_test), tmp_path)
+        return tmp_path / "train.npz"
+
     def test_round_trip_exact(self, tmp_path, cfg):
         splits = self.make_splits(cfg)
-        save_dataset(splits, tmp_path, max_rank=cfg.max_rank)
+        save_dataset(splits, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["test.npz", "train.npz"]
         loaded = load_dataset(tmp_path)
         assert set(loaded) == {"train", "test"}
         for split in splits:
-            assert len(loaded[split]) == len(splits[split])
-            for a, b in zip(splits[split], loaded[split]):
-                assert b.image.dtype == np.float32 and b.image.flags.writeable
-                assert b.image.min() >= 0.0 and b.image.max() <= 1.0
-                np.testing.assert_array_equal(a.image, b.image)
-                assert a.seed == b.seed
-                assert len(a.instances) == len(b.instances)
-                for (ma, ra), (mb, rb) in zip(a.instances, b.instances):
-                    np.testing.assert_array_equal(ma, mb)
-                    assert ra == rb
+            assert_same_scenes(splits[split], loaded[split])
+            for sample in loaded[split]:
+                assert sample.image.min() >= 0.0 and sample.image.max() <= 1.0
+
+    def test_round_trip_exact_at_128(self, tmp_path):
+        splits = {"heldout": generate_dataset(cli.gen_config(128), 6, base_seed=3)}
+        save_dataset(splits, tmp_path)
+        assert_same_scenes(splits["heldout"], load_dataset(tmp_path)["heldout"])
+
+    def test_archive_layout(self, tmp_path, cfg):
+        splits = self.make_splits(cfg, 3, 1)
+        save_dataset(splits, tmp_path)
+        arrays = members(tmp_path / "train.npz")
+        assert sorted(arrays) == sorted(data_synth.LAYOUT)
+        samples = splits["train"]
+        m = sum(len(s.instances) for s in samples)
+        assert arrays["version"].shape == () and arrays["version"] == data_synth.FORMAT_VERSION == 2
+        assert arrays["images"].dtype == np.float32 and arrays["images"].shape == (3, 3, 64, 64)
+        np.testing.assert_array_equal(arrays["seeds"], [s.seed for s in samples])
+        np.testing.assert_array_equal(arrays["counts"], [len(s.instances) for s in samples])
+        assert arrays["masks"].dtype == bool and arrays["masks"].shape == (m, 64, 64)
+        np.testing.assert_array_equal(arrays["ranks"], [r for s in samples for _, r in s.instances])
+
+    def test_scene_without_instances_round_trips(self, tmp_path, cfg):
+        bare = SceneSample(image=generate_scene(cfg, 0).image, instances=[], seed=0)
+        save_dataset({"train": [bare]}, tmp_path)
+        assert members(tmp_path / "train.npz")["masks"].shape == (0, 64, 64)
+        assert_same_scenes([bare], load_dataset(tmp_path)["train"])
 
     def test_byte_stable(self, tmp_path, cfg):
         splits = self.make_splits(cfg, 2, 1)
-        save_dataset(splits, tmp_path / "a", max_rank=cfg.max_rank)
-        save_dataset(splits, tmp_path / "b", max_rank=cfg.max_rank)
-        for rel in ["manifest.json", "samples/train_0000.json"]:
-            assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+        save_dataset(splits, tmp_path / "a")
+        save_dataset(splits, tmp_path / "b")
+        for name in ["train.npz", "test.npz"]:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+        with zipfile.ZipFile(tmp_path / "a" / "train.npz") as archive:
+            assert {info.date_time for info in archive.infolist()} == {data_synth.ZIP_DATE}
+
+    def test_empty_split_rejected_at_save(self, tmp_path, cfg):
+        with pytest.raises(DataError, match=r"'test'.*test\.npz"):
+            save_dataset({"test": []}, tmp_path)
+
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(DataError, match=r"no <split>\.npz archives in .*empty$"):
+            load_dataset(tmp_path / "empty")
+        (tmp_path / "empty").mkdir()
+        with pytest.raises(DataError, match=r"no <split>\.npz archives in .*empty$"):
+            load_dataset(tmp_path / "empty")
+
+    def test_format_1_manifest_named(self, tmp_path):
+        (tmp_path / "manifest.json").write_text('{"version": 1}')
+        with pytest.raises(DataError, match=r"manifest\.json is format 1.*psrank gen"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("payload", [b'{"version": 2}', b"", b"PK\x03\x04 not really", NPY_BYTES],
+                             ids=["text", "empty", "zip-magic", "npy"])
+    def test_not_an_archive_rejected(self, tmp_path, cfg, payload):
+        self.saved(tmp_path, cfg).write_bytes(payload)
+        with pytest.raises(DataError, match=r"unreadable dataset archive .*train\.npz: File is not a zip file"):
+            load_dataset(tmp_path)
 
     def test_truncated_sample_reports_path(self, tmp_path, cfg):
-        splits = self.make_splits(cfg, 2, 1)
-        save_dataset(splits, tmp_path, max_rank=cfg.max_rank)
-        victim = tmp_path / "samples" / "train_0001.json"
-        victim.write_bytes(victim.read_bytes()[:40])
-        with pytest.raises(DataError, match="train_0001"):
+        victim = self.saved(tmp_path, cfg)
+        data = victim.read_bytes()
+        for keep in (0.3, 0.6, 0.95):
+            victim.write_bytes(data[: int(len(data) * keep)])
+            with pytest.raises(DataError, match=r"unreadable dataset archive .*train\.npz"):
+                load_dataset(tmp_path)
+
+    def test_corrupt_member_reports_path(self, tmp_path, cfg):
+        victim = self.saved(tmp_path, cfg)
+        data = bytearray(victim.read_bytes())
+        data[len(data) // 2] ^= 1  # inside the deflated images
+        victim.write_bytes(bytes(data))
+        with pytest.raises(DataError, match=r"unreadable dataset archive .*train\.npz: Bad CRC-32"):
             load_dataset(tmp_path)
 
-    def test_corrupt_rle_reports_sample(self, tmp_path, cfg):
-        splits = self.make_splits(cfg, 1, 1)
-        save_dataset(splits, tmp_path, max_rank=cfg.max_rank)
-        victim = tmp_path / "samples" / "test_0000.json"
-        payload = json.loads(victim.read_text())
-        payload["instances"][0]["rle"] = [1, 2, 3]
-        victim.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match="test_0000"):
+    @pytest.mark.parametrize("key", sorted(data_synth.LAYOUT))
+    def test_missing_key_rejected(self, tmp_path, cfg, key):
+        victim = self.saved(tmp_path, cfg)
+        rewrite(victim, **{key: None})
+        with pytest.raises(DataError, match=rf"train\.npz is missing {key}$"):
             load_dataset(tmp_path)
 
-    def test_array_image_payload_rejected(self, tmp_path, cfg):
-        # only base64 images are read; a nested-array payload names its file
-        splits = self.make_splits(cfg, 1, 1)
-        save_dataset(splits, tmp_path, max_rank=cfg.max_rank)
-        victim = tmp_path / "samples" / "train_0000.json"
-        payload = json.loads(victim.read_text())
-        assert payload["image_format"] == "base64"
-        payload["image_format"] = "array"
-        payload["image"] = splits["train"][0].image.transpose(1, 2, 0).tolist()
-        victim.write_text(json.dumps(payload))
-        with pytest.raises(DataError, match="train_0000"):
+    @pytest.mark.parametrize("version", [np.array(1), np.array(3), np.array([2]), np.array("2")],
+                             ids=["1", "3", "shape-1", "str"])
+    def test_unsupported_version_rejected(self, tmp_path, cfg, version):
+        rewrite(self.saved(tmp_path, cfg), version=version)
+        with pytest.raises(DataError, match=r"unsupported dataset version .* in .*train\.npz"):
             load_dataset(tmp_path)
 
-    @pytest.mark.parametrize("key", ["samples", "count", "version", "canvas"])
-    def test_manifest_missing_key_rejected(self, tmp_path, cfg, key):
-        splits = self.make_splits(cfg, 1, 1)
-        save_dataset(splits, tmp_path, max_rank=cfg.max_rank)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        del manifest[key]
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(DataError, match=f"missing {key}"):
-            load_manifest(tmp_path)
-
-    @pytest.mark.parametrize("key", ["file", "split"])
-    def test_manifest_entry_missing_key_rejected(self, tmp_path, cfg, key):
-        splits = self.make_splits(cfg, 1, 1)
-        save_dataset(splits, tmp_path, max_rank=cfg.max_rank)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        del manifest["samples"][1][key]
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(DataError, match=r"manifest\.json entries \[1\]"):
+    @pytest.mark.parametrize("edit", [
+        lambda a: {"version": a["version"].astype(np.float64)},
+        lambda a: {"images": a["images"].astype(np.float64)},
+        lambda a: {"images": a["images"][:, :, :, 0]},
+        lambda a: {"seeds": a["seeds"].astype(np.int32)},
+        lambda a: {"counts": a["counts"].astype(np.float64)},
+        lambda a: {"masks": a["masks"].astype(np.uint8)},
+        lambda a: {"ranks": a["ranks"][:, None]},
+    ], ids=["version-float", "images-float64", "images-3d", "seeds-int32", "counts-float",
+            "masks-uint8", "ranks-2d"])
+    def test_wrong_dtype_or_rank_rejected(self, tmp_path, cfg, edit):
+        victim = self.saved(tmp_path, cfg)
+        changes = edit(members(victim))
+        rewrite(victim, **changes)
+        (key,) = changes
+        with pytest.raises(DataError, match=rf"^{key} in .*train\.npz is "):
             load_dataset(tmp_path)
 
-    def test_manifest_not_json_rejected(self, tmp_path, cfg):
-        save_dataset(self.make_splits(cfg, 1, 1), tmp_path, max_rank=cfg.max_rank)
-        (tmp_path / "manifest.json").write_text('{"version": ')
-        with pytest.raises(DataError, match=r"manifest\.json is not valid JSON"):
-            load_manifest(tmp_path)
-
-    def test_manifest_count_mismatch(self, tmp_path, cfg):
-        splits = self.make_splits(cfg, 2, 1)
-        save_dataset(splits, tmp_path, max_rank=cfg.max_rank)
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
-        manifest["count"] = 99
-        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(DataError, match="count"):
+    @pytest.mark.parametrize("edit", [
+        lambda a: {"images": np.concatenate([a["images"]] * 2, axis=1)[:, :4]},
+        lambda a: {"masks": a["masks"][:, 1:]},
+        lambda a: {"seeds": a["seeds"][1:]},
+        lambda a: {"counts": a["counts"][1:]},
+        lambda a: {"counts": a["counts"] + 1},
+        lambda a: {"counts": a["counts"] + [-1 - a["counts"][0], 1 + a["counts"][0]]},  # same sum
+        lambda a: {"ranks": a["ranks"][1:]},
+    ], ids=["images-4-channels", "masks-height", "seeds-count", "counts-count", "counts-sum",
+            "counts-negative", "ranks-count"])
+    def test_disagreeing_arrays_rejected(self, tmp_path, cfg, edit):
+        victim = self.saved(tmp_path, cfg)
+        rewrite(victim, **edit(members(victim)))
+        with pytest.raises(DataError, match=r"arrays in .*train\.npz disagree"):
             load_dataset(tmp_path)
 
-    def test_missing_file_rejected(self, tmp_path, cfg):
-        splits = self.make_splits(cfg, 2, 1)
-        save_dataset(splits, tmp_path, max_rank=cfg.max_rank)
-        (tmp_path / "samples" / "train_0000.json").unlink()
-        with pytest.raises(DataError, match="train_0000"):
+    def test_object_array_refused(self, tmp_path, cfg):
+        # an object array would be unpickled on load; numpy refuses by default
+        victim = self.saved(tmp_path, cfg)
+        rewrite(victim, seeds=members(victim)["seeds"].astype(object))
+        with pytest.raises(DataError, match=r"unreadable dataset archive .*train\.npz.*pickle"):
             load_dataset(tmp_path)
 
 

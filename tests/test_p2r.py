@@ -56,34 +56,6 @@ class TestAssociate:
 
 class TestAlleviate:
     def test_high_then_low_discarded(self):
-        c = cand([0.8, 0.1, 0.9, 0.9, 0.9])
-        assert p2r.alleviate([c], 0.3) == []
-
-    def test_monotone_kept(self):
-        c = cand([0.1, 0.2, 0.4, 0.8, 0.9])
-        assert p2r.alleviate([c], 0.3) == [c]
-
-    def test_all_below_threshold_kept(self):
-        c = cand([0.1, 0.05, 0.2, 0.1, 0.25])
-        assert p2r.alleviate([c], 0.3) == [c]
-
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
-    def test_survivors_monotone_discards_witnessed(self, values):
-        c = cand(values)
-        threshold = 0.3
-        kept = p2r.alleviate([c], threshold)
-        above = np.asarray(values) >= threshold
-        if kept:
-            assert np.all(np.diff(above.astype(int)) >= 0)
-        else:
-            witnessed = any(above[j] and not above[i]
-                            for i in range(len(values)) for j in range(i))
-            assert witnessed
-
-
-class TestAlleviate:
-    def test_high_then_low_discarded(self):
         _, values = rows_of([[0.8, 0.1, 0.9, 0.9, 0.9]])
         assert list(p2r.alleviate(values, [0], 0.3)) == []
 
