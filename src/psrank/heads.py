@@ -3,7 +3,8 @@
 Every head produces one row per grid cell, in the column order of the (E, K)
 pyramid (see ``pyramid``), and the row index is the cell's only identity:
 row k of the partition matrix, of the sorting scores and of the mask kernels
-all describe the same cell.
+all describe the same cell. The mask branch is built only when a mask is
+first read (see ``model.ModelOutputs``).
 """
 
 from __future__ import annotations
@@ -68,6 +69,11 @@ def global_mask_features(stage_maps, params, cfg: ModelConfig, canvas: int) -> T
 
 
 def mask_branch(f_hat: Tensor, stage_maps, params, cfg: ModelConfig, canvas: int) -> MaskBranch:
+    """The SOLO-style dynamic mask branch: one kernel row per cell and the
+    shared feature map they convolve. ``model.forward`` does not call it;
+    ``ModelOutputs.mask`` does, on its first read, so a decode that reads no
+    mask never builds it.
+    """
     features = global_mask_features(stage_maps, params, cfg, canvas)
     kernels = _per_cell(f_hat, params["mask.kernel.w"], params["mask.kernel.b"], cfg)
     return MaskBranch(kernels=kernels, features=features)

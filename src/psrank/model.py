@@ -1,10 +1,19 @@
-"""Full network assembly, inference, and checkpointing."""
+"""Full network assembly, inference, and checkpointing.
+
+``forward`` runs the encoder, the DPT and the head, and leaves the mask branch
+unbuilt: ``ModelOutputs.mask`` builds it on first read, so a ``predict`` whose
+decode selects no row never pays for it (SOLOv2 likewise makes masks only for
+what decode keeps).
+"""
 
 from __future__ import annotations
 
 import json
+import tokenize
 import zipfile
+import zlib
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -18,10 +27,21 @@ from .p2r import RankedInstance, partition_to_rank
 from .tensor import Parameter, Tensor
 
 
-@dataclass
 class ModelOutputs:
-    scores: Tensor  # (K, C) head output, one row per grid cell
-    mask: MaskBranch
+    """The head's (K, C) scores, one row per grid cell, and the mask branch.
+
+    ``mask`` is built on first read by ``heads.mask_branch``, looked up on its
+    module then (so a profiler's wrapper sees the call), from the features the
+    forward pass kept, and under the grad mode in effect at that read.
+    """
+
+    def __init__(self, scores: Tensor, mask_inputs: tuple):
+        self.scores = scores
+        self._mask_inputs = mask_inputs  # heads.mask_branch's arguments
+
+    @cached_property
+    def mask(self) -> MaskBranch:
+        return heads.mask_branch(*self._mask_inputs)
 
 
 @dataclass(frozen=True)
@@ -88,8 +108,7 @@ def forward(image: Tensor, params, cfg: ModelConfig) -> ModelOutputs:
     harmonized = dpt.cgr(features, params, cfg)
     positioned = pyramid.add_positional_encoding(harmonized, params, cfg)
     f_hat = dpt.dpt_forward(positioned, params, cfg)
-    mask = heads.mask_branch(f_hat, stages, params, cfg, canvas)
-    return ModelOutputs(scores=head_ops(cfg).forward(f_hat, params, cfg), mask=mask)
+    return ModelOutputs(head_ops(cfg).forward(f_hat, params, cfg), (f_hat, stages, params, cfg, canvas))
 
 
 @dataclass(frozen=True)
@@ -97,27 +116,29 @@ class CanvasMasks:
     """Soft masks upsampled to the canvas, made only for the rows asked for:
     ``masks[rows]`` is (len(rows), canvas, canvas). A decode reads the few
     masks it needs from it in place of the whole (K, canvas, canvas) stack.
+    Its length is the scores' row count, so only fetching a mask builds the
+    mask branch.
     """
 
-    branch: MaskBranch
+    outputs: ModelOutputs
     canvas: int
 
     def __len__(self) -> int:
-        return self.branch.kernels.shape[0]
+        return self.outputs.scores.shape[0]
 
     def __getitem__(self, rows) -> np.ndarray:
-        return T.interpolate(self.branch.soft_masks(rows), (self.canvas, self.canvas)).data
+        return T.interpolate(self.outputs.mask.soft_masks(rows), (self.canvas, self.canvas)).data
 
 
 def predict(image: np.ndarray, params, cfg: ModelConfig) -> list[RankedInstance]:
     """Inference for one image: forward pass, then rank decoding with the
     configured head's procedure, which upsamples to the canvas only the masks
-    it examines.
+    it examines and builds the mask branch only if it examines one.
     """
     canvas = image_canvas(image)
     with T.no_grad():
         outputs = forward(Tensor(image), params, cfg)
-        return head_ops(cfg).decode(outputs.scores.data, CanvasMasks(outputs.mask, canvas))
+        return head_ops(cfg).decode(outputs.scores.data, CanvasMasks(outputs, canvas))
 
 
 # checkpointing ----------------------------------------------------------------
@@ -137,16 +158,39 @@ def save_checkpoint(path, params, model_cfg: ModelConfig, train_cfg: TrainConfig
     np.savez(path, __meta__=np.array(json.dumps(meta, sort_keys=True)), **arrays)
 
 
+# What reading a damaged .npz raises: a bad central directory, CRC-32 or
+# inflate stream, a short member, or an unparsable .npy header; reading an
+# object array, which needs pickle, raises ValueError too.
+_UNREADABLE = (zipfile.BadZipFile, zlib.error, EOFError, ValueError, tokenize.TokenError)
+
+
+def _read_member(blob, path: Path, key: str) -> np.ndarray:
+    """One member of an open checkpoint archive, or a ``DataError`` naming the
+    file and the member when it cannot be read as a plain array.
+    """
+    try:
+        return blob[key]
+    except _UNREADABLE as exc:
+        raise DataError(f"checkpoint {path} member {key} is unreadable: {exc!r}") from exc
+
+
 def load_checkpoint(path):
     path = Path(path)
     if not path.exists():
         raise DataError(f"no checkpoint at {path}")
     if not zipfile.is_zipfile(path):
         raise DataError(f"checkpoint {path} is not an .npz archive")
-    with np.load(path) as blob:
+    # np.load given a path leaves its file open when the archive is unreadable
+    with open(path, "rb") as file:
         try:
-            meta = json.loads(str(blob["__meta__"]))
-        except (KeyError, ValueError) as exc:
+            blob = np.load(file)
+        except _UNREADABLE as exc:
+            raise DataError(f"checkpoint {path} is not an .npz archive: {exc!r}") from exc
+        if "__meta__" not in blob:
+            raise DataError(f"checkpoint {path} has no readable metadata: no __meta__ member")
+        try:
+            meta = json.loads(str(_read_member(blob, path, "__meta__")))
+        except ValueError as exc:
             raise DataError(f"checkpoint {path} has no readable metadata: {exc!r}") from exc
         if not isinstance(meta, dict):
             raise DataError(f"checkpoint {path} metadata is not a JSON object: {type(meta).__name__}")
@@ -160,7 +204,11 @@ def load_checkpoint(path):
             key = f"param/{name}"
             if key not in blob:
                 raise DataError(f"checkpoint missing parameter {name}")
-            params[name] = Parameter(blob[key])
+            data = _read_member(blob, path, key)
+            # a NaN or infinite weight would make predict return nothing, silently
+            if data.dtype.kind not in "biuf" or not np.isfinite(data).all():
+                raise DataError(f"checkpoint {path} member {key} holds non-finite or non-numeric values")
+            params[name] = Parameter(data)
     try:
         model_cfg, train_cfg = config_from_dict(meta["config"])
     except (KeyError, TypeError) as exc:

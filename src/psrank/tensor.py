@@ -8,17 +8,25 @@ arithmetic operators and indexing. Forward ops record closures on a tape;
 elementwise kernels are numpy; the differentiation machinery, convolution,
 normalization, resampling, and attention are implemented here.
 
-There is one softmax, over the last axis. ``softmax`` records it as a tape
-op, and multi-head attention, a single tape op whose backward is written out
-analytically (one call records one node), runs the same forward and backward
-on its key axis. When the last axis is shorter than 8 (the DPT's cross-scale
-route, one key per scale; the sorting head's N+1 classes when N < 7), the
-row max is a chain of ``np.maximum`` over the column slices and the row sums
-are sequential adds from +0.0. That is numpy's own order below 8 terms, so
-the results are byte-equal to ``max``/``sum`` at a fraction of their per-row
-cost. A longer axis halves its row max with ``np.maximum`` first (the rows
-of 8-12 keys of the larger grids' row and column routes), and keeps numpy's
-sum, whose pairwise order a chain would only slow down.
+There is one softmax. It runs on a key-major array: the axis it normalizes
+comes first, so its max and sums are elementwise ops between contiguous
+slabs, one slab per key, in place of numpy's reductions over a short last
+axis (4-12 keys in the DPT's routes), whose per-row cost dominates there.
+The max halves the key axis with ``np.maximum``; the sums repeat numpy's
+pairwise order (sequential from +0.0 below 8 terms, eight partial sums up to
+128, split in halves above that), so the softmax is byte-equal to the one
+built on ``max``/``sum`` over the last axis. ``softmax`` records it as a tape
+op over a key-major copy of its last axis. Multi-head attention, a single
+tape op whose backward is written out analytically (one call records one
+node), computes q, k and v with one GEMM and writes its scores key-major
+through ``matmul``'s ``out``; the weights are normalized in place, then copied
+once to row-major for the products that read them. Its backward writes the
+weights' gradient key-major the same way. Every product keeps the operand
+orientation of the plain row-major form: OpenBLAS rounds a product whose
+first operand is a transposed view differently once the inner dimension
+reaches 16, and only where the result is written may change. One-token
+sequences keep the batched projections, since numpy computes those as gemv,
+which rounds differently from a GEMM.
 
 ``conv2d``, ``group_norm`` and ``interpolate`` take one (C, H, W) grid, or
 with ``grids`` a (C, K) pyramid: column k is cell k, the cells of each (h, w)
@@ -395,68 +403,85 @@ def matmul(a, b) -> Tensor:
 # softmax ----------------------------------------------------------------------
 
 
-# Below this many entries, numpy reduces a contiguous row one element at a time
-# from +0.0 (sum) or from its first element (max), and the elementwise chains
-# below repeat that order; from here on it sums pairwise with eight partial
-# sums, and its reductions beat a Python-level chain anyway.
-_SHORT_AXIS = 8
-
-
-def _row_max(a: np.ndarray) -> np.ndarray:
-    """The maximum over the last axis, keepdims, without the reduction
-    machinery's per-row cost: ``np.maximum`` of the two halves of a long axis
-    until fewer than 8 columns are left, then a chain over the column slices.
-    Below 8 entries it is ``a.max(axis=-1, keepdims=True)`` byte for byte;
-    from 8 on, a zero maximum may carry the other sign, which ``a - max``
-    cannot show (x - (+0.0) and x - (-0.0) are equal for x != 0, and both
-    zeros for x = ±0), so the softmax it feeds is byte-equal either way.
+def _key_max(a: np.ndarray) -> np.ndarray:
+    """The maximum over the leading (key) axis: ``np.maximum`` of its two
+    halves until one slab is left, each step one elementwise op on contiguous
+    slabs. It equals ``np.moveaxis(a, 0, -1).max(axis=-1)`` up to the sign of
+    a zero maximum, which ``a - max`` cannot show (x - (+0.0) and x - (-0.0)
+    are equal for x != 0, and both zeros for x = ±0), so the softmax it feeds
+    is byte-equal either way.
     """
-    n = a.shape[-1]
-    while n >= _SHORT_AXIS:
-        half = n // 2
-        top = np.maximum(a[..., :half], a[..., half : 2 * half])
-        a = np.concatenate([top, a[..., 2 * half :]], axis=-1) if n % 2 else top
-        n = a.shape[-1]
-    out = a[..., 0:1].copy()
-    for i in range(1, n):
-        np.maximum(out, a[..., i : i + 1], out=out)
-    return out
+    top = a
+    while len(top) > 1:
+        half = len(top) // 2
+        rest = top[2 * half :]  # the odd slab out, if any
+        top = np.maximum(top[:half], top[half : 2 * half], out=None if top is a else top[:half])
+        if len(rest):
+            np.maximum(top[:1], rest, out=top[:1])
+    return top[0] if top is not a else top[0].copy()
 
 
-def _row_sum(a: np.ndarray) -> np.ndarray:
-    """``a.sum(axis=-1, keepdims=True)``, byte for byte: for a short last axis,
-    sequential adds that start from +0.0, as numpy's own loop does (so an all
-    -0.0 row sums to +0.0).
+def _pairwise_sum(a: np.ndarray) -> np.ndarray:
+    """numpy's pairwise summation of the leading axis's n slabs: sequential
+    from +0.0 below 8 terms, eight interleaved partial sums joined as
+    ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) and then the last n % 8
+    terms in turn up to 128 terms, and above that the sum of two parts split
+    at a multiple of 8 near the middle.
     """
-    n = a.shape[-1]
-    if n >= _SHORT_AXIS:
-        return a.sum(axis=-1, keepdims=True)
-    out = a[..., 0:1] + 0.0
-    for i in range(1, n):
-        out += a[..., i : i + 1]
-    return out
+    n = len(a)
+    if n < 8:
+        total = a[0] + 0.0
+        for i in range(1, n):
+            total += a[i]
+        return total
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+    stop = n - n % 8
+    partial = a[:8] if stop == 8 else a[:8] + a[8:16]  # a view only while nothing adds into it
+    for lo in range(16, stop, 8):
+        partial += a[lo : lo + 8]
+    pairs = partial[0::2] + partial[1::2]
+    quads = pairs[0::2] + pairs[1::2]
+    total = quads[0] + quads[1]
+    for i in range(stop, n):
+        total += a[i]
+    return total
 
 
-def _softmax_rows(a: np.ndarray) -> np.ndarray:
-    """Max-stabilized softmax over the last axis of a plain array."""
-    e = np.exp(a - _row_max(a))
-    return e / _row_sum(e)
+def _key_sum(a: np.ndarray) -> np.ndarray:
+    """``np.moveaxis(a, 0, -1).sum(axis=-1)`` byte for byte: numpy adds the
+    pairwise sum of a row's values to its +0.0 identity (so an all -0.0 row
+    sums to +0.0), and the leading axis here is that row.
+    """
+    total = _pairwise_sum(a)
+    if len(a) >= 8:  # below 8 the sequence already starts from +0.0
+        total += 0.0
+    return total
 
 
-def _softmax_rows_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The input gradient of ``out = _softmax_rows(a)`` given the output's ``g``."""
-    return out * (g - _row_sum(g * out))
+def _softmax_keys(s: np.ndarray) -> np.ndarray:
+    """Max-stabilized softmax over the leading (key) axis of ``s``, in place."""
+    s -= _key_max(s)
+    np.exp(s, out=s)
+    s /= _key_sum(s)
+    return s
+
+
+def _softmax_keys_grad(out: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The input gradient of ``out = _softmax_keys(a)`` given the output's ``g``."""
+    return out * (g - _key_sum(g * out))
 
 
 def softmax(a) -> Tensor:
     """Max-stabilized softmax over the last axis; outputs sum to 1 there."""
     a = _as_tensor(a)
-    out = _softmax_rows(a.data)
+    keys = _softmax_keys(np.moveaxis(a.data, -1, 0).copy())  # a key-major copy
 
     def backward(g):
-        _accumulate(a, _softmax_rows_grad(out, g))
+        _accumulate(a, np.moveaxis(_softmax_keys_grad(keys, np.moveaxis(g, -1, 0)), 0, -1))
 
-    return _result(out, (a,), backward)
+    return _result(np.moveaxis(keys, 0, -1), (a,), backward)
 
 
 # convolution -----------------------------------------------------------------
@@ -750,33 +775,48 @@ def multi_head_attention(x, heads: int, wq, wk, wv, wo) -> Tensor:
     dh = d // heads
     scale = 1.0 / math.sqrt(dh)
 
-    def split(t):  # (B, L, D) -> (B, heads, L, dh)
+    def split(t):  # (B*L, D) -> (B, heads, L, dh)
         return t.reshape(b, length, heads, dh).transpose(0, 2, 1, 3)
 
     def merge(t):  # (B, heads, L, dh) -> (B*L, D)
         return t.transpose(0, 2, 1, 3).reshape(b * length, d)
 
-    q = split(np.matmul(xb, wq.data))
-    k = split(np.matmul(xb, wk.data))
-    v = split(np.matmul(xb, wv.data))
-    scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * scale
-    attn = _softmax_rows(scores)
-    merged = merge(np.matmul(attn, v))
-    # a [B,L,D] product, as a batched matmul rounds it, not one (B*L, D) GEMM
-    out = np.matmul(merged.reshape(b, length, d), wo.data).reshape(x.data.shape)
+    def project(t, w):  # (B*L, D) @ w
+        if length > 1:
+            return t @ w
+        # one-token sequences keep the batched product, which numpy computes as a gemv per sequence
+        return np.matmul(t.reshape(b, 1, d), w).reshape(b, -1)
 
+    x2 = xb.reshape(b * length, d)  # copies the strided tokens of a transposed view
+    qkv = project(x2, np.concatenate([wq.data, wk.data, wv.data], axis=1))
+    q, k, v = qkv.reshape(b, length, 3, heads, dh).transpose(2, 0, 3, 1, 4)
+    # scores key-major: slab j holds every query's score against key j
+    attn_keys = np.empty((length, b, heads, length))
+    np.matmul(q, k.swapaxes(-1, -2), out=attn_keys.transpose(1, 2, 3, 0))
+    attn_keys *= scale
+    _softmax_keys(attn_keys)
+    attn = np.ascontiguousarray(attn_keys.transpose(1, 2, 3, 0))  # row-major for BLAS
+    merged = merge(np.matmul(attn, v))
+    out = project(merged, wo.data).reshape(x.data.shape)
+
+    # the tape keeps only the key-major weights; the backward rebuilds the
+    # row-major copy and the flat input, so a graph holds no extra copies
     def backward(g):
+        attn = np.ascontiguousarray(attn_keys.transpose(1, 2, 3, 0))
+        x2 = xb.reshape(b * length, d)
         g2 = g.reshape(b * length, d)
         _accumulate(wo, merged.T @ g2)
         g_ctx = split(g2 @ wo.data.T)
-        g_attn = np.matmul(g_ctx, v.swapaxes(-1, -2))
-        g_scores = _softmax_rows_grad(attn, g_attn) * scale
+        g_keys = np.empty((length, b, heads, length))
+        np.matmul(g_ctx, v.swapaxes(-1, -2), out=g_keys.transpose(1, 2, 3, 0))
+        g_keys = _softmax_keys_grad(attn_keys, g_keys)
+        g_keys *= scale
+        g_scores = np.ascontiguousarray(g_keys.transpose(1, 2, 3, 0))
         grads = (
             (wq, np.matmul(g_scores, k)),
             (wk, np.matmul(g_scores.swapaxes(-1, -2), q)),
             (wv, np.matmul(attn.swapaxes(-1, -2), g_ctx)),
         )
-        x2 = xb.reshape(b * length, d)
         gx = 0.0
         for w, g_head in grads:
             g_proj = merge(g_head)

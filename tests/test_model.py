@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from psrank import model, tensor as T
+from psrank import heads, model, train, tensor as T
 from psrank.config import ModelConfig, toy_model_config, toy_train_config
 from psrank.data_synth import GenConfig, generate_dataset
 from psrank.errors import DataError, DimensionError
@@ -135,6 +135,51 @@ class TestPredict:
         assert found > 0
 
 
+class TestMaskBranchOnDemand:
+    """``forward`` leaves the mask branch unbuilt, and the first read of a mask
+    builds it once, through ``heads.mask_branch``.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counted = []
+        original = heads.mask_branch
+
+        def counting(*args, **kwargs):
+            counted.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(heads, "mask_branch", counting)
+        return counted
+
+    def test_predict_that_selects_nothing_never_builds_it(self, heldout, calls):
+        cfg = toy_model_config()
+        params = model.init_model_params(cfg, 0)
+        for sample in heldout[:4]:
+            assert model.predict(sample.image, params, cfg) == []
+        assert calls == []
+
+    def test_predict_builds_it_once_when_decode_reads_a_mask(self, heldout, calls):
+        cfg = toy_model_config(**LOW)
+        params = model.init_model_params(cfg, 0)
+        found = 0
+        for sample in heldout:
+            calls.clear()
+            preds = model.predict(sample.image, params, cfg)
+            # rank 1's walk fetches a mask exactly when it selects a row
+            assert len(calls) == (1 if preds else 0)
+            found += len(preds)
+        assert found > 0
+
+    def test_sample_loss_builds_it_once(self, heldout, calls):
+        cfg = toy_model_config()
+        params = model.init_model_params(cfg, 0)
+        targets = train.build_targets(heldout[0], cfg)
+        assert len(targets.pos_rows) > 0
+        train.sample_loss(heldout[0], targets, params, cfg).total.backward()
+        assert len(calls) == 1
+
+
 class TestCheckpoint:
     def test_round_trip(self, tmp_path, heldout):
         cfg = toy_model_config(**LOW)
@@ -175,6 +220,72 @@ class TestCheckpoint:
         model.save_checkpoint(tmp_path / "bad.npz", params, cfg, toy_train_config(), seed=0)
         with pytest.raises(DataError):
             model.load_checkpoint(tmp_path / "bad.npz")
+
+
+class TestDamagedMembers:
+    """Each fails with a DataError naming the file and the member."""
+
+    @staticmethod
+    def save(path, params=None):
+        cfg = toy_model_config()
+        params = model.init_model_params(cfg, 0) if params is None else params
+        model.save_checkpoint(path, params, cfg, toy_train_config(), seed=0)
+        return params
+
+    def test_damaged_member_rejected(self, tmp_path):
+        # the member still parses as an array; its CRC-32 no longer matches
+        path = tmp_path / "damaged.npz"
+        params = self.save(path)
+        raw = bytearray(path.read_bytes())
+        at = raw.find(params["dpt.layer0.cross.wk"].data.tobytes())
+        assert at > 0
+        raw[at + 100] ^= 0xFF
+        path.write_bytes(bytes(raw))
+        with pytest.raises(DataError, match=r"damaged\.npz member param/dpt\.layer0\.cross\.wk is unreadable"):
+            model.load_checkpoint(path)
+
+    def test_unparsable_member_header_rejected(self, tmp_path):
+        # an unclosed shape tuple in the .npy header: parsing fails before the CRC-32 is read
+        path = tmp_path / "header.npz"
+        self.save(path)
+        raw = path.read_bytes()
+        start = raw.find(b"param/partition.b.npy")
+        at = raw.find(b"'shape': (3,)", start)
+        assert start > 0 and at > start
+        path.write_bytes(raw[:at] + b"'shape': (3,(" + raw[at + 13:])
+        with pytest.raises(DataError, match=r"header\.npz member param/partition\.b is unreadable"):
+            model.load_checkpoint(path)
+
+    def test_damaged_directory_rejected(self, tmp_path):
+        # the end record is intact, so the file still looks like a zip archive
+        path = tmp_path / "directory.npz"
+        self.save(path)
+        raw = path.read_bytes()
+        at = raw.rfind(b"PK\x01\x02")
+        assert at > 0
+        path.write_bytes(raw[:at] + b"XX" + raw[at + 2:])
+        with pytest.raises(DataError, match=r"directory\.npz is not an \.npz archive"):
+            model.load_checkpoint(path)
+
+    def test_object_array_member_rejected(self, tmp_path):
+        path = tmp_path / "objects.npz"
+        self.save(path)
+        with np.load(path) as blob:
+            arrays = {name: blob[name] for name in blob.files}
+        arrays["param/partition.b"] = np.array([1.0, None, "x"], dtype=object)
+        np.savez(path, **arrays)
+        with pytest.raises(DataError, match=r"objects\.npz member param/partition\.b is unreadable"):
+            model.load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, bad):
+        # it loaded silently, and predict then returned no instance
+        params = model.init_model_params(toy_model_config(), 0)
+        params["partition.b"].data[1] = bad
+        path = tmp_path / "nonfinite.npz"
+        self.save(path, params)
+        with pytest.raises(DataError, match=r"nonfinite\.npz member param/partition\.b holds non-finite"):
+            model.load_checkpoint(path)
 
 
 class TestCheckpointMetadata:

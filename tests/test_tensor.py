@@ -335,11 +335,30 @@ class TestAttention:
         assert T.multi_head_attention is original
 
 
+def key_major(a):
+    """A contiguous copy of ``a`` with its last axis moved to the front."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
+
+
 class TestShortAxisReductions:
+    """The softmax's key-axis reductions, each over the leading axis of a
+    key-major array, against numpy's last-axis reductions of the row-major
+    array: the sum byte for byte, the max up to the sign of a zero.
+    """
+
     # few distinct values, signed zeros among them, so rows repeat their maximum,
     # mix -0.0 with +0.0 and are sometimes all -0.0
     values = st.one_of(st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5]),
                        st.floats(-1e300, 1e300, allow_nan=False))
+
+    @staticmethod
+    def assert_max_equal_up_to_zero_sign(a, got):
+        want = a.max(axis=-1)
+        assert np.array_equal(got, want)
+        nonzero = want != 0.0
+        assert got[nonzero].tobytes() == want[nonzero].tobytes()
+        # which the softmax it feeds cannot see: a - (±0) is the same for every a
+        assert np.exp(a - got[..., None]).tobytes() == np.exp(a - want[..., None]).tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=4, max_side=7), elements=values))
@@ -347,12 +366,13 @@ class TestShortAxisReductions:
     @example(np.array([[0.0, -0.0], [-0.0, 0.0]]))
     @example(np.array([[1.0, 3.0, -0.0, 3.0, 3.0]]))
     def test_chains_equal_numpy_reductions(self, a):
-        assert T._row_max(a).tobytes() == a.max(axis=-1, keepdims=True).tobytes()
-        assert T._row_sum(a).tobytes() == a.sum(axis=-1, keepdims=True).tobytes()
+        keys = key_major(a)
+        assert T._key_sum(keys).tobytes() == a.sum(axis=-1).tobytes()
+        self.assert_max_equal_up_to_zero_sign(a, np.asarray(T._key_max(keys)))
 
     def test_all_negative_zero_row_sums_to_positive_zero(self):
-        total = T._row_sum(np.full((2, 5), -0.0))
-        assert not np.signbit(total).any()
+        for n in (5, 12, 130):  # each branch of the pairwise order
+            assert not np.signbit(T._key_sum(np.full((n, 2), -0.0))).any(), n
 
     @settings(max_examples=300, deadline=None)
     @given(st.tuples(st.integers(1, 4), st.integers(8, 40)).flatmap(
@@ -360,24 +380,33 @@ class TestShortAxisReductions:
     @example(np.array([[-0.0] * 5 + [0.0] * 4]))
     @example(np.array([[0.0] * 9 + [-0.0] * 3]))
     def test_long_axis_max_equals_numpy_up_to_zero_sign(self, a):
-        got, want = T._row_max(a), a.max(axis=-1, keepdims=True)
-        assert np.array_equal(got, want)
-        nonzero = want != 0.0
-        assert got[nonzero].tobytes() == want[nonzero].tobytes()
-        # which the softmax it feeds cannot see: a - (±0) is the same for every a
-        assert np.exp(a - got).tobytes() == np.exp(a - want).tobytes()
+        self.assert_max_equal_up_to_zero_sign(a, T._key_max(key_major(a)))
 
     @pytest.mark.parametrize("n", [8, 12, 116])
     def test_long_axis_takes_numpy_path(self, n):
         # a row whose sequential sum is 1 while numpy's pairwise sum is 0
         a = np.zeros((2, n))
         a[:, :4] = [1e16, 1.0, -1e16, 1.0]
-        sequential = a[:, :1] + 0.0
+        sequential = a[:, 0] + 0.0
         for i in range(1, n):
-            sequential += a[:, i : i + 1]
-        assert T._row_sum(a).tobytes() == a.sum(axis=-1, keepdims=True).tobytes()
-        assert T._row_sum(a).tobytes() != sequential.tobytes()
-        assert T._row_max(a).tobytes() == a.max(axis=-1, keepdims=True).tobytes()
+            sequential += a[:, i]
+        keys = key_major(a)
+        assert T._key_sum(keys).tobytes() == a.sum(axis=-1).tobytes()
+        assert T._key_sum(keys).tobytes() != sequential.tobytes()
+        assert T._key_max(keys).tobytes() == a.max(axis=-1).tobytes()
+
+    # every branch of numpy's pairwise order: sequential below 8 terms, eight
+    # partial sums up to 128, halves split at a multiple of 8 above that
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(st.integers(1, 3), st.integers(1, 300)).flatmap(
+        lambda shape, elements=values: hnp.arrays(np.float64, shape, elements=elements)))
+    @example(np.full((2, 200), -0.0))
+    @example(np.array([[0.0] * 130 + [-0.0] * 3]))
+    @example(np.array([[1e16, 1.0, -1e16] + [1.0] * 250]))
+    def test_every_length_matches_numpy(self, a):
+        keys = key_major(a)
+        assert T._key_sum(keys).tobytes() == a.sum(axis=-1).tobytes()
+        self.assert_max_equal_up_to_zero_sign(a, T._key_max(keys))
 
 
 def outputs_and_grads(op, arrays, seed):
@@ -396,7 +425,10 @@ class TestKernelsMatchPlainForms:
     # row/column routes (side, side, E) at every grid side; cross routes (cells, S, E)
     # at full128 and toy64; the all-scale baseline's single sequence of K cells
     @pytest.mark.parametrize("shape", [(s, s, 16) for s in range(4, 13)]
-                             + [(144, 5, 16), (64, 3, 16), (116, 16)])
+                             + [(144, 5, 16), (64, 3, 16), (116, 16)]
+                             # inner dimensions from 16 up, where a transposed BLAS operand
+                             # rounds differently, and one-token sequences (gemv)
+                             + [(2, 20, 16), (3, 16, 16), (1, 130, 16), (6, 1, 16)])
     def test_attention(self, shape):
         rng = np.random.default_rng(sum(shape))
         arrays = [rng.normal(size=shape)] + [rng.normal(size=(16, 16)) / 4.0 for _ in range(4)]
