@@ -32,7 +32,11 @@ On disk a dataset is a directory of ``<split>.npz`` archives, each holding
 ``version`` (``FORMAT_VERSION``), ``images`` (N, 3, H, W) float32, ``seeds``
 and ``counts`` (N,), and every scene's instances in turn as ``masks``
 (M, H, W) bool and ``ranks`` (M,). Members are dated ``ZIP_DATE``, so equal
-splits save to equal bytes. A malformed archive raises ``DataError`` naming it.
+splits save to equal bytes.
+
+``read_npz`` is the package's one ``.npz`` reader, for dataset splits and
+model checkpoints alike. An unreadable or malformed split raises
+``DataError`` naming the file, and the member when one member is at fault.
 """
 
 from __future__ import annotations
@@ -281,16 +285,40 @@ def load_dataset(data_dir) -> dict[str, list[SceneSample]]:
     return {path.stem: _load_split(path) for path in paths}
 
 
-def _load_split(path: Path) -> list[SceneSample]:
+def read_npz(path: Path) -> dict[str, np.ndarray]:
+    """Every ``.npy`` member of the archive at ``path``, keyed by its name
+    without ``.npy``. A file that is not a readable zip archive raises
+    ``DataError`` naming it; a member that is damaged, holds bytes after its
+    array or would need pickle raises ``DataError`` naming the file and the
+    member. Each member is read to its end, which checks its CRC-32.
+    """
+    # a damaged file raises zipfile, zlib, tokenize, OS, memory and value errors
     try:
-        with zipfile.ZipFile(path) as archive:
-            arrays = {key: np.lib.format.read_array(archive.open(f"{key}.npy"), allow_pickle=False)
-                      for key in LAYOUT if f"{key}.npy" in archive.namelist()}
-    except Exception as exc:  # a damaged file raises zipfile, zlib, tokenize, OS and value errors
-        raise DataError(f"unreadable dataset archive {path}: {exc}") from exc
+        archive = zipfile.ZipFile(path)
+    except Exception as exc:
+        raise DataError(f"{path} is not an .npz archive: {exc!r}") from exc
+    arrays = {}
+    with archive:
+        for name in archive.namelist():
+            if not name.endswith(".npy"):
+                continue
+            key = name.removesuffix(".npy")
+            try:
+                with archive.open(name) as stream:
+                    arrays[key] = np.lib.format.read_array(stream, allow_pickle=False)
+                    if stream.read(1):
+                        raise ValueError("bytes after the array")
+            except Exception as exc:
+                raise DataError(f"{path} member {key} is unreadable: {exc!r}") from exc
+    return arrays
+
+
+def _load_split(path: Path) -> list[SceneSample]:
+    arrays = read_npz(path)
     missing = [key for key in LAYOUT if key not in arrays]
     if missing:
         raise DataError(f"dataset archive {path} is missing {', '.join(missing)}")
+    arrays = {key: arrays[key] for key in LAYOUT}  # in layout order, without any other member
     version = arrays["version"]
     if version.shape != () or version != FORMAT_VERSION:
         raise DataError(f"unsupported dataset version {version} in {path}")
@@ -304,6 +332,10 @@ def _load_split(path: Path) -> list[SceneSample]:
         shapes = ", ".join(f"{key} {a.shape}" for key, a in arrays.items() if key != "version")
         raise DataError(f"arrays in {path} disagree: {shapes}, counts summing to {counts.sum()}")
     ends = np.cumsum(counts)[:-1]
-    per_scene = zip(images, seeds, np.split(masks, ends), np.split(ranks, ends))
+    scene_ranks = np.split(ranks, ends)
+    for i, scene in enumerate(scene_ranks):
+        if not np.array_equal(np.sort(scene), np.arange(1, len(scene) + 1)):
+            raise DataError(f"scene {i} in {path} has ranks {scene.tolist()}, not 1..{len(scene)} each once")
+    per_scene = zip(images, seeds, np.split(masks, ends), scene_ranks)
     return [SceneSample(image=image, instances=list(zip(scene_masks, scene_ranks.tolist())), seed=int(seed))
             for image, seed, scene_masks, scene_ranks in per_scene]

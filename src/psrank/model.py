@@ -4,14 +4,18 @@
 unbuilt: ``ModelOutputs.mask`` builds it on first read, so a ``predict`` whose
 decode selects no row never pays for it (SOLOv2 likewise makes masks only for
 what decode keeps).
+
+A checkpoint is an ``np.savez`` archive of ``__meta__`` (JSON) and one
+``param/<name>`` member per parameter. ``load_checkpoint`` reads it with
+``data_synth.read_npz``. A missing or unreadable file, malformed metadata, or
+a parameter that is missing, non-finite or misshapen raises ``DataError``
+naming the file, and the member when one member is at fault; a stored config
+that fails validation or its hash raises ``ConfigurationError``.
 """
 
 from __future__ import annotations
 
 import json
-import tokenize
-import zipfile
-import zlib
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -21,6 +25,7 @@ import numpy as np
 
 from . import dpt, heads, losses, pyramid, sorting_head, tensor as T
 from .config import ModelConfig, TrainConfig, config_from_dict, config_hash, config_to_dict
+from .data_synth import read_npz
 from .errors import ConfigurationError, DataError, DimensionError
 from .heads import MaskBranch
 from .p2r import RankedInstance, partition_to_rank
@@ -158,67 +163,50 @@ def save_checkpoint(path, params, model_cfg: ModelConfig, train_cfg: TrainConfig
     np.savez(path, __meta__=np.array(json.dumps(meta, sort_keys=True)), **arrays)
 
 
-# What reading a damaged .npz raises: a bad central directory, CRC-32 or
-# inflate stream, a short member, or an unparsable .npy header; reading an
-# object array, which needs pickle, raises ValueError too.
-_UNREADABLE = (zipfile.BadZipFile, zlib.error, EOFError, ValueError, tokenize.TokenError)
-
-
-def _read_member(blob, path: Path, key: str) -> np.ndarray:
-    """One member of an open checkpoint archive, or a ``DataError`` naming the
-    file and the member when it cannot be read as a plain array.
-    """
-    try:
-        return blob[key]
-    except _UNREADABLE as exc:
-        raise DataError(f"checkpoint {path} member {key} is unreadable: {exc!r}") from exc
-
-
 def load_checkpoint(path):
+    """``(params, model_cfg, train_cfg, meta)`` from a ``save_checkpoint``
+    file; the module docstring lists what it raises.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"no checkpoint at {path}")
-    if not zipfile.is_zipfile(path):
-        raise DataError(f"checkpoint {path} is not an .npz archive")
-    # np.load given a path leaves its file open when the archive is unreadable
-    with open(path, "rb") as file:
-        try:
-            blob = np.load(file)
-        except _UNREADABLE as exc:
-            raise DataError(f"checkpoint {path} is not an .npz archive: {exc!r}") from exc
-        if "__meta__" not in blob:
-            raise DataError(f"checkpoint {path} has no readable metadata: no __meta__ member")
-        try:
-            meta = json.loads(str(_read_member(blob, path, "__meta__")))
-        except ValueError as exc:
-            raise DataError(f"checkpoint {path} has no readable metadata: {exc!r}") from exc
-        if not isinstance(meta, dict):
-            raise DataError(f"checkpoint {path} metadata is not a JSON object: {type(meta).__name__}")
-        if meta.get("format") != 1:
-            raise DataError(f"unsupported checkpoint format {meta.get('format')}")
-        missing = [key for key in ("config", "config_hash", "param_names") if key not in meta]
-        if missing:
-            raise DataError(f"checkpoint {path} metadata is missing {', '.join(missing)}")
-        params = {}
-        for name in meta["param_names"]:
-            key = f"param/{name}"
-            if key not in blob:
-                raise DataError(f"checkpoint missing parameter {name}")
-            data = _read_member(blob, path, key)
-            # a NaN or infinite weight would make predict return nothing, silently
-            if data.dtype.kind not in "biuf" or not np.isfinite(data).all():
-                raise DataError(f"checkpoint {path} member {key} holds non-finite or non-numeric values")
-            params[name] = Parameter(data)
+    blob = read_npz(path)
+    if "__meta__" not in blob:
+        raise DataError(f"checkpoint {path} has no readable metadata: no __meta__ member")
+    try:
+        meta = json.loads(str(blob["__meta__"]))
+    except ValueError as exc:
+        raise DataError(f"checkpoint {path} has no readable metadata: {exc!r}") from exc
+    if not isinstance(meta, dict):
+        raise DataError(f"checkpoint {path} metadata is not a JSON object: {type(meta).__name__}")
+    if meta.get("format") != 1:
+        raise DataError(f"checkpoint {path} has unsupported format {meta.get('format')}")
+    missing = [key for key in ("config", "config_hash", "param_names") if key not in meta]
+    if missing:
+        raise DataError(f"checkpoint {path} metadata is missing {', '.join(missing)}")
+    names = meta["param_names"]
+    if not isinstance(names, list) or not all(isinstance(name, str) for name in names):
+        raise DataError(f"checkpoint {path} param_names is not a list of strings")
+    params = {}
+    for name in names:
+        key = f"param/{name}"
+        if key not in blob:
+            raise DataError(f"checkpoint {path} is missing parameter {name}")
+        data = blob[key]
+        # a NaN or infinite weight would make predict return nothing, silently
+        if data.dtype.kind not in "biuf" or not np.isfinite(data).all():
+            raise DataError(f"checkpoint {path} member {key} holds non-finite or non-numeric values")
+        params[name] = Parameter(data)
     try:
         model_cfg, train_cfg = config_from_dict(meta["config"])
     except (KeyError, TypeError) as exc:
         raise DataError(f"checkpoint {path} has a malformed config: {exc!r}") from exc
     if meta["config_hash"] != config_hash(model_cfg, train_cfg):
-        raise ConfigurationError("checkpoint config hash does not match its stored config")
+        raise ConfigurationError(f"checkpoint {path} config hash does not match its stored config")
     expected = {name: p.shape for name, p in init_model_params(model_cfg, 0).items()}
     for name in sorted(expected.keys() | params.keys()):
         shape = params[name].shape if name in params else None
         if shape != expected.get(name):
-            raise DataError(f"checkpoint parameter {name} has shape {shape}; "
+            raise DataError(f"checkpoint {path} parameter {name} has shape {shape}; "
                             f"the model for its config expects {expected.get(name)}")
     return params, model_cfg, train_cfg, meta

@@ -10,8 +10,9 @@ its row is asked for, so decoding pays only for the masks it reads.
 Inference proceeds in three steps: associate keeps the rows that clear the
 objectness floor, alleviate discards rows whose thresholded partition
 pattern is ambiguous, and selection walks each rank's rows from the most
-probable down and takes the first whose binarized mask does not overlap an
-earlier choice. Masks are fetched only for the rows that walk reaches.
+probable down and takes the first whose binarized mask has ``mask_iou`` at
+most ``nms_iou`` with every earlier choice. Masks are fetched only for the
+rows that walk reaches.
 """
 
 from __future__ import annotations
@@ -47,31 +48,6 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.logical_and(a, b).sum() / union)
 
 
-class AcceptedMasks:
-    """Binary masks accepted so far; ``clears`` tests a new mask against all
-    of them. Intersections are integer pixel counts and each accepted mask's
-    area is counted once, so every IoU equals ``mask_iou`` of the pair.
-    """
-
-    def __init__(self):
-        self.masks: list[np.ndarray] = []
-        self.areas: list[int] = []
-
-    def clears(self, binary: np.ndarray, nms_iou: float) -> bool:
-        """True iff ``binary`` has IoU <= ``nms_iou`` with every accepted mask."""
-        area = np.count_nonzero(binary) if self.masks else 0
-        for mask, mask_area in zip(self.masks, self.areas):
-            inter = np.count_nonzero(np.logical_and(mask, binary))
-            union = mask_area + area - inter
-            if (inter / union if union else 0.0) > nms_iou:
-                return False
-        return True
-
-    def add(self, binary: np.ndarray) -> None:
-        self.masks.append(binary)
-        self.areas.append(np.count_nonzero(binary))
-
-
 def associate(masks, values, objectness_floor: float) -> np.ndarray:
     """Rows that pair a mask with a partition row whose best probability
     reaches ``objectness_floor``.
@@ -101,10 +77,10 @@ def select_ranks(masks, values, rows, n_ranks: int, threshold: float, nms_iou: f
     For rank n the rows are walked in descending partition-n probability,
     ties going to the lower row, skipping rows already chosen; the walk stops
     at the first row below the threshold. The first row whose binarized mask
-    has IoU <= nms_iou with every chosen mask takes rank n, and when no row
-    does, selection ends. This equals suppressing every row that overlaps a
-    choice, since a suppressed row matters only when it would otherwise be
-    chosen.
+    has ``mask_iou`` <= nms_iou with every chosen mask takes rank n, and when
+    no row does, selection ends. This equals suppressing every row that
+    overlaps a choice, since a suppressed row matters only when it would
+    otherwise be chosen.
 
     Only the rows the walk reaches have their masks fetched, in blocks that
     double along the walk (one row, then as many as fetched so far, all at
@@ -114,7 +90,6 @@ def select_ranks(masks, values, rows, n_ranks: int, threshold: float, nms_iou: f
     values = np.asarray(values)
     binaries: dict[int, np.ndarray] = {}
     chosen: list[int] = []
-    accepted = AcceptedMasks()
     results: list[RankedInstance] = []
     for rank in range(1, n_ranks + 1):
         column = values[rows, rank - 1]
@@ -127,9 +102,8 @@ def select_ranks(masks, values, rows, n_ranks: int, threshold: float, nms_iou: f
                 block = list(islice(unfetched, max(1, len(binaries))))
                 for r, soft in zip(block, masks[block]):
                     binaries[r] = binarize(soft, binarize_threshold)
-            if accepted.clears(binaries[row], nms_iou):
+            if all(mask_iou(binaries[row], earlier.mask) <= nms_iou for earlier in results):
                 chosen.append(row)
-                accepted.add(binaries[row])
                 results.append(RankedInstance(mask=binaries[row], rank=rank, score=float(values[row, rank - 1])))
                 break
         else:  # no row at or above the threshold passes the overlap test

@@ -14,7 +14,7 @@ from . import tensor as T
 from .config import ModelConfig
 from .heads import _per_cell
 from .losses import PROB_EPS
-from .p2r import AcceptedMasks, RankedInstance, binarize
+from .p2r import RankedInstance, binarize, mask_iou
 from .pyramid import conv_params
 from .tensor import Parameter, Tensor
 
@@ -32,7 +32,7 @@ def sort_to_ranks(scores: np.ndarray, masks, n_ranks: int, nms_iou: float,
                   binarize_threshold: float) -> list[RankedInstance]:
     """Greedy decode: non-background argmax cells ordered by confidence (ties
     to the lower row); a candidate is dropped if its class is already taken or
-    its mask overlaps an accepted one beyond the NMS threshold. The accepted
+    its mask's ``mask_iou`` with an accepted one exceeds the NMS threshold. The accepted
     cells, ordered by class, get ranks 1..n, so a class nobody took leaves no
     gap. ``masks`` is row-indexable as in ``p2r``; a mask is fetched only for
     a candidate whose class is still free, and the walk stops once every
@@ -46,16 +46,14 @@ def sort_to_ranks(scores: np.ndarray, masks, n_ranks: int, nms_iou: float,
         key=lambda i: (-confidences[i], i),
     )
     accepted: dict[int, tuple[int, np.ndarray]] = {}  # class -> (row, binary mask)
-    overlap = AcceptedMasks()
     for i in order:
         if len(accepted) == n_ranks:
             break
         if classes[i] in accepted:
             continue
         binary = binarize(masks[[i]][0], binarize_threshold)
-        if overlap.clears(binary, nms_iou):
+        if all(mask_iou(binary, earlier) <= nms_iou for _, earlier in accepted.values()):
             accepted[classes[i]] = (i, binary)
-            overlap.add(binary)
     return [RankedInstance(mask=binary, rank=rank, score=float(confidences[i]))
             for rank, (_, (i, binary)) in enumerate(sorted(accepted.items()), start=1)]
 

@@ -12,7 +12,7 @@ There is one softmax. It runs on a key-major array: the axis it normalizes
 comes first, so its max and sums are elementwise ops between contiguous
 slabs, one slab per key, in place of numpy's reductions over a short last
 axis (4-12 keys in the DPT's routes), whose per-row cost dominates there.
-The max halves the key axis with ``np.maximum``; the sums repeat numpy's
+The max is numpy's axis-0 ``max``, which is exact; the sums repeat numpy's
 pairwise order (sequential from +0.0 below 8 terms, eight partial sums up to
 128, split in halves above that), so the softmax is byte-equal to the one
 built on ``max``/``sum`` over the last axis. ``softmax`` records it as a tape
@@ -281,7 +281,8 @@ def leaky_relu(a, negative_slope: float = 0.01) -> Tensor:
 def sigmoid(a) -> Tensor:
     a = _as_tensor(a)
     x = a.data
-    out = np.where(x >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(x))), np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def backward(g):
         _accumulate(a, g * out * (1.0 - out))
@@ -403,24 +404,6 @@ def matmul(a, b) -> Tensor:
 # softmax ----------------------------------------------------------------------
 
 
-def _key_max(a: np.ndarray) -> np.ndarray:
-    """The maximum over the leading (key) axis: ``np.maximum`` of its two
-    halves until one slab is left, each step one elementwise op on contiguous
-    slabs. It equals ``np.moveaxis(a, 0, -1).max(axis=-1)`` up to the sign of
-    a zero maximum, which ``a - max`` cannot show (x - (+0.0) and x - (-0.0)
-    are equal for x != 0, and both zeros for x = ±0), so the softmax it feeds
-    is byte-equal either way.
-    """
-    top = a
-    while len(top) > 1:
-        half = len(top) // 2
-        rest = top[2 * half :]  # the odd slab out, if any
-        top = np.maximum(top[:half], top[half : 2 * half], out=None if top is a else top[:half])
-        if len(rest):
-            np.maximum(top[:1], rest, out=top[:1])
-    return top[0] if top is not a else top[0].copy()
-
-
 def _pairwise_sum(a: np.ndarray) -> np.ndarray:
     """numpy's pairwise summation of the leading axis's n slabs: sequential
     from +0.0 below 8 terms, eight interleaved partial sums joined as
@@ -461,8 +444,11 @@ def _key_sum(a: np.ndarray) -> np.ndarray:
 
 
 def _softmax_keys(s: np.ndarray) -> np.ndarray:
-    """Max-stabilized softmax over the leading (key) axis of ``s``, in place."""
-    s -= _key_max(s)
+    """Max-stabilized softmax over the leading (key) axis of ``s``, in place.
+    The max is exact, so it can differ from a last-axis max only in the sign
+    of a zero, which ``s - max`` cannot show.
+    """
+    s -= s.max(axis=0)
     np.exp(s, out=s)
     s /= _key_sum(s)
     return s

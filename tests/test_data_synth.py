@@ -263,7 +263,7 @@ class TestPersistence:
                              ids=["text", "empty", "zip-magic", "npy"])
     def test_not_an_archive_rejected(self, tmp_path, cfg, payload):
         self.saved(tmp_path, cfg).write_bytes(payload)
-        with pytest.raises(DataError, match=r"unreadable dataset archive .*train\.npz: File is not a zip file"):
+        with pytest.raises(DataError, match=r"train\.npz is not an \.npz archive: .*File is not a zip file"):
             load_dataset(tmp_path)
 
     def test_truncated_sample_reports_path(self, tmp_path, cfg):
@@ -271,7 +271,7 @@ class TestPersistence:
         data = victim.read_bytes()
         for keep in (0.3, 0.6, 0.95):
             victim.write_bytes(data[: int(len(data) * keep)])
-            with pytest.raises(DataError, match=r"unreadable dataset archive .*train\.npz"):
+            with pytest.raises(DataError, match=r"train\.npz is not an \.npz archive: .*File is not a zip file"):
                 load_dataset(tmp_path)
 
     def test_corrupt_member_reports_path(self, tmp_path, cfg):
@@ -279,7 +279,7 @@ class TestPersistence:
         data = bytearray(victim.read_bytes())
         data[len(data) // 2] ^= 1  # inside the deflated images
         victim.write_bytes(bytes(data))
-        with pytest.raises(DataError, match=r"unreadable dataset archive .*train\.npz: Bad CRC-32"):
+        with pytest.raises(DataError, match=r"train\.npz member images is unreadable: .*Bad CRC-32"):
             load_dataset(tmp_path)
 
     @pytest.mark.parametrize("key", sorted(data_synth.LAYOUT))
@@ -330,11 +330,31 @@ class TestPersistence:
         with pytest.raises(DataError, match=r"arrays in .*train\.npz disagree"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("ranks, scene", [([0, 0, 0, 0, 0], 0), ([1, 1, 3, 1, 2], 0), ([1, 2, 3, 1, 3], 1)],
+                             ids=["all-zero", "duplicate", "above-count"])
+    def test_impossible_ranks_rejected(self, tmp_path, cfg, ranks, scene):
+        # a rank-0 instance would land in the last row of metrics' confusion matrix
+        victim = self.saved(tmp_path, cfg)
+        assert members(victim)["ranks"].tolist() == [1, 2, 3, 1, 2]  # scenes of 3 and 2 instances
+        rewrite(victim, ranks=np.array(ranks, dtype=np.int64))
+        with pytest.raises(DataError, match=rf"scene {scene} in .*train\.npz has ranks \["):
+            load_dataset(tmp_path)
+
+    def test_bytes_after_member_array_rejected(self, tmp_path, cfg):
+        # the member's CRC-32 holds, but its header declares fewer values than it stores
+        victim = self.saved(tmp_path, cfg)
+        arrays = members(victim)
+        with zipfile.ZipFile(victim, "w") as archive:
+            for key, a in arrays.items():
+                archive.writestr(f"{key}.npy", npy_bytes(a) + (b"\0" * 8 if key == "seeds" else b""))
+        with pytest.raises(DataError, match=r"train\.npz member seeds is unreadable: .*bytes after the array"):
+            load_dataset(tmp_path)
+
     def test_object_array_refused(self, tmp_path, cfg):
         # an object array would be unpickled on load; numpy refuses by default
         victim = self.saved(tmp_path, cfg)
         rewrite(victim, seeds=members(victim)["seeds"].astype(object))
-        with pytest.raises(DataError, match=r"unreadable dataset archive .*train\.npz.*pickle"):
+        with pytest.raises(DataError, match=r"train\.npz member seeds is unreadable: .*pickle"):
             load_dataset(tmp_path)
 
 

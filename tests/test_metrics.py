@@ -1,3 +1,4 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +21,25 @@ def box(canvas, r0, c0, h, w):
 
 def pred(mask, rank, score=0.9):
     return RankedInstance(mask=mask, rank=rank, score=score)
+
+
+@st.composite
+def scored_images(draw, n_ranks=4, canvas=6):
+    """(preds, gts) for one image: 1-4 disjoint ground-truth masks, some
+    perhaps empty, ranked 1..k in some order, and 0-4 predictions, each a copy
+    of a ground-truth mask or random pixels, with ranks in 1..n_ranks.
+    """
+    k = draw(st.integers(1, 4))
+    labels = draw(hnp.arrays(np.int64, (canvas, canvas), elements=st.integers(0, k)))
+    gts = [(labels == i + 1, rank) for i, rank in enumerate(draw(st.permutations(range(1, k + 1))))]
+    preds = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            mask = gts[draw(st.integers(0, k - 1))][0]
+        else:
+            mask = draw(hnp.arrays(np.bool_, (canvas, canvas)))
+        preds.append(pred(mask, draw(st.integers(1, n_ranks))))
+    return preds, gts
 
 
 class TestMatchInstances:
@@ -278,6 +298,19 @@ class TestEvaluateImages:
         # the mean of no MAE read 0.0, a perfect score
         with pytest.raises(DataError, match="at least one image"):
             evaluate_images([], 3, 16)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(scored_images(), min_size=1, max_size=3))
+    def test_report_stays_in_range(self, per_image):
+        report = evaluate_images(per_image, 4, 6)
+        assert 0.0 <= report.mae <= 1.0
+        for r in (report.sor, report.sa_sor):
+            assert r is None or -1.0 <= r <= 1.0
+        assert report.images_evaluated == len(per_image)
+        assert 0 <= report.images_excluded_sor <= report.images_evaluated
+        assert 0 <= report.images_excluded_sasor <= report.images_evaluated
+        matched = sum(len(match_instances(preds, gts).pairs) for preds, gts in per_image)
+        assert report.confusion.shape == (4, 4) and report.confusion.sum() == matched
 
     def test_json_schema(self):
         canvas = 16

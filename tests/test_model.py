@@ -306,6 +306,14 @@ class TestCheckpointMetadata:
         with pytest.raises(DataError, match=f"missing {key}"):
             model.load_checkpoint(path)
 
+    @pytest.mark.parametrize("names", [None, 3, "partition.b", ["partition.b", 1]],
+                             ids=["null", "number", "string", "number-entry"])
+    def test_param_names_not_a_list_of_strings_rejected(self, tmp_path, names):
+        path = tmp_path / "names.npz"
+        self.save_with_meta(path, lambda meta: meta.update(param_names=names))
+        with pytest.raises(DataError, match=r"names\.npz param_names is not a list of strings"):
+            model.load_checkpoint(path)
+
     def test_unknown_config_field_rejected(self, tmp_path):
         path = tmp_path / "bad.npz"
         self.save_with_meta(path, lambda meta: meta["config"]["model"].update(unknown_field=1))

@@ -116,23 +116,6 @@ class TestMaskIoU:
             p2r.mask_iou(np.zeros((2, 2), dtype=bool), np.zeros((3, 3), dtype=bool))
 
 
-class TestAcceptedMasks:
-    def test_empty_clears_anything(self):
-        assert p2r.AcceptedMasks().clears(np.ones((3, 3), dtype=bool), 0.0)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 4), st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0]))
-    def test_agrees_with_pairwise_mask_iou(self, seed, count, nms_iou):
-        # sparse 3x3 masks make empty masks and IoUs exactly at the threshold common
-        rng = np.random.default_rng(seed)
-        accepted = [rng.random((3, 3)) < 0.3 for _ in range(count)]
-        candidate = rng.random((3, 3)) < 0.3
-        pool = p2r.AcceptedMasks()
-        for mask in accepted:
-            pool.add(mask)
-        assert pool.clears(candidate, nms_iou) == all(p2r.mask_iou(candidate, m) <= nms_iou for m in accepted)
-
-
 class TestBinarize:
     def test_above(self):
         assert p2r.binarize(np.full((2, 2), 0.7), 0.5).all()
@@ -165,6 +148,16 @@ class TestSelectRanks:
         out = p2r.select_ranks(masks, values, [0, 1], 5, 0.3, 0.5, 0.5)
         assert len(out) == 1
         assert out[0].rank == 1 and out[0].score == pytest.approx(0.9)
+
+    @pytest.mark.parametrize("nms_iou, selected", [(0.5, 2), (np.nextafter(0.5, 0.0), 1)])
+    def test_overlap_equal_to_nms_iou_kept(self, nms_iou, selected):
+        # the two masks' IoU is exactly 1/2; only an IoU above nms_iou suppresses
+        masks = np.zeros((2, 4, 4))
+        masks[0, 1, 1:3] = 1.0
+        masks[1, 1, 1] = 1.0
+        masks, values = rows_of([[0.9, 0.9], [0.8, 0.8]], masks=masks)
+        out = p2r.select_ranks(masks, values, [0, 1], 2, 0.3, nms_iou, 0.5)
+        assert [r.rank for r in out] == [1, 2][:selected]
 
     def test_stop_when_column_max_below_threshold(self):
         masks, values = rows_of([[0.9, 0.1, 0.1, 0.1, 0.1], [0.7, 0.2, 0.2, 0.2, 0.2]])

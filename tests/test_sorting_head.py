@@ -62,6 +62,14 @@ class TestSortToRanks:
         out = sort_to_ranks(scores, masks, N, nms_iou=0.5, binarize_threshold=0.5)
         assert [(r.rank, r.score) for r in out] == [(1, 0.9), (2, 0.6)]
 
+    @pytest.mark.parametrize("nms_iou, kept", [(0.5, 2), (np.nextafter(0.5, 0.0), 1)])
+    def test_overlap_equal_to_nms_iou_kept(self, nms_iou, kept):
+        # row 0 lights two pixels and row 1 one of them: an IoU of exactly 1/2
+        masks = pixel_masks(2)
+        masks[0, 0, 1] = 1.0
+        out = sort_to_ranks(scores_for([(0, 0.9), (1, 0.8)]), masks, N, nms_iou=nms_iou, binarize_threshold=0.5)
+        assert [(r.rank, r.score) for r in out] == [(1, 0.9), (2, 0.8)][:kept]
+
     def test_skipped_classes_leave_no_rank_gap(self):
         # argmax ranks 3 and 2, none 1: renumbered densely in class order
         scores = scores_for([(2, 0.9), (1, 0.7)])
