@@ -67,10 +67,21 @@ class GenConfig:
     gradient_amplitude: float = 0.04
 
     def __post_init__(self):
-        if self.k_max > self.max_rank:
-            raise DataError(f"k_max {self.k_max} exceeds max_rank {self.max_rank}")
-        if self.canvas < 32:
-            raise DataError(f"canvas {self.canvas} below minimum 32")
+        # each rule is written so that NaN breaks it; a broken rule yields empty
+        # scenes, a numpy error inside generation, or no scene for any seed
+        rules = {
+            "canvas >= 32": self.canvas >= 32,
+            "max_rank >= 1": self.max_rank >= 1,
+            "0 <= k_min <= k_max <= max_rank": 0 <= self.k_min <= self.k_max <= self.max_rank,
+            "0 < min_sqrt_area <= max_sqrt_area < inf": 0 < self.min_sqrt_area <= self.max_sqrt_area < np.inf,
+            "1 <= score_ratio < inf": 1 <= self.score_ratio < np.inf,
+            "0 <= noise_amplitude < inf": 0 <= self.noise_amplitude < np.inf,
+            "0 <= gradient_amplitude < inf": 0 <= self.gradient_amplitude < np.inf,
+            "0 <= contrast_floor < 1": 0 <= self.contrast_floor < 1,
+        }
+        broken = [rule for rule, holds in rules.items() if not holds]
+        if broken:
+            raise DataError(f"GenConfig needs {' and '.join(broken)}; got {self}")
 
 
 @dataclass
@@ -233,13 +244,20 @@ def generate_scene(cfg: GenConfig, seed: int) -> SceneSample:
 
 
 def generate_dataset(cfg: GenConfig, count: int, base_seed: int) -> list[SceneSample]:
+    """``count`` scenes from consecutive seeds from ``base_seed``, skipping a
+    seed that fails; ``PLACEMENT_BUDGET`` failures in a row blame the config.
+    """
     samples = []
     seed = base_seed
+    failures = 0
     while len(samples) < count:
         try:
             samples.append(generate_scene(cfg, seed))
-        except GenerationError:
-            pass  # skip pathological seeds; determinism is per-seed
+            failures = 0
+        except GenerationError:  # skip pathological seeds; determinism is per-seed
+            failures += 1
+            if failures == PLACEMENT_BUDGET:
+                raise GenerationError(f"seeds {seed - failures + 1}..{seed} all failed for {cfg}") from None
         seed += 1
     return samples
 

@@ -11,6 +11,7 @@ Pearson on average ranks (tied values share the mean of their ranks).
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -156,7 +157,8 @@ def evaluate_images(per_image, n_ranks: int, canvas: int, iou_threshold: float =
     are RankedInstance lists; ``gts`` are (mask, rank) lists. Images where a
     correlation is undefined are excluded from that correlation's mean and
     counted. No image raises ``DataError``: it has no MAE, and 0 would read
-    as a perfect score.
+    as a perfect score. So does a rank outside the integers 1..n_ranks, which
+    would render off the map's scale and miscount in the confusion matrix.
     """
     if len(per_image) == 0:
         raise DataError("evaluate_images needs at least one image")
@@ -164,7 +166,10 @@ def evaluate_images(per_image, n_ranks: int, canvas: int, iou_threshold: float =
     sors = []
     sasors = []
     matches = []
-    for preds, gts in per_image:
+    for index, (preds, gts) in enumerate(per_image):
+        for rank in [p.rank for p in preds] + [r for _, r in gts]:
+            if not (isinstance(rank, Integral) and 1 <= rank <= n_ranks):
+                raise DataError(f"image {index} has rank {rank}, not an integer in 1..{n_ranks}")
         match = match_instances(preds, gts, iou_threshold)
         matches.append(match)
         maes.append(mae([(p.mask, p.rank) for p in preds], gts, n_ranks, canvas))

@@ -1,9 +1,10 @@
 """Full network assembly, inference, and checkpointing.
 
 ``forward`` runs the encoder, the DPT and the head, and leaves the mask branch
-unbuilt: ``ModelOutputs.mask`` builds it on first read, so a ``predict`` whose
-decode selects no row never pays for it (SOLOv2 likewise makes masks only for
-what decode keeps).
+unbuilt: ``ModelOutputs.mask`` builds it on first read. ``predict``'s decode
+reads masks only through one fetch, ``masks(rows)``, which upsamples those
+rows' soft masks to the canvas and binarizes them at ``binarize_threshold``
+(SOLOv2 likewise makes masks only for what decode keeps).
 
 A checkpoint is an ``np.savez`` archive of ``__meta__`` (JSON) and one
 ``param/<name>`` member per parameter. ``load_checkpoint`` reads it with
@@ -28,7 +29,7 @@ from .config import ModelConfig, TrainConfig, config_from_dict, config_hash, con
 from .data_synth import read_npz
 from .errors import ConfigurationError, DataError, DimensionError
 from .heads import MaskBranch
-from .p2r import RankedInstance, partition_to_rank
+from .p2r import RankedInstance, binarize, partition_to_rank
 from .tensor import Parameter, Tensor
 
 
@@ -58,8 +59,8 @@ class Head:
     # (scores (K, C), rank_class (K,)) -> classification term; rank_class holds
     # rank - 1 per positive cell and N for background, and the loss encodes it
     loss: Callable
-    # (scores (K, C), masks) -> ranked instances; masks is row-indexable:
-    # len(masks) == K and masks[rows] is (len(rows), H, W), as a (K, H, W) array is
+    # (scores (K, C), masks) -> ranked instances; masks(rows) fetches those
+    # rows' (len(rows), H, W) binary masks
     decode: Callable
 
 
@@ -75,14 +76,13 @@ def head_ops(cfg: ModelConfig) -> Head:
             loss=losses.partition_loss,
             decode=lambda scores, masks: partition_to_rank(
                 masks, scores, cfg.max_rank, threshold=cfg.partition_threshold, nms_iou=cfg.nms_iou,
-                objectness_floor=cfg.objectness_floor, binarize_threshold=cfg.binarize_threshold),
+                objectness_floor=cfg.objectness_floor),
         )
     return Head(
         init=sorting_head.init_sorting_head_params,
         forward=sorting_head.sorting_head_forward,
         loss=sorting_head.cross_entropy_loss,
-        decode=lambda scores, masks: sorting_head.sort_to_ranks(
-            scores, masks, cfg.max_rank, nms_iou=cfg.nms_iou, binarize_threshold=cfg.binarize_threshold),
+        decode=lambda scores, masks: sorting_head.sort_to_ranks(scores, masks, cfg.max_rank, nms_iou=cfg.nms_iou),
     )
 
 
@@ -116,34 +116,18 @@ def forward(image: Tensor, params, cfg: ModelConfig) -> ModelOutputs:
     return ModelOutputs(head_ops(cfg).forward(f_hat, params, cfg), (f_hat, stages, params, cfg, canvas))
 
 
-@dataclass(frozen=True)
-class CanvasMasks:
-    """Soft masks upsampled to the canvas, made only for the rows asked for:
-    ``masks[rows]`` is (len(rows), canvas, canvas). A decode reads the few
-    masks it needs from it in place of the whole (K, canvas, canvas) stack.
-    Its length is the scores' row count, so only fetching a mask builds the
-    mask branch.
-    """
-
-    outputs: ModelOutputs
-    canvas: int
-
-    def __len__(self) -> int:
-        return self.outputs.scores.shape[0]
-
-    def __getitem__(self, rows) -> np.ndarray:
-        return T.interpolate(self.outputs.mask.soft_masks(rows), (self.canvas, self.canvas)).data
-
-
 def predict(image: np.ndarray, params, cfg: ModelConfig) -> list[RankedInstance]:
-    """Inference for one image: forward pass, then rank decoding with the
-    configured head's procedure, which upsamples to the canvas only the masks
-    it examines and builds the mask branch only if it examines one.
+    """Inference for one image: forward pass, then the configured head's
+    decode, which builds the mask branch only if it fetches a mask.
     """
     canvas = image_canvas(image)
     with T.no_grad():
         outputs = forward(Tensor(image), params, cfg)
-        return head_ops(cfg).decode(outputs.scores.data, CanvasMasks(outputs, canvas))
+
+        def masks(rows) -> np.ndarray:
+            return binarize(T.interpolate(outputs.mask.soft_masks(rows), (canvas, canvas)).data, cfg.binarize_threshold)
+
+        return head_ops(cfg).decode(outputs.scores.data, masks)
 
 
 # checkpointing ----------------------------------------------------------------

@@ -1,18 +1,17 @@
 """Partition-to-Rank inference.
 
-A candidate is a row index into the partition matrix ``values`` (K, N) and
-the soft masks ``masks``, both in the heads' cell order. ``masks`` is any
-row-indexable view: ``len(masks)`` is K and ``masks[rows]`` returns the
-(len(rows), H, W) soft masks of those rows. A (K, H, W) array is one;
-``model.predict`` passes one that computes and upsamples a mask only when
-its row is asked for, so decoding pays only for the masks it reads.
+A candidate is a row index into the partition matrix ``values`` (K, N), in
+the heads' cell order. ``masks`` is the decode's one mask fetch:
+``masks(rows)`` returns those rows' (len(rows), H, W) binary masks.
+``model.predict``'s fetch makes only the masks asked for, so decoding pays
+only for the masks it reads, and the binarize threshold stays in the fetch.
 
 Inference proceeds in three steps: associate keeps the rows that clear the
 objectness floor, alleviate discards rows whose thresholded partition
 pattern is ambiguous, and selection walks each rank's rows from the most
-probable down and takes the first whose binarized mask has ``mask_iou`` at
-most ``nms_iou`` with every earlier choice. Masks are fetched only for the
-rows that walk reaches.
+probable down and takes the first whose mask has ``mask_iou`` at most
+``nms_iou`` with every earlier choice. Masks are fetched only for the rows
+that walk reaches.
 """
 
 from __future__ import annotations
@@ -48,14 +47,9 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.logical_and(a, b).sum() / union)
 
 
-def associate(masks, values, objectness_floor: float) -> np.ndarray:
-    """Rows that pair a mask with a partition row whose best probability
-    reaches ``objectness_floor``.
-    """
-    values = np.asarray(values)
-    if len(masks) != len(values):
-        raise DimensionError(f"{len(masks)} masks vs {len(values)} partition rows")
-    return np.flatnonzero(np.max(values, axis=1, initial=-np.inf) >= objectness_floor)
+def associate(values, objectness_floor: float) -> np.ndarray:
+    """Rows whose best partition probability reaches ``objectness_floor``."""
+    return np.flatnonzero(np.max(np.asarray(values), axis=1, initial=-np.inf) >= objectness_floor)
 
 
 def alleviate(values, rows, threshold: float) -> np.ndarray:
@@ -70,21 +64,20 @@ def alleviate(values, rows, threshold: float) -> np.ndarray:
     return rows[~ambiguous]
 
 
-def select_ranks(masks, values, rows, n_ranks: int, threshold: float, nms_iou: float,
-                 binarize_threshold: float) -> list[RankedInstance]:
+def select_ranks(masks, values, rows, n_ranks: int, threshold: float, nms_iou: float) -> list[RankedInstance]:
     """Iterative rank assignment over the alleviated ``rows``.
 
     For rank n the rows are walked in descending partition-n probability,
     ties going to the lower row, skipping rows already chosen; the walk stops
-    at the first row below the threshold. The first row whose binarized mask
-    has ``mask_iou`` <= nms_iou with every chosen mask takes rank n, and when
+    at the first row below the threshold. The first row whose mask has
+    ``mask_iou`` <= nms_iou with every chosen mask takes rank n, and when
     no row does, selection ends. This equals suppressing every row that
     overlaps a choice, since a suppressed row matters only when it would
     otherwise be chosen.
 
-    Only the rows the walk reaches have their masks fetched, in blocks that
-    double along the walk (one row, then as many as fetched so far, all at
-    or above the threshold), and each is binarized once per call.
+    Only the rows the walk reaches have their masks fetched, each once per
+    call, in blocks that double along the walk (one row, then as many as
+    fetched so far, all at or above the threshold).
     """
     rows = np.sort(np.asarray(rows, dtype=np.intp))
     values = np.asarray(values)
@@ -100,8 +93,7 @@ def select_ranks(masks, values, rows, n_ranks: int, threshold: float, nms_iou: f
             if row not in binaries:
                 unfetched = (r for r in walk[position:] if r not in binaries)
                 block = list(islice(unfetched, max(1, len(binaries))))
-                for r, soft in zip(block, masks[block]):
-                    binaries[r] = binarize(soft, binarize_threshold)
+                binaries.update(zip(block, masks(block)))
             if all(mask_iou(binaries[row], earlier.mask) <= nms_iou for earlier in results):
                 chosen.append(row)
                 results.append(RankedInstance(mask=binaries[row], rank=rank, score=float(values[row, rank - 1])))
@@ -112,8 +104,7 @@ def select_ranks(masks, values, rows, n_ranks: int, threshold: float, nms_iou: f
 
 
 def partition_to_rank(masks, values, n_ranks: int, threshold: float, nms_iou: float,
-                      objectness_floor: float, binarize_threshold: float) -> list[RankedInstance]:
+                      objectness_floor: float) -> list[RankedInstance]:
     """Full pipeline: associate -> alleviate -> iterative selection."""
-    rows = associate(masks, values, objectness_floor)
-    return select_ranks(masks, values, alleviate(values, rows, threshold), n_ranks, threshold, nms_iou,
-                        binarize_threshold)
+    rows = associate(values, objectness_floor)
+    return select_ranks(masks, values, alleviate(values, rows, threshold), n_ranks, threshold, nms_iou)

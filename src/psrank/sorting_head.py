@@ -14,7 +14,7 @@ from . import tensor as T
 from .config import ModelConfig
 from .heads import _per_cell
 from .losses import PROB_EPS
-from .p2r import RankedInstance, binarize, mask_iou
+from .p2r import RankedInstance, mask_iou
 from .pyramid import conv_params
 from .tensor import Parameter, Tensor
 
@@ -28,15 +28,14 @@ def sorting_head_forward(f_hat: Tensor, params, cfg: ModelConfig) -> Tensor:
     return T.softmax(_per_cell(f_hat, params["sorting.w"], params["sorting.b"], cfg))
 
 
-def sort_to_ranks(scores: np.ndarray, masks, n_ranks: int, nms_iou: float,
-                  binarize_threshold: float) -> list[RankedInstance]:
+def sort_to_ranks(scores: np.ndarray, masks, n_ranks: int, nms_iou: float) -> list[RankedInstance]:
     """Greedy decode: non-background argmax cells ordered by confidence (ties
     to the lower row); a candidate is dropped if its class is already taken or
     its mask's ``mask_iou`` with an accepted one exceeds the NMS threshold. The accepted
     cells, ordered by class, get ranks 1..n, so a class nobody took leaves no
-    gap. ``masks`` is row-indexable as in ``p2r``; a mask is fetched only for
-    a candidate whose class is still free, and the walk stops once every
-    class is taken.
+    gap. ``masks`` is the binary-mask fetch of ``p2r``; a mask is fetched
+    only for a candidate whose class is still free, and the walk stops once
+    every class is taken.
     """
     scores = np.asarray(scores)
     classes = scores.argmax(axis=1)
@@ -51,7 +50,7 @@ def sort_to_ranks(scores: np.ndarray, masks, n_ranks: int, nms_iou: float,
             break
         if classes[i] in accepted:
             continue
-        binary = binarize(masks[[i]][0], binarize_threshold)
+        binary = masks([i])[0]
         if all(mask_iou(binary, earlier) <= nms_iou for _, earlier in accepted.values()):
             accepted[classes[i]] = (i, binary)
     return [RankedInstance(mask=binary, rank=rank, score=float(confidences[i]))

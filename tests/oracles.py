@@ -4,7 +4,7 @@ from primitive tape ops); the plain forms of tensor kernels that production
 code shortcuts (numpy reductions, a gather for every conv), which the
 shortcuts must equal byte for byte, one grid at a time; the per-grid form of
 the DPT's row/column and cross-scale routes, which their pyramid form must
-equal byte for byte; a mask view that records what a decode reads, and a
+equal byte for byte; a mask fetch that records what a decode reads, and a
 counter and closed-form counts of the query-key pairs attention forms.
 """
 
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from psrank import model, tensor as T
-from psrank.p2r import RankedInstance
+from psrank.p2r import RankedInstance, binarize
 from psrank.tensor import Tensor
 
 
@@ -425,26 +425,26 @@ def focal_oracle(probs, targets, alpha: float = 0.25, gamma: float = 2.0, eps: f
 
 def eager_predict(image, params, cfg) -> list[RankedInstance]:
     """``model.predict`` with every cell's soft mask upsampled to the canvas
-    first, and the configured head decoding that (K, canvas, canvas) array.
+    and binarized first, and the configured head decoding from that
+    (K, canvas, canvas) array.
     """
     canvas = image.shape[1]
     with T.no_grad():
         outputs = model.forward(Tensor(image), params, cfg)
-        masks = T.interpolate(outputs.mask.soft_masks(), (canvas, canvas)).data
-        return model.head_ops(cfg).decode(outputs.scores.data, masks)
+        masks = binarize(T.interpolate(outputs.mask.soft_masks(), (canvas, canvas)).data, cfg.binarize_threshold)
+        return model.head_ops(cfg).decode(outputs.scores.data, CountingMasks(masks))
 
 
 class CountingMasks:
-    """A row-indexable mask view over an array that records every row fetched."""
+    """A decode's mask fetch over a (K, H, W) array of binary masks: called
+    with ``rows``, it returns those rows' masks and records every row fetched.
+    """
 
     def __init__(self, masks):
         self.masks = np.asarray(masks)
         self.fetched = []
 
-    def __len__(self):
-        return len(self.masks)
-
-    def __getitem__(self, rows):
+    def __call__(self, rows):
         self.fetched.extend(int(r) for r in rows)
         return self.masks[np.asarray(rows, dtype=np.intp)]
 

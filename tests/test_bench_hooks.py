@@ -2,17 +2,22 @@
 tests fail when a refactor moves or renames a wrapped function, or calls it
 in a way the wrapper no longer sees, which would zero a per-layer metric.
 They also run the benchmark's own output checks on ``model.predict``, whose
-failures the benchmark counts as failed operations.
+failures the benchmark counts as failed operations, and one short benchmark
+run, which reads what no other test here calls (``configs``, ``train_loop``,
+``history_values``, ``environment``).
 """
 
+import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 import tracer as bench_tracer  # noqa: E402
 
@@ -91,3 +96,12 @@ def test_route_pairs_match_closed_form():
     expected = bench_tracer.attention_pairs_closed_form(cfg.grid_sides)
     for route in bench_tracer.ROUTES:
         assert tracer.counts[("predict", f"dpt.{route}.qk_pairs")] == expected[route] * cfg.dpt_layers, route
+
+
+def test_short_benchmark_run_is_correct():
+    result = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "train-toy64", "--seed", "0", "--seconds", "1",
+         "--trace", "0"], cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    last = json.loads(result.stdout.splitlines()[-1])
+    assert last["correct"] is True and last["failed"] == 0

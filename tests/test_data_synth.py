@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import re
 import zipfile
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from psrank import cli, data_synth
 from psrank.data_synth import (GenConfig, SceneSample, generate_dataset, generate_scene,
                                instance_scores, load_dataset, save_dataset)
-from psrank.errors import DataError
+from psrank.errors import DataError, GenerationError
 
 from oracles import disjoint_with_gap_oracle, instance_scores_oracle
 
@@ -356,6 +357,57 @@ class TestPersistence:
         rewrite(victim, seeds=members(victim)["seeds"].astype(object))
         with pytest.raises(DataError, match=r"train\.npz member seeds is unreadable: .*pickle"):
             load_dataset(tmp_path)
+
+
+class TestGenConfigRules:
+    @pytest.mark.parametrize("overrides, rule", [
+        (dict(max_rank=0, k_min=0, k_max=0), "max_rank >= 1"),
+        (dict(k_min=-2), "0 <= k_min <= k_max <= max_rank"),  # scenes without instances
+        (dict(k_min=3, k_max=2), "0 <= k_min <= k_max <= max_rank"),
+        (dict(max_rank=3, k_max=4), "0 <= k_min <= k_max <= max_rank"),
+        (dict(min_sqrt_area=0.0), "0 < min_sqrt_area <= max_sqrt_area < inf"),
+        (dict(min_sqrt_area=30.0), "0 < min_sqrt_area <= max_sqrt_area < inf"),
+        (dict(max_sqrt_area=float("nan")), "0 < min_sqrt_area <= max_sqrt_area < inf"),
+        (dict(score_ratio=0.99), "1 <= score_ratio < inf"),
+        (dict(score_ratio=float("nan")), "1 <= score_ratio < inf"),
+        (dict(noise_amplitude=-0.01), "0 <= noise_amplitude < inf"),
+        (dict(gradient_amplitude=float("inf")), "0 <= gradient_amplitude < inf"),
+        (dict(contrast_floor=-0.1), "0 <= contrast_floor < 1"),
+        (dict(contrast_floor=1.0), "0 <= contrast_floor < 1"),
+        (dict(canvas=16), "canvas >= 32"),
+    ])
+    def test_broken_rule_named(self, overrides, rule):
+        with pytest.raises(DataError, match=f"GenConfig needs .*{re.escape(rule)}"):
+            GenConfig(**overrides)
+
+    def test_zero_instances_allowed(self):
+        assert GenConfig(k_min=0).k_min == 0
+
+    def test_dataset_stops_after_placement_budget_failed_seeds(self, monkeypatch):
+        calls = []
+
+        def failing(cfg, seed):
+            calls.append(seed)
+            # fail the test, not hang it, if generate_dataset keeps going
+            assert len(calls) <= data_synth.PLACEMENT_BUDGET, "generate_dataset did not stop"
+            raise GenerationError(f"seed {seed}")
+
+        monkeypatch.setattr(data_synth, "generate_scene", failing)
+        last = 7 + data_synth.PLACEMENT_BUDGET - 1
+        with pytest.raises(GenerationError, match=rf"seeds 7\.\.{last} all failed"):
+            generate_dataset(GenConfig(), 1, 7)
+        assert calls == list(range(7, last + 1))
+
+    def test_a_built_scene_restarts_the_count(self, monkeypatch):
+        budget = data_synth.PLACEMENT_BUDGET
+
+        def one_in_budget(cfg, seed):  # budget - 1 failed seeds before each built one
+            if seed % budget != budget - 1:
+                raise GenerationError(f"seed {seed}")
+            return seed
+
+        monkeypatch.setattr(data_synth, "generate_scene", one_in_budget)
+        assert generate_dataset(GenConfig(), 3, 0) == [budget - 1, 2 * budget - 1, 3 * budget - 1]
 
 
 def test_many_seeds_valid(cfg):

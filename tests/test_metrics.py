@@ -299,6 +299,19 @@ class TestEvaluateImages:
         with pytest.raises(DataError, match="at least one image"):
             evaluate_images([], 3, 16)
 
+    @pytest.mark.parametrize("gt_rank, pred_rank, bad", [
+        (0, None, 0),  # an unmatched rank-0 instance rendered at 4/3: MAE 0.333
+        (0, 1, 0),  # counted in the confusion matrix's last row
+        (1, 0, 0),  # counted in the confusion matrix's last column
+        (1, 4, 4),  # a bare IndexError from the confusion matrix
+    ], ids=["unmatched-gt-0", "matched-gt-0", "pred-0", "pred-above-n"])
+    def test_rank_outside_one_to_n_raises(self, gt_rank, pred_rank, bad):
+        mask = box(8, 2, 2, 4, 4)
+        good = ([pred(mask, 1)], [(mask, 1)])
+        preds = [] if pred_rank is None else [pred(mask, pred_rank)]
+        with pytest.raises(DataError, match=rf"^image 1 has rank {bad}, not an integer in 1\.\.3$"):
+            evaluate_images([good, (preds, [(mask, gt_rank)])], 3, 8)
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(scored_images(), min_size=1, max_size=3))
     def test_report_stays_in_range(self, per_image):

@@ -9,10 +9,10 @@ from psrank import heads, model, train, tensor as T
 from psrank.config import ModelConfig, toy_model_config, toy_train_config
 from psrank.data_synth import GenConfig, generate_dataset
 from psrank.errors import DataError, DimensionError
-from psrank.p2r import partition_to_rank
+from psrank.p2r import binarize, partition_to_rank
 from psrank.tensor import Parameter, Tensor
 
-from oracles import eager_predict, p2r_reference
+from oracles import CountingMasks, eager_predict, p2r_reference
 
 # Thresholds low enough that the untrained toy model emits instances, so
 # association, alleviation, selection and NMS all do work.
@@ -96,8 +96,8 @@ class TestPredict:
             expected = p2r_reference(masks, values, cfg.max_rank, cfg.partition_threshold, cfg.nms_iou,
                                      cfg.objectness_floor, cfg.binarize_threshold)
             for got in (model.predict(sample.image, params, cfg),
-                        partition_to_rank(masks, values, cfg.max_rank, cfg.partition_threshold, cfg.nms_iou,
-                                          cfg.objectness_floor, cfg.binarize_threshold)):
+                        partition_to_rank(CountingMasks(binarize(masks, cfg.binarize_threshold)), values,
+                                          cfg.max_rank, cfg.partition_threshold, cfg.nms_iou, cfg.objectness_floor)):
                 assert len(got) == len(expected)
                 for a, b in zip(got, expected):
                     assert a.rank == b.rank and a.score == b.score

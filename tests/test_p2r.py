@@ -1,3 +1,4 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +8,11 @@ from psrank import p2r
 from psrank.errors import DimensionError
 
 from oracles import CountingMasks, p2r_reference
+
+
+def fetch(masks):
+    """The decode's mask fetch over soft masks binarized at 0.5."""
+    return CountingMasks(p2r.binarize(masks, 0.5))
 
 
 def rows_of(partitions, masks=None):
@@ -36,22 +42,17 @@ class TestAssociate:
         values[3] = [0.5, 0.6, 0.7, 0.8, 0.9]
         values[8, 4] = 0.2
         values[15, 0] = 0.1
-        masks = np.zeros((20, 4, 4))
-        cands = p2r.associate(masks, values, objectness_floor=0.1)
+        cands = p2r.associate(values, objectness_floor=0.1)
         assert len(cands) == 3
         assert list(cands) == [3, 8, 15]
 
     def test_empty_matrix(self):
-        assert len(p2r.associate(np.zeros((0, 4, 4)), np.zeros((0, 5)), 0.1)) == 0
+        assert len(p2r.associate(np.zeros((0, 5)), 0.1)) == 0
 
     def test_zero_floor_keeps_all(self):
         values = np.random.default_rng(0).random((7, 3)) * 0.05
-        cands = p2r.associate(np.zeros((7, 2, 2)), values, objectness_floor=0.0)
+        cands = p2r.associate(values, objectness_floor=0.0)
         assert len(cands) == 7
-
-    def test_row_mismatch(self):
-        with pytest.raises(DimensionError):
-            p2r.associate(np.zeros((3, 2, 2)), np.zeros((4, 5)), 0.1)
 
 
 class TestAlleviate:
@@ -134,18 +135,18 @@ class TestSelectRanks:
             [0.8, 0.9, 0.9, 0.9, 0.9],
             [0.3, 0.8, 0.9, 0.9, 0.9],
         ])
-        out = p2r.select_ranks(masks, values, [0, 1, 2], 5, 0.3, 0.5, 0.5)
+        out = p2r.select_ranks(fetch(masks), values, [0, 1, 2], 5, 0.3, 0.5)
         assert out[0].rank == 1
         assert out[0].score == pytest.approx(0.8)
 
     def test_empty_input(self):
-        assert p2r.select_ranks(np.zeros((0, 4, 4)), np.zeros((0, 5)), [], 5, 0.3, 0.5, 0.5) == []
+        assert p2r.select_ranks(fetch(np.zeros((0, 4, 4))), np.zeros((0, 5)), [], 5, 0.3, 0.5) == []
 
     def test_identical_masks_suppressed(self):
         mask = np.zeros((4, 4))
         mask[1:3, 1:3] = 1.0
         masks, values = rows_of([[0.9, 0.9, 0.9, 0.9, 0.9], [0.8, 0.8, 0.8, 0.8, 0.8]], masks=[mask, mask])
-        out = p2r.select_ranks(masks, values, [0, 1], 5, 0.3, 0.5, 0.5)
+        out = p2r.select_ranks(fetch(masks), values, [0, 1], 5, 0.3, 0.5)
         assert len(out) == 1
         assert out[0].rank == 1 and out[0].score == pytest.approx(0.9)
 
@@ -156,30 +157,30 @@ class TestSelectRanks:
         masks[0, 1, 1:3] = 1.0
         masks[1, 1, 1] = 1.0
         masks, values = rows_of([[0.9, 0.9], [0.8, 0.8]], masks=masks)
-        out = p2r.select_ranks(masks, values, [0, 1], 2, 0.3, nms_iou, 0.5)
+        out = p2r.select_ranks(fetch(masks), values, [0, 1], 2, 0.3, nms_iou)
         assert [r.rank for r in out] == [1, 2][:selected]
 
     def test_stop_when_column_max_below_threshold(self):
         masks, values = rows_of([[0.9, 0.1, 0.1, 0.1, 0.1], [0.7, 0.2, 0.2, 0.2, 0.2]])
-        out = p2r.select_ranks(masks, values, [0, 1], 5, 0.3, 0.5, 0.5)
+        out = p2r.select_ranks(fetch(masks), values, [0, 1], 5, 0.3, 0.5)
         assert [r.rank for r in out] == [1]
 
     def test_tie_goes_to_lower_row(self):
         masks, values = rows_of([[0.2, 0.9], [0.8, 0.9], [0.8, 0.9]])
-        out = p2r.select_ranks(masks, values, [2, 1], 2, 0.3, 0.5, 0.5)
+        out = p2r.select_ranks(fetch(masks), values, [2, 1], 2, 0.3, 0.5)
         np.testing.assert_array_equal(out[0].mask, masks[1] >= 0.5)
         np.testing.assert_array_equal(out[1].mask, masks[2] >= 0.5)
 
     def test_only_given_rows_compete(self):
         masks, values = rows_of([[0.9, 0.9], [0.5, 0.6]])
-        out = p2r.select_ranks(masks, values, [1], 2, 0.3, 0.5, 0.5)
+        out = p2r.select_ranks(fetch(masks), values, [1], 2, 0.3, 0.5)
         assert [(r.rank, r.score) for r in out] == [(1, 0.5)]
 
     def test_inputs_untouched(self):
         rng = np.random.default_rng(4)
         masks, values = random_rows(rng, 6)
         before = masks.copy(), values.copy()
-        p2r.select_ranks(masks, values, np.arange(6), 5, 0.3, 0.5, 0.5)
+        p2r.select_ranks(fetch(masks), values, np.arange(6), 5, 0.3, 0.5)
         np.testing.assert_array_equal(masks, before[0])
         np.testing.assert_array_equal(values, before[1])
 
@@ -187,7 +188,7 @@ class TestSelectRanks:
         rng = np.random.default_rng(1)
         masks, values = random_rows(rng, 6)
         rows = p2r.alleviate(values, np.arange(6), 0.3)
-        out = p2r.select_ranks(masks, values, rows, 5, 0.3, 0.5, 0.5)
+        out = p2r.select_ranks(fetch(masks), values, rows, 5, 0.3, 0.5)
         assert [r.rank for r in out] == list(range(1, len(out) + 1))
 
     def test_order_invariance_with_distinct_probs(self):
@@ -195,10 +196,10 @@ class TestSelectRanks:
         for trial in range(20):
             masks, values = random_rows(rng, 5)
             rows = p2r.alleviate(values, np.arange(5), 0.3)
-            out = p2r.select_ranks(masks, values, list(rows), 5, 0.3, 0.5, 0.5)
+            out = p2r.select_ranks(fetch(masks), values, list(rows), 5, 0.3, 0.5)
             shuffled = list(rows)
             rng.shuffle(shuffled)
-            out_s = p2r.select_ranks(masks, values, shuffled, 5, 0.3, 0.5, 0.5)
+            out_s = p2r.select_ranks(fetch(masks), values, shuffled, 5, 0.3, 0.5)
             assert len(out) == len(out_s)
             for a, b in zip(out, out_s):
                 assert a.rank == b.rank and a.score == b.score
@@ -209,7 +210,7 @@ class TestSelectRanks:
         for trial in range(30):
             masks, values = random_rows(rng, 6)
             rows = p2r.alleviate(values, np.arange(6), 0.3)
-            out = p2r.select_ranks(masks, values, rows, 5, 0.3, 0.5, 0.5)
+            out = p2r.select_ranks(fetch(masks), values, rows, 5, 0.3, 0.5)
             for i, a in enumerate(out):
                 for b in out[i + 1 :]:
                     assert p2r.mask_iou(a.mask, b.mask) <= 0.5
@@ -225,7 +226,7 @@ class TestReferenceEquivalence:
 
     def test_single_candidate_above_threshold(self):
         masks, values = rows_of([[0.9, 0.9, 0.9, 0.9, 0.9]])
-        got = p2r.select_ranks(masks, values, p2r.alleviate(values, [0], 0.3), 5, 0.3, 0.5, 0.5)
+        got = p2r.select_ranks(fetch(masks), values, p2r.alleviate(values, [0], 0.3), 5, 0.3, 0.5)
         ref = p2r_reference(masks, values, 5, 0.3, 0.5, 0.0, 0.5)
         assert [r.rank for r in got] == [1]
         self.assert_same(got, ref)
@@ -238,7 +239,7 @@ class TestReferenceEquivalence:
         for trial in range(1000):
             count = int(rng.integers(0, 7))
             masks, values = random_rows(rng, count)
-            got = p2r.select_ranks(masks, values, p2r.alleviate(values, np.arange(count), 0.3), 5, 0.3, 0.5, 0.5)
+            got = p2r.select_ranks(fetch(masks), values, p2r.alleviate(values, np.arange(count), 0.3), 5, 0.3, 0.5)
             ref = p2r_reference(masks, values, 5, 0.3, 0.5, 0.0, 0.5)
             self.assert_same(got, ref)
 
@@ -246,7 +247,7 @@ class TestReferenceEquivalence:
         rng = np.random.default_rng(2025)
         for trial in range(200):
             masks, values = random_rows(rng, int(rng.integers(0, 9)))
-            got = p2r.partition_to_rank(masks, values, 5, 0.3, 0.5, objectness_floor=0.7, binarize_threshold=0.5)
+            got = p2r.partition_to_rank(fetch(masks), values, 5, 0.3, 0.5, objectness_floor=0.7)
             self.assert_same(got, p2r_reference(masks, values, 5, 0.3, 0.5, 0.7, 0.5))
 
 
@@ -254,8 +255,8 @@ class TestLazyMasks:
     def test_nothing_fetched_when_no_row_reaches_rank_one(self):
         masks, values = random_rows(np.random.default_rng(6), 8)
         values[:, 0] *= 0.25  # rank 1 never reaches the threshold; later columns may
-        view = CountingMasks(masks)
-        assert p2r.partition_to_rank(view, values, 5, 0.3, 0.5, objectness_floor=0.1, binarize_threshold=0.5) == []
+        view = fetch(masks)
+        assert p2r.partition_to_rank(view, values, 5, 0.3, 0.5, objectness_floor=0.1) == []
         assert view.fetched == []
 
     def test_fetches_once_only_reachable_rows_same_result(self):
@@ -265,13 +266,11 @@ class TestLazyMasks:
             masks, values = random_rows(rng, int(rng.integers(0, 13)))
             threshold = float(rng.choice([0.3, 0.6, 0.9]))
             nms_iou = float(rng.choice([0.1, 0.5]))
-            view = CountingMasks(masks)
-            got = p2r.partition_to_rank(view, values, 5, threshold, nms_iou, objectness_floor=0.2,
-                                        binarize_threshold=0.5)
-            expected = p2r.partition_to_rank(masks, values, 5, threshold, nms_iou, objectness_floor=0.2,
-                                             binarize_threshold=0.5)
+            view = fetch(masks)
+            got = p2r.partition_to_rank(view, values, 5, threshold, nms_iou, objectness_floor=0.2)
+            expected = p2r.partition_to_rank(fetch(masks), values, 5, threshold, nms_iou, objectness_floor=0.2)
             assert len(view.fetched) == len(set(view.fetched))
-            alleviated = p2r.alleviate(values, p2r.associate(masks, values, 0.2), threshold)
+            alleviated = p2r.alleviate(values, p2r.associate(values, 0.2), threshold)
             reachable = {int(r) for r in alleviated if values[r].max() >= threshold}
             assert set(view.fetched) <= reachable
             assert len(got) == len(expected)
@@ -280,3 +279,38 @@ class TestLazyMasks:
                 np.testing.assert_array_equal(a.mask, b.mask)
             fetched += len(view.fetched)
         assert fetched > 0
+
+
+@st.composite
+def decode_inputs(draw):
+    """(values, binary masks, threshold, nms_iou) for up to 8 rows and 1-4
+    partitions on a 4x4 canvas. Values are distinct, so a selection's
+    (rank, score) names its row.
+    """
+    k, n = draw(st.integers(0, 8)), draw(st.integers(1, 4))
+    values = draw(hnp.arrays(np.float64, (k, n), elements=st.floats(0.0, 1.0), unique=True))
+    masks = draw(hnp.arrays(np.bool_, (k, 4, 4)))
+    return values, masks, draw(st.floats(0.05, 0.95)), draw(st.floats(0.0, 1.0))
+
+
+class TestPartitionToRankProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(decode_inputs(), st.floats(0.0, 1.0))
+    def test_selection_and_floor(self, inputs, floor_fraction):
+        values, masks, threshold, nms_iou = inputs
+        view = CountingMasks(masks)
+        out = p2r.partition_to_rank(view, values, values.shape[1], threshold, nms_iou, objectness_floor=0.0)
+        assert [r.rank for r in out] == list(range(1, len(out) + 1)) and len(out) <= values.shape[1]
+        assert all(r.score >= threshold for r in out)
+        chosen = [int(np.flatnonzero(values[:, r.rank - 1] == r.score)[0]) for r in out]
+        assert len(set(chosen)) == len(chosen)
+        for r, row in zip(out, chosen):
+            np.testing.assert_array_equal(r.mask, masks[row])
+        assert all(p2r.mask_iou(a.mask, b.mask) <= nms_iou for i, a in enumerate(out) for b in out[i + 1:])
+        assert len(view.fetched) == len(set(view.fetched))
+        # a row below a floor at or under the threshold never clears the threshold
+        floored = p2r.partition_to_rank(CountingMasks(masks), values, values.shape[1], threshold, nms_iou,
+                                        objectness_floor=threshold * floor_fraction)
+        assert [(r.rank, r.score) for r in floored] == [(r.rank, r.score) for r in out]
+        for a, b in zip(floored, out):
+            np.testing.assert_array_equal(a.mask, b.mask)

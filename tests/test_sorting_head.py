@@ -4,6 +4,7 @@ import pytest
 from psrank import model, tensor as T, train
 from psrank.config import toy_model_config
 from psrank.data_synth import GenConfig, generate_scene
+from psrank.p2r import binarize
 from psrank.sorting_head import cross_entropy_loss, sort_to_ranks
 from psrank.tensor import Tensor
 
@@ -11,6 +12,11 @@ from gradcheck import grad_check
 from oracles import CountingMasks
 
 N = 3  # ranks; class N is background
+
+
+def fetch(masks):
+    """The decode's mask fetch over soft masks binarized at 0.5."""
+    return CountingMasks(binarize(masks, 0.5))
 
 
 def pixel_masks(count, side=4):
@@ -34,32 +40,32 @@ def scores_for(rows):
 class TestSortToRanks:
     def test_argmax_class_gives_rank(self):
         scores = scores_for([(1, 0.7), (0, 0.8), (2, 0.6)])
-        out = sort_to_ranks(scores, pixel_masks(3), N, nms_iou=0.5, binarize_threshold=0.5)
+        out = sort_to_ranks(scores, fetch(pixel_masks(3)), N, nms_iou=0.5)
         assert [(r.rank, r.score) for r in out] == [(1, 0.8), (2, 0.7), (3, 0.6)]
         np.testing.assert_array_equal(out[0].mask, pixel_masks(3)[1] >= 0.5)
         assert all(r.mask.dtype == bool for r in out)
 
     def test_background_cells_ignored(self):
         scores = scores_for([(N, 0.9), (0, 0.5), (N, 0.99)])
-        out = sort_to_ranks(scores, pixel_masks(3), N, nms_iou=0.5, binarize_threshold=0.5)
+        out = sort_to_ranks(scores, fetch(pixel_masks(3)), N, nms_iou=0.5)
         assert [(r.rank, r.score) for r in out] == [(1, 0.5)]
 
     def test_rank_already_taken_keeps_most_confident(self):
         scores = scores_for([(0, 0.6), (0, 0.9), (1, 0.7), (0, 0.8)])
-        out = sort_to_ranks(scores, pixel_masks(4), N, nms_iou=0.5, binarize_threshold=0.5)
+        out = sort_to_ranks(scores, fetch(pixel_masks(4)), N, nms_iou=0.5)
         assert [(r.rank, r.score) for r in out] == [(1, 0.9), (2, 0.7)]
         np.testing.assert_array_equal(out[0].mask, pixel_masks(4)[1] >= 0.5)
 
     def test_equal_confidence_goes_to_lower_row(self):
         scores = scores_for([(1, 0.5), (0, 0.8), (0, 0.8)])
-        out = sort_to_ranks(scores, pixel_masks(3), N, nms_iou=0.5, binarize_threshold=0.5)
+        out = sort_to_ranks(scores, fetch(pixel_masks(3)), N, nms_iou=0.5)
         np.testing.assert_array_equal(out[0].mask, pixel_masks(3)[1] >= 0.5)
 
     def test_overlapping_mask_suppressed(self):
         masks = pixel_masks(3)
         masks[2] = masks[0]
         scores = scores_for([(0, 0.9), (1, 0.6), (2, 0.8)])
-        out = sort_to_ranks(scores, masks, N, nms_iou=0.5, binarize_threshold=0.5)
+        out = sort_to_ranks(scores, fetch(masks), N, nms_iou=0.5)
         assert [(r.rank, r.score) for r in out] == [(1, 0.9), (2, 0.6)]
 
     @pytest.mark.parametrize("nms_iou, kept", [(0.5, 2), (np.nextafter(0.5, 0.0), 1)])
@@ -67,25 +73,25 @@ class TestSortToRanks:
         # row 0 lights two pixels and row 1 one of them: an IoU of exactly 1/2
         masks = pixel_masks(2)
         masks[0, 0, 1] = 1.0
-        out = sort_to_ranks(scores_for([(0, 0.9), (1, 0.8)]), masks, N, nms_iou=nms_iou, binarize_threshold=0.5)
+        out = sort_to_ranks(scores_for([(0, 0.9), (1, 0.8)]), fetch(masks), N, nms_iou=nms_iou)
         assert [(r.rank, r.score) for r in out] == [(1, 0.9), (2, 0.8)][:kept]
 
     def test_skipped_classes_leave_no_rank_gap(self):
         # argmax ranks 3 and 2, none 1: renumbered densely in class order
         scores = scores_for([(2, 0.9), (1, 0.7)])
-        out = sort_to_ranks(scores, pixel_masks(2), N, nms_iou=0.5, binarize_threshold=0.5)
+        out = sort_to_ranks(scores, fetch(pixel_masks(2)), N, nms_iou=0.5)
         assert [(r.rank, r.score) for r in out] == [(1, 0.7), (2, 0.9)]
         np.testing.assert_array_equal(out[0].mask, pixel_masks(2)[1] >= 0.5)
 
     def test_masks_fetched_only_for_free_classes(self):
         scores = scores_for([(0, 0.9), (0, 0.8), (1, 0.7), (N, 0.9)])
-        view = CountingMasks(pixel_masks(4))
-        out = sort_to_ranks(scores, view, N, nms_iou=0.5, binarize_threshold=0.5)
+        view = fetch(pixel_masks(4))
+        out = sort_to_ranks(scores, view, N, nms_iou=0.5)
         assert [(r.rank, r.score) for r in out] == [(1, 0.9), (2, 0.7)]
         assert view.fetched == [0, 2]
 
     def test_empty(self):
-        assert sort_to_ranks(np.zeros((0, N + 1)), np.zeros((0, 4, 4)), N, nms_iou=0.5, binarize_threshold=0.5) == []
+        assert sort_to_ranks(np.zeros((0, N + 1)), fetch(np.zeros((0, 4, 4))), N, nms_iou=0.5) == []
 
 
 class TestCrossEntropy:

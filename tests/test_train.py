@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psrank import heads, train
 from psrank.config import TrainConfig, toy_model_config, toy_train_config
@@ -63,6 +65,35 @@ class TestTargets:
         sample = SceneSample(image=np.zeros((3, 64, 64)), instances=list(zip([first, second], ranks)), seed=0)
         with pytest.raises(DataError, match="ranks are integers in \\[1, 3\\]"):
             train.build_targets(sample, cfg)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_targets_properties(self, data):
+        cfg = toy_model_config()
+        canvas = data.draw(st.sampled_from([32, 64]))
+        k = data.draw(st.integers(1, 3))
+        masks = []
+        for _ in range(k):
+            r0, c0 = data.draw(st.integers(0, canvas - 1)), data.draw(st.integers(0, canvas - 1))
+            h, w = data.draw(st.integers(1, canvas - r0)), data.draw(st.integers(1, canvas - c0))
+            mask = np.zeros((canvas, canvas), dtype=bool)
+            mask[r0:r0 + h, c0:c0 + w] = True
+            masks.append(mask)
+        ranks = data.draw(st.permutations(range(1, k + 1)))
+        sample = SceneSample(image=np.zeros((3, canvas, canvas), dtype=np.float32),
+                             instances=list(zip(masks, ranks)), seed=0)
+        targets = train.build_targets(sample, cfg)
+        cells = sum(side * side for side in cfg.grid_sides)
+        assert targets.rank_class.shape == (cells,)
+        assert 0 <= targets.rank_class.min() and targets.rank_class.max() <= cfg.max_rank
+        positive = np.flatnonzero(targets.rank_class < cfg.max_rank)
+        np.testing.assert_array_equal(targets.pos_rows, positive)
+        assert 1 <= len(positive) <= k
+        assert set(targets.rank_class[positive]) <= {rank - 1 for rank in ranks}
+        assert np.all(np.diff(targets.pos_rows) > 0)
+        side = canvas // cfg.mask_stride
+        assert targets.pos_masks.shape == (len(positive), side, side)
+        assert set(np.unique(targets.pos_masks)) <= {0.0, 1.0}
 
     def test_non_square_rejected(self, scenes):
         sample = scenes[0]
