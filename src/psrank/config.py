@@ -44,10 +44,11 @@ class ModelConfig:
         # layer counts may be 0 (the ablations); every other size must be positive
         for name, least in (("max_rank", 1), ("channels", 1), ("attn_heads", 1), ("gn_groups", 1),
                             ("dpt_layers", 0), ("conv_layers", 0), ("mask_channels", 1), ("mask_stride", 1)):
-            if getattr(self, name) < least:
+            if not getattr(self, name) >= least:
                 raise ConfigurationError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        if not self.assign_min_size > 0:
-            raise ConfigurationError(f"assign_min_size must be positive, got {self.assign_min_size}")
+        # an infinite size makes NaN scale edges, which move instances to other cells
+        if not 0.0 < self.assign_min_size < math.inf:
+            raise ConfigurationError(f"assign_min_size must be positive and finite, got {self.assign_min_size}")
         if self.channels % self.attn_heads:
             raise ConfigurationError(f"channels {self.channels} not divisible by heads {self.attn_heads}")
         if self.channels % self.gn_groups:
@@ -96,14 +97,14 @@ class TrainConfig:
     def __post_init__(self):
         # each of these schedules trains silently into nothing, NaN or divergence
         for name, least in (("epochs", 1), ("batch_size", 1), ("warmup_iters", 0)):
-            if getattr(self, name) < least:
+            if not getattr(self, name) >= least:  # so that NaN fails too: it skipped the warm-up
                 raise ConfigurationError(f"{name} must be at least {least}, got {getattr(self, name)}")
         for name in ("lr", "decay_factor"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ConfigurationError(f"{name} must be positive and finite, got {getattr(self, name)}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigurationError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if any(e < 0 for e in self.decay_epochs):
+        if not all(e >= 0 for e in self.decay_epochs):  # a NaN epoch never decays
             raise ConfigurationError(f"decay epochs must be nonnegative, got {self.decay_epochs}")
 
 

@@ -51,6 +51,11 @@ from .errors import DataError, GenerationError
 
 FORMAT_VERSION = 2
 PLACEMENT_BUDGET = 100
+# [low, high) of a background's base colour and of an instance's colour, per
+# channel; no instance can differ from its background by MAX_CONTRAST or more
+BACKGROUND_RANGE = (0.3, 0.7)
+COLOR_RANGE = (0.0, 1.0)
+MAX_CONTRAST = max(BACKGROUND_RANGE[1] - COLOR_RANGE[0], COLOR_RANGE[1] - BACKGROUND_RANGE[0])
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,7 @@ class GenConfig:
             "1 <= score_ratio < inf": 1 <= self.score_ratio < np.inf,
             "0 <= noise_amplitude < inf": 0 <= self.noise_amplitude < np.inf,
             "0 <= gradient_amplitude < inf": 0 <= self.gradient_amplitude < np.inf,
-            "0 <= contrast_floor < 1": 0 <= self.contrast_floor < 1,
+            f"0 <= contrast_floor < {MAX_CONTRAST:g}": 0 <= self.contrast_floor < MAX_CONTRAST,
         }
         broken = [rule for rule, holds in rules.items() if not holds]
         if broken:
@@ -139,7 +144,7 @@ def _scores(image: np.ndarray, pixels) -> np.ndarray:
 
 def _textured_background(cfg: GenConfig, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     h = w = cfg.canvas
-    base = rng.uniform(0.3, 0.7, size=3)
+    base = rng.uniform(*BACKGROUND_RANGE, size=3)
     y = np.linspace(-1, 1, h)[:, None]
     x = np.linspace(-1, 1, w)
     image = np.empty((3, h, w))
@@ -197,7 +202,7 @@ def _disjoint_with_gap(mask: np.ndarray, others, gap: int = 2) -> bool:
 
 
 def _pick_color(bg_base: np.ndarray, taken, cfg: GenConfig, rng: np.random.Generator) -> np.ndarray | None:
-    color = rng.uniform(0.0, 1.0, size=3)
+    color = rng.uniform(*COLOR_RANGE, size=3)
     if np.abs(color - bg_base).mean() < cfg.contrast_floor:
         return None
     if any(np.abs(color - t).max() < 0.15 for t in taken):

@@ -86,13 +86,17 @@ def head_ops(cfg: ModelConfig) -> Head:
     )
 
 
-def image_canvas(image: np.ndarray) -> int:
-    """Side of a square (C, H, W) image with finite pixels."""
+def image_canvas(image: np.ndarray, cfg: ModelConfig) -> int:
+    """Side of a square (C, H, W) image with finite pixels, which the mask
+    branch's ``cfg.mask_stride`` divides."""
     if image.ndim != 3 or image.shape[1] != image.shape[2]:
         raise DimensionError(f"expected a square (C, H, W) image, got shape {image.shape}")
     if not np.isfinite(image).all():
         raise DataError("image has non-finite pixels")
-    return image.shape[1]
+    canvas = image.shape[1]
+    if canvas % cfg.mask_stride:
+        raise DimensionError(f"canvas {canvas} is not divisible by mask_stride {cfg.mask_stride}")
+    return canvas
 
 
 def init_model_params(cfg: ModelConfig, seed: int) -> dict[str, Parameter]:
@@ -120,7 +124,7 @@ def predict(image: np.ndarray, params, cfg: ModelConfig) -> list[RankedInstance]
     """Inference for one image: forward pass, then the configured head's
     decode, which builds the mask branch only if it fetches a mask.
     """
-    canvas = image_canvas(image)
+    canvas = image_canvas(image, cfg)
     with T.no_grad():
         outputs = forward(Tensor(image), params, cfg)
 

@@ -44,12 +44,15 @@ full (C*k*k, K_out) index. Both indexes depend only on the shapes, so each is
 built once per shape, the full one only when a backward first needs it, and
 kept in a module-level ``functools`` cache.
 
-``group_norm`` reduces each (group, grid) pair's values as one contiguous run,
-one pairwise ``np.add.reduce`` per grid for each statistic, so its sums are
-those of a per-grid call; every other step runs once over the pyramid. A
-shared weight's gradient (conv kernel and bias, norm gamma and beta) is
-accumulated one grid at a time, in grid order, as separate per-grid calls
-accumulate it.
+``group_norm`` never leaves the (C, K) layout; it views the values as
+(groups, C/groups, K). Each statistic is a (groups, 1, grids) table, summed
+with one pairwise ``np.add.reduce`` per grid over that grid's cells of each
+group, the order a per-grid call sums in, and then spread over the grids'
+cells as (groups, 1, K); one grid's table broadcasts as it is. The grid sizes
+are cached per shape. Every other step runs once over the pyramid, and the
+tape keeps the normalized values and the spread inverse deviation. A shared weight's gradient (conv kernel and bias,
+norm gamma and beta) is accumulated one grid at a time, in grid order, as
+separate per-grid calls accumulate it.
 """
 
 from __future__ import annotations
@@ -601,25 +604,13 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding=None, grids=None) -> T
 
 
 @lru_cache(maxsize=None)
-def _group_runs(c: int, grids, groups: int) -> tuple:
-    """How ``group_norm`` lays a (c, K) pyramid out so that each (grid, group)
-    pair is one contiguous run of n values: the gather into that grid-major
-    order and its inverse (None for one grid, whose (groups, n) rows already
-    are the runs), each grid's slice of it, and every run's n, grid-major.
-    """
-    bounds = _column_bounds(grids)
-    cells = bounds[-1][1]
-    if len(grids) == 1:
-        order = inverse = None
-    else:
-        order = np.concatenate([(np.arange(c)[:, None] * cells + np.arange(lo, hi)).ravel() for lo, hi in bounds])
-        inverse = np.argsort(order)
-        order.setflags(write=False)
-        inverse.setflags(write=False)
-    runs = tuple(slice(c * lo, c * hi) for lo, hi in bounds)
-    n = np.repeat([c * (hi - lo) // groups for lo, hi in bounds], groups).reshape(-1, 1)
-    n.setflags(write=False)
-    return order, inverse, runs, n
+def _run_sizes(grids, channels_per_group: int) -> tuple[np.ndarray, np.ndarray]:
+    """Cells of each grid, and values in each of its (group, grid) runs."""
+    cells = np.array([h * w for h, w in grids])
+    values = cells * channels_per_group
+    cells.setflags(write=False)
+    values.setflags(write=False)
+    return cells, values
 
 
 def group_norm(x, groups: int, gamma, beta, eps: float = 1e-5, grids=None) -> Tensor:
@@ -629,52 +620,42 @@ def group_norm(x, groups: int, gamma, beta, eps: float = 1e-5, grids=None) -> Te
     """
     x, gamma, beta = _as_tensor(x), _as_tensor(gamma), _as_tensor(beta)
     data, shapes = _columns(x, grids)
-    c = data.shape[0]
+    c, cells = data.shape
     if c % groups != 0:
         raise ConfigurationError(f"group_norm: {c} channels not divisible by {groups} groups")
-    order, inverse, runs, n = _group_runs(c, shapes, groups)
     bounds = _column_bounds(shapes)
+    sizes, n = _run_sizes(shapes, c // groups)
 
-    # One grid's values are its (groups, n) rows and its statistics broadcast
-    # over them; a pyramid's values are flat, each run contiguous, and each
-    # statistic is repeated over its run.
-    def grid_major(a):
-        return a.reshape(groups, -1) if order is None else a.take(order)
-
-    def channel_major(a):
-        return (a if inverse is None else a.take(inverse)).reshape(data.shape)
-
+    # v is (groups, C/groups, K); a statistic is a (groups, 1, grids) table
     def run_means(v):  # one pairwise np.add.reduce per grid, as a per-grid call sums it
-        if order is None:
-            return np.add.reduce(v, axis=1, keepdims=True) / n
-        sums = np.empty(n.shape)
-        for i, r in enumerate(runs):
-            np.add.reduce(v[r].reshape(groups, -1), axis=1, keepdims=True, out=sums[i * groups : (i + 1) * groups])
-        return sums / n
+        sums = np.empty((groups, 1, len(bounds)))
+        for i, (lo, hi) in enumerate(bounds):
+            np.add.reduce(v[:, :, lo:hi].reshape(groups, -1), axis=1, out=sums[:, 0, i])
+        sums /= n
+        return sums
 
-    def spread(stat):  # a statistic per run, against the runs' values
-        return stat if order is None else stat.repeat(n.ravel())
+    def spread(stat):  # over the grids' cells as (groups, 1, K); one grid's table broadcasts
+        return stat if len(sizes) == 1 else stat.repeat(sizes, axis=2)
 
     # np.mean / np.var arithmetic without their Python wrappers
-    runs_x = grid_major(data)
-    dev = runs_x - spread(run_means(runs_x))
+    values = data.reshape(groups, -1, cells)
+    dev = values - spread(run_means(values))
     inv = spread(1.0 / np.sqrt(run_means(dev * dev) + eps))
-    xhat_runs = dev * inv
-    xhat = channel_major(xhat_runs)
-    out = xhat * gamma.data[:, None]
+    xhat = dev * inv
+    out = xhat.reshape(c, cells) * gamma.data[:, None]
     out += beta.data[:, None]
 
     def backward(g):
-        g2 = g.reshape(data.shape)
-        gx = g2 * xhat
+        g2 = g.reshape(c, cells)
+        gx = g2 * xhat.reshape(c, cells)
         for lo, hi in bounds:
             _accumulate(gamma, np.add.reduce(gx[:, lo:hi], axis=1))
         for lo, hi in bounds:
             _accumulate(beta, np.add.reduce(g2[:, lo:hi], axis=1))
         if x.requires_grad:
-            dxhat = grid_major(g2 * gamma.data[:, None])
-            dx = inv * (dxhat - spread(run_means(dxhat)) - xhat_runs * spread(run_means(dxhat * xhat_runs)))
-            _accumulate(x, channel_major(dx).reshape(x.data.shape))
+            dxhat = (g2 * gamma.data[:, None]).reshape(xhat.shape)
+            dx = inv * (dxhat - spread(run_means(dxhat)) - xhat * spread(run_means(dxhat * xhat)))
+            _accumulate(x, dx.reshape(x.data.shape))
 
     return _result(out.reshape(x.data.shape), (x, gamma, beta), backward)
 

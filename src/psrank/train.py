@@ -15,7 +15,7 @@ import numpy as np
 from . import heads, losses, model
 from .config import ModelConfig, TrainConfig
 from .data_synth import SceneSample
-from .errors import DataError, DimensionError
+from .errors import DataError
 from .tensor import Tensor
 
 
@@ -33,9 +33,7 @@ def downsample_mask(mask: np.ndarray, stride: int) -> np.ndarray:
 
 
 def build_targets(sample: SceneSample, cfg: ModelConfig) -> SampleTargets:
-    canvas = model.image_canvas(sample.image)
-    if canvas % cfg.mask_stride:
-        raise DimensionError(f"canvas {canvas} is not divisible by mask_stride {cfg.mask_stride}")
+    canvas = model.image_canvas(sample.image, cfg)
     masks = [m for m, _ in sample.instances]
     ranks = [r for _, r in sample.instances]
     for idx, rank in enumerate(ranks):

@@ -86,6 +86,11 @@ class TestModelConfigRejects:
         with pytest.raises(ConfigurationError, match="assign_min_size"):
             toy_model_config(assign_min_size=value)
 
+    def test_assign_min_size_not_finite(self):
+        # accepted, it made NaN scale edges and moved instances to other cells
+        with pytest.raises(ConfigurationError, match="assign_min_size must be positive and finite"):
+            toy_model_config(assign_min_size=float("inf"))
+
 
 class TestModelConfigAccepts:
     def test_boundary_values(self):
@@ -107,6 +112,7 @@ class TestTrainConfigRejects:
     # negative momentum trained silently.
     @pytest.mark.parametrize("name, value", [
         ("epochs", -1), ("epochs", 0), ("batch_size", 0), ("batch_size", -1), ("warmup_iters", -5),
+        ("warmup_iters", float("nan")),  # accepted, it trained silently without warm-up
     ])
     def test_count_below_least(self, name, value):
         with pytest.raises(ConfigurationError, match=f"{name} must be at least"):
@@ -126,6 +132,11 @@ class TestTrainConfigRejects:
     def test_negative_decay_epoch(self):
         with pytest.raises(ConfigurationError, match="decay epochs"):
             TrainConfig(decay_epochs=(-1, 4))
+
+    def test_nan_decay_epoch(self):
+        # accepted, it trained silently without decay
+        with pytest.raises(ConfigurationError, match="decay epochs"):
+            TrainConfig(decay_epochs=(float("nan"),))
 
 
 class TestTrainConfigAccepts:

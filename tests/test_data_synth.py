@@ -372,9 +372,11 @@ class TestGenConfigRules:
         (dict(score_ratio=float("nan")), "1 <= score_ratio < inf"),
         (dict(noise_amplitude=-0.01), "0 <= noise_amplitude < inf"),
         (dict(gradient_amplitude=float("inf")), "0 <= gradient_amplitude < inf"),
-        (dict(contrast_floor=-0.1), "0 <= contrast_floor < 1"),
-        (dict(contrast_floor=1.0), "0 <= contrast_floor < 1"),
+        (dict(contrast_floor=-0.1), "0 <= contrast_floor < 0.7"),
+        (dict(contrast_floor=1.0), "0 <= contrast_floor < 0.7"),
         (dict(canvas=16), "canvas >= 32"),
+        (dict(contrast_floor=0.7), "0 <= contrast_floor < 0.7"),  # no colour differs this much from
+        (dict(contrast_floor=0.9), "0 <= contrast_floor < 0.7"),  # its background, so no scene is built
     ])
     def test_broken_rule_named(self, overrides, rule):
         with pytest.raises(DataError, match=f"GenConfig needs .*{re.escape(rule)}"):

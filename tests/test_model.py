@@ -363,3 +363,12 @@ class TestMalformedImages:
         image[1, 5, 7] = bad
         with pytest.raises(DataError):
             model.predict(image, params, toy_model_config())
+
+    # predict used to return silently at stride 3, and at stride 128 raise a bare
+    # ZeroDivisionError once it fetched a mask; training refused both
+    @pytest.mark.parametrize("stride", [3, 128])
+    def test_canvas_not_divisible_by_mask_stride_rejected(self, stride):
+        cfg = toy_model_config(mask_stride=stride, **LOW)
+        params = model.init_model_params(cfg, 0)
+        with pytest.raises(DimensionError, match=f"canvas 64 is not divisible by mask_stride {stride}"):
+            model.predict(np.full((3, 64, 64), 0.5), params, cfg)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -538,7 +539,7 @@ class TestPyramidForms:
         pyramid_form, per_grid = self.compare(op, grids, x, params, seed=1)
         assert pyramid_form == per_grid
 
-    @pytest.mark.parametrize("grids", PYRAMIDS)
+    @pytest.mark.parametrize("grids", PYRAMIDS + [((4, 4), (2, 1), (1, 1))])
     @pytest.mark.parametrize("groups", [1, 4])
     def test_group_norm_equals_per_grid_calls(self, grids, groups):
         rng = np.random.default_rng(len(grids) + groups)
@@ -551,6 +552,21 @@ class TestPyramidForms:
 
         pyramid_form, per_grid = self.compare(op, grids, x, params, seed=2)
         assert pyramid_form == per_grid
+
+    @pytest.mark.parametrize("grids", [PYRAMIDS[1], ((16, 16),) * 8])  # full128's, and 8 images' encoder stage
+    def test_group_norm_tape_keeps_little_beyond_its_output(self, grids):
+        # its normalized values and one statistic per (group, cell), no per-value
+        # copy of a statistic and no reordered copy of the values
+        x = Tensor(np.random.default_rng(3).normal(size=(16, sum(h * w for h, w in grids))), requires_grad=True)
+        gamma, beta = Parameter(np.ones(16)), Parameter(np.zeros(16))
+        T.group_norm(x, 4, gamma, beta, grids=grids)  # fills the shape caches
+        tracemalloc.start()
+        try:
+            out = T.group_norm(x, 4, gamma, beta, grids=grids)
+            kept = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        assert kept <= 1.5 * x.data.nbytes
 
     @pytest.mark.parametrize("shape, groups", [((8, 5, 3), 4), ((16, 12, 12), 4), ((4, 1, 1), 2)])
     def test_one_grid_group_norm_equals_plain_form(self, shape, groups):
