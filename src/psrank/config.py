@@ -35,7 +35,6 @@ class ModelConfig:
     partition_threshold: float = 0.3
     nms_iou: float = 0.5
     binarize_threshold: float = 0.5
-    objectness_floor: float = 0.1
     assign_min_size: float = 8.0
     partition_weight: float = 1.0
     mask_weight: float = 3.0
@@ -69,9 +68,6 @@ class ModelConfig:
             v = getattr(self, name)
             if not 0.0 <= v < math.inf:  # NaN fails this too; it trained into NaN
                 raise ConfigurationError(f"loss weights must be finite and nonnegative, got {name}={v}")
-        # a NaN or >= 1 floor keeps no row, so predict silently returns nothing
-        if not 0.0 <= self.objectness_floor < 1.0:
-            raise ConfigurationError(f"objectness_floor must lie in [0, 1), got {self.objectness_floor}")
         if self.head_type not in ("partition", "sorting"):
             raise ConfigurationError(f"unknown head type {self.head_type!r}")
 

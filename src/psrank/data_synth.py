@@ -61,7 +61,6 @@ MAX_CONTRAST = max(BACKGROUND_RANGE[1] - COLOR_RANGE[0], COLOR_RANGE[1] - BACKGR
 @dataclass(frozen=True)
 class GenConfig:
     canvas: int = 64
-    max_rank: int = 3
     k_min: int = 1
     k_max: int = 3
     min_sqrt_area: float = 10.0
@@ -76,8 +75,7 @@ class GenConfig:
         # scenes, a numpy error inside generation, or no scene for any seed
         rules = {
             "canvas >= 32": self.canvas >= 32,
-            "max_rank >= 1": self.max_rank >= 1,
-            "0 <= k_min <= k_max <= max_rank": 0 <= self.k_min <= self.k_max <= self.max_rank,
+            "0 <= k_min <= k_max": 0 <= self.k_min <= self.k_max,
             "0 < min_sqrt_area <= max_sqrt_area < inf": 0 < self.min_sqrt_area <= self.max_sqrt_area < np.inf,
             "1 <= score_ratio < inf": 1 <= self.score_ratio < np.inf,
             "0 <= noise_amplitude < inf": 0 <= self.noise_amplitude < np.inf,

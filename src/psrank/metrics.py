@@ -158,7 +158,8 @@ def evaluate_images(per_image, n_ranks: int, canvas: int, iou_threshold: float =
     correlation is undefined are excluded from that correlation's mean and
     counted. No image raises ``DataError``: it has no MAE, and 0 would read
     as a perfect score. So does a rank outside the integers 1..n_ranks, which
-    would render off the map's scale and miscount in the confusion matrix.
+    would render off the map's scale and miscount in the confusion matrix,
+    and a mask that is not (canvas, canvas), which cannot be rendered.
     """
     if len(per_image) == 0:
         raise DataError("evaluate_images needs at least one image")
@@ -170,6 +171,9 @@ def evaluate_images(per_image, n_ranks: int, canvas: int, iou_threshold: float =
         for rank in [p.rank for p in preds] + [r for _, r in gts]:
             if not (isinstance(rank, Integral) and 1 <= rank <= n_ranks):
                 raise DataError(f"image {index} has rank {rank}, not an integer in 1..{n_ranks}")
+        for mask in [p.mask for p in preds] + [m for m, _ in gts]:
+            if np.shape(mask) != (canvas, canvas):
+                raise DataError(f"image {index} has a mask of shape {np.shape(mask)}, not ({canvas}, {canvas})")
         match = match_instances(preds, gts, iou_threshold)
         matches.append(match)
         maes.append(mae([(p.mask, p.rank) for p in preds], gts, n_ranks, canvas))

@@ -75,8 +75,7 @@ def head_ops(cfg: ModelConfig) -> Head:
             forward=heads.partition_forward,
             loss=losses.partition_loss,
             decode=lambda scores, masks: partition_to_rank(
-                masks, scores, cfg.max_rank, threshold=cfg.partition_threshold, nms_iou=cfg.nms_iou,
-                objectness_floor=cfg.objectness_floor),
+                masks, scores, cfg.max_rank, threshold=cfg.partition_threshold, nms_iou=cfg.nms_iou),
         )
     return Head(
         init=sorting_head.init_sorting_head_params,
@@ -87,8 +86,8 @@ def head_ops(cfg: ModelConfig) -> Head:
 
 
 def image_canvas(image: np.ndarray, cfg: ModelConfig) -> int:
-    """Side of a square (C, H, W) image with finite pixels, which the mask
-    branch's ``cfg.mask_stride`` divides."""
+    """Side of a square (C, H, W) image with finite pixels, which ``cfg.mask_stride``
+    and the encoder's coarsest stride divide; ``forward`` checks each image here."""
     if image.ndim != 3 or image.shape[1] != image.shape[2]:
         raise DimensionError(f"expected a square (C, H, W) image, got shape {image.shape}")
     if not np.isfinite(image).all():
@@ -96,6 +95,8 @@ def image_canvas(image: np.ndarray, cfg: ModelConfig) -> int:
     canvas = image.shape[1]
     if canvas % cfg.mask_stride:
         raise DimensionError(f"canvas {canvas} is not divisible by mask_stride {cfg.mask_stride}")
+    if canvas % pyramid.STAGE_STRIDES[-1]:
+        raise DimensionError(f"canvas {canvas} is not divisible by coarsest stride {pyramid.STAGE_STRIDES[-1]}")
     return canvas
 
 
@@ -111,7 +112,7 @@ def init_model_params(cfg: ModelConfig, seed: int) -> dict[str, Parameter]:
 
 
 def forward(image: Tensor, params, cfg: ModelConfig) -> ModelOutputs:
-    canvas = image.shape[1]
+    canvas = image_canvas(image.data, cfg)
     stages = pyramid.encoder_stages(image, params, cfg)
     features = pyramid.pyramid_from_stages(stages, cfg)
     harmonized = dpt.cgr(features, params, cfg)
@@ -124,12 +125,11 @@ def predict(image: np.ndarray, params, cfg: ModelConfig) -> list[RankedInstance]
     """Inference for one image: forward pass, then the configured head's
     decode, which builds the mask branch only if it fetches a mask.
     """
-    canvas = image_canvas(image, cfg)
     with T.no_grad():
         outputs = forward(Tensor(image), params, cfg)
 
         def masks(rows) -> np.ndarray:
-            return binarize(T.interpolate(outputs.mask.soft_masks(rows), (canvas, canvas)).data, cfg.binarize_threshold)
+            return binarize(T.interpolate(outputs.mask.soft_masks(rows), image.shape[1:]).data, cfg.binarize_threshold)
 
         return head_ops(cfg).decode(outputs.scores.data, masks)
 

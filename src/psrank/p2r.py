@@ -6,12 +6,12 @@ the heads' cell order. ``masks`` is the decode's one mask fetch:
 ``model.predict``'s fetch makes only the masks asked for, so decoding pays
 only for the masks it reads, and the binarize threshold stays in the fetch.
 
-Inference proceeds in three steps: associate keeps the rows that clear the
-objectness floor, alleviate discards rows whose thresholded partition
-pattern is ambiguous, and selection walks each rank's rows from the most
-probable down and takes the first whose mask has ``mask_iou`` at most
-``nms_iou`` with every earlier choice. Masks are fetched only for the rows
-that walk reaches.
+Inference proceeds in three steps: associate keeps the rows whose best
+partition probability reaches the threshold (no rank's walk reaches any
+other row), alleviate discards rows whose thresholded partition pattern is
+ambiguous, and selection walks each rank's rows from the most probable down
+and takes the first whose mask has ``mask_iou`` at most ``nms_iou`` with
+every earlier choice. Masks are fetched only for the rows that walk reaches.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ def mask_iou(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.logical_and(a, b).sum() / union)
 
 
-def associate(values, objectness_floor: float) -> np.ndarray:
-    """Rows whose best partition probability reaches ``objectness_floor``."""
-    return np.flatnonzero(np.max(np.asarray(values), axis=1, initial=-np.inf) >= objectness_floor)
+def associate(values, threshold: float) -> np.ndarray:
+    """Rows whose best partition probability reaches ``threshold``: the rows a rank's walk can reach."""
+    return np.flatnonzero(np.max(np.asarray(values), axis=1, initial=-np.inf) >= threshold)
 
 
 def alleviate(values, rows, threshold: float) -> np.ndarray:
@@ -103,8 +103,7 @@ def select_ranks(masks, values, rows, n_ranks: int, threshold: float, nms_iou: f
     return results
 
 
-def partition_to_rank(masks, values, n_ranks: int, threshold: float, nms_iou: float,
-                      objectness_floor: float) -> list[RankedInstance]:
-    """Full pipeline: associate -> alleviate -> iterative selection."""
-    rows = associate(values, objectness_floor)
+def partition_to_rank(masks, values, n_ranks: int, threshold: float, nms_iou: float) -> list[RankedInstance]:
+    """Full pipeline at one ``threshold``: associate -> alleviate -> iterative selection."""
+    rows = associate(values, threshold)
     return select_ranks(masks, values, alleviate(values, rows, threshold), n_ranks, threshold, nms_iou)

@@ -70,10 +70,6 @@ def _stage_for_scale(scale_index: int) -> int:
 
 def encoder_stages(image: Tensor, params, cfg: ModelConfig) -> list[Tensor]:
     """Run the four strided stages, returning every intermediate map."""
-    h, w = image.shape[1], image.shape[2]
-    coarsest = STAGE_STRIDES[-1]
-    if h % coarsest or w % coarsest:
-        raise ConfigurationError(f"image size {h}x{w} not divisible by coarsest stride {coarsest}")
     x = image
     outs = []
     for i in range(4):

@@ -12,6 +12,7 @@ import numpy as np
 
 from . import tensor as T
 from .config import ModelConfig
+from .errors import DimensionError
 from .heads import _per_cell
 from .losses import PROB_EPS
 from .p2r import RankedInstance, mask_iou
@@ -58,7 +59,9 @@ def sort_to_ranks(scores: np.ndarray, masks, n_ranks: int, nms_iou: float) -> li
 
 
 def cross_entropy_loss(scores: Tensor, classes: np.ndarray) -> Tensor:
-    """Mean negative log-probability of the labeled class per cell."""
-    rows = np.arange(scores.shape[0])
-    picked = scores[(rows, np.asarray(classes))]
+    """Mean negative log-probability of the labeled class, one per cell."""
+    classes = np.asarray(classes)
+    if classes.shape != scores.shape[:1]:
+        raise DimensionError(f"{classes.size} rank classes for {scores.shape[0]} cells")
+    picked = scores[(np.arange(scores.shape[0]), classes)]
     return T.tmean(-T.log(T.clip(picked, PROB_EPS, 1.0)))

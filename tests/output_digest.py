@@ -6,10 +6,10 @@ outputs bit-identical can be checked by running this on both commits:
 The digest covers, for the toy model at 64x64 and ``ModelConfig()`` at
 128x128, each with the partition and the sorting head: initial parameters
 for weight seeds 0 and 1, ``forward`` scores and soft masks, ``predict``
-instances (at ``partition_threshold=0.1, objectness_floor=0.05``, so that
-untrained weights emit some), ``train.build_targets``' rank classes, positive
-rows and mask targets for every scene used, and the loss history and
-parameters of a 3-epoch ``train.train`` run. ``--verbose`` also prints one
+instances (at ``partition_threshold=0.1``, so that untrained weights emit
+some), ``train.build_targets``' rank classes, positive rows and mask
+targets for every scene used, and the loss history and parameters of a
+3-epoch ``train.train`` run. ``--verbose`` also prints one
 digest per part (``init``, ``forward``, ``predict``, ``targets``, ``train``)
 and per setup, so a change that moves one part shows which; the last line
 hashes the same bytes either way.
@@ -64,7 +64,7 @@ class SetupDigest:
 def digest_setup(cfg: ModelConfig, gen: GenConfig) -> tuple[SetupDigest, int]:
     h = SetupDigest()
     scenes = generate_dataset(gen, PREDICT_SCENES, 7000)
-    decode_cfg = replace(cfg, partition_threshold=0.1, objectness_floor=0.05)
+    decode_cfg = replace(cfg, partition_threshold=0.1)
     instances = 0
     for seed in WEIGHT_SEEDS:
         params = model.init_model_params(cfg, seed)

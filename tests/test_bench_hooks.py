@@ -34,7 +34,7 @@ def test_every_wrapped_attribute_is_owned():
 
 @pytest.mark.parametrize("head_type", ["partition", "sorting"])
 def test_spans_fire_on_model_path(head_type):
-    cfg = toy_model_config(head_type=head_type, partition_threshold=0.1, objectness_floor=0.05)
+    cfg = toy_model_config(head_type=head_type, partition_threshold=0.1)
     tracer = bench_tracer.Tracer()
     tracer.install()
     try:
@@ -69,7 +69,7 @@ def test_spans_fire_on_model_path(head_type):
 
 def test_repeated_predictions_pass_benchmark_checks():
     # partition head only: valid_prediction requires score >= partition_threshold
-    cfg = toy_model_config(partition_threshold=0.1, objectness_floor=0.05)
+    cfg = toy_model_config(partition_threshold=0.1)
     params = model.init_model_params(cfg, 0)
     found = 0
     for sample in data_synth.generate_dataset(data_synth.GenConfig(), 8, 5000):

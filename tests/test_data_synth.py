@@ -361,10 +361,10 @@ class TestPersistence:
 
 class TestGenConfigRules:
     @pytest.mark.parametrize("overrides, rule", [
-        (dict(max_rank=0, k_min=0, k_max=0), "max_rank >= 1"),
-        (dict(k_min=-2), "0 <= k_min <= k_max <= max_rank"),  # scenes without instances
-        (dict(k_min=3, k_max=2), "0 <= k_min <= k_max <= max_rank"),
-        (dict(max_rank=3, k_max=4), "0 <= k_min <= k_max <= max_rank"),
+        (dict(k_min=float("nan")), "0 <= k_min <= k_max"),
+        (dict(k_min=-2), "0 <= k_min <= k_max"),  # scenes without instances
+        (dict(k_min=3, k_max=2), "0 <= k_min <= k_max"),
+        (dict(k_max=float("nan")), "0 <= k_min <= k_max"),
         (dict(min_sqrt_area=0.0), "0 < min_sqrt_area <= max_sqrt_area < inf"),
         (dict(min_sqrt_area=30.0), "0 < min_sqrt_area <= max_sqrt_area < inf"),
         (dict(max_sqrt_area=float("nan")), "0 < min_sqrt_area <= max_sqrt_area < inf"),

@@ -312,6 +312,16 @@ class TestEvaluateImages:
         with pytest.raises(DataError, match=rf"^image 1 has rank {bad}, not an integer in 1\.\.3$"):
             evaluate_images([good, (preds, [(mask, gt_rank)])], 3, 8)
 
+    # each used to raise numpy's bare broadcast ValueError from render_rank_map
+    @pytest.mark.parametrize("canvas", [128, 32])
+    @pytest.mark.parametrize("side", ["pred", "gt"])
+    def test_mask_not_canvas_sized_raises(self, canvas, side):
+        mask = box(64, 2, 2, 8, 8)
+        good = ([pred(box(canvas, 2, 2, 8, 8), 1)], [(box(canvas, 2, 2, 8, 8), 1)])
+        bad = ([pred(mask, 1)], []) if side == "pred" else ([], [(mask, 1)])
+        with pytest.raises(DataError, match=rf"^image 1 has a mask of shape \(64, 64\), not \({canvas}, {canvas}\)$"):
+            evaluate_images([good, bad], 3, canvas)
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(scored_images(), min_size=1, max_size=3))
     def test_report_stays_in_range(self, per_image):

@@ -1,22 +1,25 @@
 import hashlib
 import json
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from psrank import heads, model, train, tensor as T
 from psrank.config import ModelConfig, toy_model_config, toy_train_config
 from psrank.data_synth import GenConfig, generate_dataset
 from psrank.errors import DataError, DimensionError
-from psrank.p2r import binarize, partition_to_rank
+from psrank.p2r import binarize, mask_iou, partition_to_rank
 from psrank.tensor import Parameter, Tensor
 
 from oracles import CountingMasks, eager_predict, p2r_reference
 
 # Thresholds low enough that the untrained toy model emits instances, so
 # association, alleviation, selection and NMS all do work.
-LOW = dict(partition_threshold=0.1, objectness_floor=0.05)
+LOW = dict(partition_threshold=0.1)
 TOY_CELLS = 8 * 8 + 6 * 6 + 4 * 4
 
 
@@ -33,6 +36,12 @@ def params_digest(params) -> str:
         h.update(str(p.shape).encode())
         h.update(p.data.tobytes())
     return h.hexdigest()
+
+
+@lru_cache(maxsize=None)
+def toy_params(seed: int, head_type: str) -> dict:
+    """Initial toy-model weights for a head; no decode setting changes them."""
+    return model.init_model_params(toy_model_config(head_type=head_type), seed)
 
 
 class TestInitialWeights:
@@ -94,10 +103,10 @@ class TestPredict:
                 masks = T.interpolate(outputs.mask.soft_masks(), (64, 64)).data
             values = outputs.scores.data
             expected = p2r_reference(masks, values, cfg.max_rank, cfg.partition_threshold, cfg.nms_iou,
-                                     cfg.objectness_floor, cfg.binarize_threshold)
+                                     0.0, cfg.binarize_threshold)
             for got in (model.predict(sample.image, params, cfg),
                         partition_to_rank(CountingMasks(binarize(masks, cfg.binarize_threshold)), values,
-                                          cfg.max_rank, cfg.partition_threshold, cfg.nms_iou, cfg.objectness_floor)):
+                                          cfg.max_rank, cfg.partition_threshold, cfg.nms_iou)):
                 assert len(got) == len(expected)
                 for a, b in zip(got, expected):
                     assert a.rank == b.rank and a.score == b.score
@@ -133,6 +142,26 @@ class TestPredict:
                 np.testing.assert_array_equal(a.mask, b.mask)
             found += len(expected)
         assert found > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000), st.sampled_from([0, 1]), st.sampled_from(["partition", "sorting"]),
+           st.floats(0.05, 0.5))
+    def test_predict_properties(self, scene_seed, weight_seed, head_type, threshold):
+        cfg = toy_model_config(head_type=head_type, partition_threshold=threshold)
+        params = toy_params(weight_seed, head_type)
+        image = generate_dataset(GenConfig(), 1, scene_seed)[0].image
+        preds = model.predict(image, params, cfg)
+        event("selected at least one" if preds else "selected none")
+        assert [p.rank for p in preds] == list(range(1, len(preds) + 1)) and len(preds) <= cfg.max_rank
+        for p in preds:
+            assert p.mask.dtype == bool and p.mask.shape == (64, 64)
+            assert np.isfinite(p.score)
+            assert head_type == "sorting" or p.score >= threshold
+        assert all(mask_iou(a.mask, b.mask) <= cfg.nms_iou for i, a in enumerate(preds) for b in preds[i + 1:])
+        again = model.predict(image, params, cfg)
+        assert [(p.rank, p.score) for p in again] == [(p.rank, p.score) for p in preds]
+        for a, b in zip(again, preds):
+            np.testing.assert_array_equal(a.mask, b.mask)
 
 
 class TestMaskBranchOnDemand:
@@ -363,6 +392,22 @@ class TestMalformedImages:
         image[1, 5, 7] = bad
         with pytest.raises(DataError):
             model.predict(image, params, toy_model_config())
+
+    # the encoder used to raise a ConfigurationError for this property of the image
+    def test_canvas_not_divisible_by_coarsest_stride_rejected(self, params):
+        with pytest.raises(DimensionError, match="canvas 72 is not divisible by coarsest stride 16"):
+            model.predict(np.full((3, 72, 72), 0.5), params, toy_model_config())
+
+    # forward used to run on both of these silently; the NaN image scored 348 NaNs
+    def test_forward_rejects_non_square(self, params):
+        with pytest.raises(DimensionError, match=r"square \(C, H, W\) image, got shape \(3, 64, 48\)"):
+            model.forward(Tensor(np.full((3, 64, 48), 0.5)), params, toy_model_config())
+
+    def test_forward_rejects_non_finite(self, params):
+        image = np.full((3, 64, 64), 0.5)
+        image[2, 40, 3] = np.nan
+        with pytest.raises(DataError, match="non-finite pixels"):
+            model.forward(Tensor(image), params, toy_model_config())
 
     # predict used to return silently at stride 3, and at stride 128 raise a bare
     # ZeroDivisionError once it fetched a mask; training refused both

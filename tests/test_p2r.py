@@ -42,7 +42,7 @@ class TestAssociate:
         values[3] = [0.5, 0.6, 0.7, 0.8, 0.9]
         values[8, 4] = 0.2
         values[15, 0] = 0.1
-        cands = p2r.associate(values, objectness_floor=0.1)
+        cands = p2r.associate(values, threshold=0.1)
         assert len(cands) == 3
         assert list(cands) == [3, 8, 15]
 
@@ -51,7 +51,7 @@ class TestAssociate:
 
     def test_zero_floor_keeps_all(self):
         values = np.random.default_rng(0).random((7, 3)) * 0.05
-        cands = p2r.associate(values, objectness_floor=0.0)
+        cands = p2r.associate(values, threshold=0.0)
         assert len(cands) == 7
 
 
@@ -243,20 +243,13 @@ class TestReferenceEquivalence:
             ref = p2r_reference(masks, values, 5, 0.3, 0.5, 0.0, 0.5)
             self.assert_same(got, ref)
 
-    def test_full_pipeline_with_floor(self):
-        rng = np.random.default_rng(2025)
-        for trial in range(200):
-            masks, values = random_rows(rng, int(rng.integers(0, 9)))
-            got = p2r.partition_to_rank(fetch(masks), values, 5, 0.3, 0.5, objectness_floor=0.7)
-            self.assert_same(got, p2r_reference(masks, values, 5, 0.3, 0.5, 0.7, 0.5))
-
 
 class TestLazyMasks:
     def test_nothing_fetched_when_no_row_reaches_rank_one(self):
         masks, values = random_rows(np.random.default_rng(6), 8)
         values[:, 0] *= 0.25  # rank 1 never reaches the threshold; later columns may
         view = fetch(masks)
-        assert p2r.partition_to_rank(view, values, 5, 0.3, 0.5, objectness_floor=0.1) == []
+        assert p2r.partition_to_rank(view, values, 5, 0.3, 0.5) == []
         assert view.fetched == []
 
     def test_fetches_once_only_reachable_rows_same_result(self):
@@ -267,10 +260,10 @@ class TestLazyMasks:
             threshold = float(rng.choice([0.3, 0.6, 0.9]))
             nms_iou = float(rng.choice([0.1, 0.5]))
             view = fetch(masks)
-            got = p2r.partition_to_rank(view, values, 5, threshold, nms_iou, objectness_floor=0.2)
-            expected = p2r.partition_to_rank(fetch(masks), values, 5, threshold, nms_iou, objectness_floor=0.2)
+            got = p2r.partition_to_rank(view, values, 5, threshold, nms_iou)
+            expected = p2r.partition_to_rank(fetch(masks), values, 5, threshold, nms_iou)
             assert len(view.fetched) == len(set(view.fetched))
-            alleviated = p2r.alleviate(values, p2r.associate(values, 0.2), threshold)
+            alleviated = p2r.alleviate(values, p2r.associate(values, threshold), threshold)
             reachable = {int(r) for r in alleviated if values[r].max() >= threshold}
             assert set(view.fetched) <= reachable
             assert len(got) == len(expected)
@@ -299,7 +292,7 @@ class TestPartitionToRankProperties:
     def test_selection_and_floor(self, inputs, floor_fraction):
         values, masks, threshold, nms_iou = inputs
         view = CountingMasks(masks)
-        out = p2r.partition_to_rank(view, values, values.shape[1], threshold, nms_iou, objectness_floor=0.0)
+        out = p2r.partition_to_rank(view, values, values.shape[1], threshold, nms_iou)
         assert [r.rank for r in out] == list(range(1, len(out) + 1)) and len(out) <= values.shape[1]
         assert all(r.score >= threshold for r in out)
         chosen = [int(np.flatnonzero(values[:, r.rank - 1] == r.score)[0]) for r in out]
@@ -308,9 +301,9 @@ class TestPartitionToRankProperties:
             np.testing.assert_array_equal(r.mask, masks[row])
         assert all(p2r.mask_iou(a.mask, b.mask) <= nms_iou for i, a in enumerate(out) for b in out[i + 1:])
         assert len(view.fetched) == len(set(view.fetched))
-        # a row below a floor at or under the threshold never clears the threshold
-        floored = p2r.partition_to_rank(CountingMasks(masks), values, values.shape[1], threshold, nms_iou,
-                                        objectness_floor=threshold * floor_fraction)
+        # associate filters at the threshold; the literal reference, at any floor
+        # at or below it, keeps every row some rank's walk could reach
+        floored = p2r_reference(masks, values, values.shape[1], threshold, nms_iou, threshold * floor_fraction, 0.5)
         assert [(r.rank, r.score) for r in floored] == [(r.rank, r.score) for r in out]
         for a, b in zip(floored, out):
             np.testing.assert_array_equal(a.mask, b.mask)

@@ -64,11 +64,6 @@ def test_encode_finite(cfg, params):
     assert np.isfinite(encode(image, params, cfg).data).all()
 
 
-def test_encode_rejects_indivisible_size(cfg, params):
-    with pytest.raises(ConfigurationError):
-        encode(Tensor(np.zeros((3, 60, 64))), params, cfg)
-
-
 class TestPositionalEncoding:
     def test_zero_input_yields_encoding(self, cfg):
         pe_params = pyramid.init_posenc_params(cfg)

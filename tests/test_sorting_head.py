@@ -4,6 +4,7 @@ import pytest
 from psrank import model, tensor as T, train
 from psrank.config import toy_model_config
 from psrank.data_synth import GenConfig, generate_scene
+from psrank.errors import DimensionError
 from psrank.p2r import binarize
 from psrank.sorting_head import cross_entropy_loss, sort_to_ranks
 from psrank.tensor import Tensor
@@ -106,6 +107,12 @@ class TestCrossEntropy:
         logits = Tensor(rng.normal(size=(6, N + 1)))
         report = grad_check(lambda x: cross_entropy_loss(T.softmax(x), classes), [logits])
         assert report.passed
+
+    # one class used to be broadcast to every cell (loss 1.386); seven raised a bare IndexError
+    @pytest.mark.parametrize("count", [1, 7])
+    def test_rank_class_count_mismatch(self, count):
+        with pytest.raises(DimensionError, match=f"{count} rank classes for 5 cells"):
+            cross_entropy_loss(Tensor(np.full((5, 4), 0.25)), np.full(count, 3))
 
 
 def test_sample_loss_finite():
