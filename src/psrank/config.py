@@ -20,6 +20,9 @@ class ModelConfig:
 
     ``grid_sides`` lists the per-scale grid side lengths, strictly decreasing.
     ``max_rank`` is the number of partitions (and the deepest rank emitted).
+    A setting is a field only where a caller, a planned sweep or a test sets
+    it; one read at a single value is a constant beside its reader
+    (``heads.MASK_CHANNELS``, ``p2r.NMS_IOU``, ``losses.MASK_WEIGHT``, ...).
     """
 
     max_rank: int = 3
@@ -29,25 +32,15 @@ class ModelConfig:
     gn_groups: int = 4
     dpt_layers: int = 3
     conv_layers: int = 3
-    mask_channels: int = 8
-    mask_stride: int = 4
     head_type: str = "partition"  # partition | sorting
     partition_threshold: float = 0.3
-    nms_iou: float = 0.5
-    binarize_threshold: float = 0.5
-    assign_min_size: float = 8.0
-    partition_weight: float = 1.0
-    mask_weight: float = 3.0
 
     def __post_init__(self):
         # layer counts may be 0 (the ablations); every other size must be positive
         for name, least in (("max_rank", 1), ("channels", 1), ("attn_heads", 1), ("gn_groups", 1),
-                            ("dpt_layers", 0), ("conv_layers", 0), ("mask_channels", 1), ("mask_stride", 1)):
+                            ("dpt_layers", 0), ("conv_layers", 0)):
             if not getattr(self, name) >= least:
                 raise ConfigurationError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        # an infinite size makes NaN scale edges, which move instances to other cells
-        if not 0.0 < self.assign_min_size < math.inf:
-            raise ConfigurationError(f"assign_min_size must be positive and finite, got {self.assign_min_size}")
         if self.channels % self.attn_heads:
             raise ConfigurationError(f"channels {self.channels} not divisible by heads {self.attn_heads}")
         if self.channels % self.gn_groups:
@@ -60,14 +53,8 @@ class ModelConfig:
         sides = self.grid_sides
         if not sides or sides[-1] < 1 or any(a <= b for a, b in zip(sides, sides[1:])):
             raise ConfigurationError(f"grid sides must be positive and strictly decreasing, got {sides}")
-        for name in ("partition_threshold", "nms_iou", "binarize_threshold"):
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ConfigurationError(f"{name} must lie in (0,1), got {v}")
-        for name in ("partition_weight", "mask_weight"):
-            v = getattr(self, name)
-            if not 0.0 <= v < math.inf:  # NaN fails this too; it trained into NaN
-                raise ConfigurationError(f"loss weights must be finite and nonnegative, got {name}={v}")
+        if not 0.0 < self.partition_threshold < 1.0:
+            raise ConfigurationError(f"partition_threshold must lie in (0,1), got {self.partition_threshold}")
         if self.head_type not in ("partition", "sorting"):
             raise ConfigurationError(f"unknown head type {self.head_type!r}")
 

@@ -51,24 +51,27 @@ from .errors import DataError, GenerationError
 
 FORMAT_VERSION = 2
 PLACEMENT_BUDGET = 100
-# [low, high) of a background's base colour and of an instance's colour, per
-# channel; no instance can differ from its background by MAX_CONTRAST or more
+# [low, high) of a background's base colour and of an instance's colour, per channel
 BACKGROUND_RANGE = (0.3, 0.7)
 COLOR_RANGE = (0.0, 1.0)
-MAX_CONTRAST = max(BACKGROUND_RANGE[1] - COLOR_RANGE[0], COLOR_RANGE[1] - BACKGROUND_RANGE[0])
+CONTRAST_FLOOR = 0.2  # least mean |instance colour - background base| over RGB
+GRADIENT_AMPLITUDE = 0.04  # scale of a background channel's ramp over coordinates in [-1, 1]
+NOISE_AMPLITUDE = 0.03  # a background channel's uniform noise lies within +-this
 
 
 @dataclass(frozen=True)
 class GenConfig:
+    """Scene settings. A setting is a field only where a caller, a planned
+    sweep or a test sets it; one read at a single value is a constant beside
+    its reader (``CONTRAST_FLOOR``, ``GRADIENT_AMPLITUDE``, ``NOISE_AMPLITUDE``).
+    """
+
     canvas: int = 64
     k_min: int = 1
     k_max: int = 3
     min_sqrt_area: float = 10.0
     max_sqrt_area: float = 26.0
     score_ratio: float = 1.25
-    contrast_floor: float = 0.2
-    noise_amplitude: float = 0.03
-    gradient_amplitude: float = 0.04
 
     def __post_init__(self):
         # each rule is written so that NaN breaks it; a broken rule yields empty
@@ -78,9 +81,6 @@ class GenConfig:
             "0 <= k_min <= k_max": 0 <= self.k_min <= self.k_max,
             "0 < min_sqrt_area <= max_sqrt_area < inf": 0 < self.min_sqrt_area <= self.max_sqrt_area < np.inf,
             "1 <= score_ratio < inf": 1 <= self.score_ratio < np.inf,
-            "0 <= noise_amplitude < inf": 0 <= self.noise_amplitude < np.inf,
-            "0 <= gradient_amplitude < inf": 0 <= self.gradient_amplitude < np.inf,
-            f"0 <= contrast_floor < {MAX_CONTRAST:g}": 0 <= self.contrast_floor < MAX_CONTRAST,
         }
         broken = [rule for rule, holds in rules.items() if not holds]
         if broken:
@@ -148,8 +148,8 @@ def _textured_background(cfg: GenConfig, rng: np.random.Generator) -> tuple[np.n
     image = np.empty((3, h, w))
     for c in range(3):
         direction = rng.uniform(-1, 1, size=2)
-        noise = rng.uniform(-cfg.noise_amplitude, cfg.noise_amplitude, size=(h, w))
-        image[c] = (direction[0] * y + direction[1] * x) * cfg.gradient_amplitude + base[c] + noise
+        noise = rng.uniform(-NOISE_AMPLITUDE, NOISE_AMPLITUDE, size=(h, w))
+        image[c] = (direction[0] * y + direction[1] * x) * GRADIENT_AMPLITUDE + base[c] + noise
     return image, base
 
 
@@ -199,9 +199,9 @@ def _disjoint_with_gap(mask: np.ndarray, others, gap: int = 2) -> bool:
     return not any((grown & other[box]).any() for other in others)
 
 
-def _pick_color(bg_base: np.ndarray, taken, cfg: GenConfig, rng: np.random.Generator) -> np.ndarray | None:
+def _pick_color(bg_base: np.ndarray, taken, rng: np.random.Generator) -> np.ndarray | None:
     color = rng.uniform(*COLOR_RANGE, size=3)
-    if np.abs(color - bg_base).mean() < cfg.contrast_floor:
+    if np.abs(color - bg_base).mean() < CONTRAST_FLOOR:
         return None
     if any(np.abs(color - t).max() < 0.15 for t in taken):
         return None
@@ -224,7 +224,7 @@ def generate_scene(cfg: GenConfig, seed: int) -> SceneSample:
             mask = _shape_mask(cfg, rng)
             if mask is None or not _disjoint_with_gap(mask, masks):
                 continue
-            color = _pick_color(bg_base, colors, cfg, rng)
+            color = _pick_color(bg_base, colors, rng)
             if color is None:
                 continue
             masks.append(mask)

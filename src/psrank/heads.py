@@ -16,8 +16,11 @@ import numpy as np
 from . import tensor as T
 from .config import ModelConfig
 from .errors import DataError
-from .pyramid import _stage_channels, conv_params, grid_shapes
+from .pyramid import MASK_STRIDE, _stage_channels, conv_params, grid_shapes
 from .tensor import Parameter, Tensor
+
+MASK_CHANNELS = 8  # D: the width of each cell's dynamic kernel and of the map it convolves
+ASSIGN_MIN_SIZE = 8.0  # sqrt-area, in pixels, at which the finest scale's size range starts
 
 
 def _per_cell(f_hat: Tensor, w: Parameter, b: Parameter, cfg: ModelConfig) -> Tensor:
@@ -56,13 +59,13 @@ class MaskBranch:
 
 def init_mask_head_params(cfg: ModelConfig, rng: np.random.Generator) -> dict[str, Parameter]:
     fused = sum(c for _, c in _stage_channels(cfg))
-    return (conv_params("mask.kernel", cfg.channels, cfg.mask_channels, rng)
-            | conv_params("mask.fuse", fused, cfg.mask_channels, rng, k=1))
+    return (conv_params("mask.kernel", cfg.channels, MASK_CHANNELS, rng)
+            | conv_params("mask.fuse", fused, MASK_CHANNELS, rng, k=1))
 
 
 def global_mask_features(stage_maps, params, cfg: ModelConfig, canvas: int) -> Tensor:
-    """1x1-conv fusion of the encoder stages, upsampled to 1/mask_stride."""
-    size = canvas // cfg.mask_stride
+    """1x1-conv fusion of the encoder stages, upsampled to 1/MASK_STRIDE."""
+    size = canvas // MASK_STRIDE
     up = [T.interpolate(m, (size, size)) for m in stage_maps]
     fused = T.conv2d(T.concat(up, axis=0), params["mask.fuse.w"], bias=params["mask.fuse.b"])
     return T.relu(fused)
@@ -83,9 +86,9 @@ def mask_branch(f_hat: Tensor, stage_maps, params, cfg: ModelConfig, canvas: int
 
 
 def scale_size_edges(cfg: ModelConfig, canvas: int) -> np.ndarray:
-    """Sqrt-area bin edges, geometric over [assign_min_size, canvas]."""
+    """Sqrt-area bin edges, geometric over [ASSIGN_MIN_SIZE, canvas]."""
     n = len(cfg.grid_sides)
-    return cfg.assign_min_size * (canvas / cfg.assign_min_size) ** (np.arange(n + 1) / n)
+    return ASSIGN_MIN_SIZE * (canvas / ASSIGN_MIN_SIZE) ** (np.arange(n + 1) / n)
 
 
 def _center_cell(com: float, cell_width: float, side: int) -> int:

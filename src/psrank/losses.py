@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .config import ModelConfig
 from .errors import DimensionError
 from .tensor import Tensor
 
@@ -25,6 +24,7 @@ PROB_EPS = 1e-7
 DICE_SMOOTH = 1.0
 FOCAL_ALPHA = 0.25  # weight of a positive element; a negative one gets 1 - alpha
 FOCAL_GAMMA = 2.0
+MASK_WEIGHT = 3.0  # lambda, the dice term's weight against the classification term, as in SOLO
 
 
 @dataclass
@@ -69,17 +69,12 @@ def partition_loss(partition_probs: Tensor, rank_class) -> Tensor:
     return T.tsum(T.tmean(elements, axis=0))
 
 
-def total_loss(classification: Tensor, mask_preds: Tensor | None, mask_targets,
-               cfg: ModelConfig) -> LossBreakdown:
-    """Sum of a head's classification term and the positive-cell dice loss,
-    weighted by ``cfg.partition_weight`` and ``cfg.mask_weight``. A sample
-    with no positive cells passes ``mask_preds=None``; its total is then the
-    weighted classification term alone.
+def total_loss(classification: Tensor, mask_preds: Tensor | None, mask_targets) -> LossBreakdown:
+    """A head's classification term plus ``MASK_WEIGHT`` times the
+    positive-cell dice loss. A sample with no positive cells passes
+    ``mask_preds=None``; its total is then the classification term itself.
     """
-    if mask_preds is not None:
-        mask_term = dice_loss(mask_preds, mask_targets)
-        total = cfg.partition_weight * classification + cfg.mask_weight * mask_term
-    else:
-        mask_term = None
-        total = cfg.partition_weight * classification
-    return LossBreakdown(total=total, partition=classification, mask=mask_term)
+    if mask_preds is None:
+        return LossBreakdown(total=classification, partition=classification, mask=None)
+    mask_term = dice_loss(mask_preds, mask_targets)
+    return LossBreakdown(total=classification + MASK_WEIGHT * mask_term, partition=classification, mask=mask_term)

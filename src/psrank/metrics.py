@@ -2,8 +2,11 @@
 
 Predictions and ground truth are matched greedily by mask IoU; the three
 dataset metrics are Spearman correlation over matched ranks (sor), Pearson
-correlation over all ground-truth instances with misses scored 0 (sa_sor),
-and the mean absolute difference between rank-rendered saliency maps (mae).
+correlation over all ground-truth instances of saliency values N - r + 1,
+with misses scored 0 (sa_sor), and the mean absolute difference between
+rank-rendered saliency maps (mae). Coverage (GT instances matched, images
+with a prediction) is reported too: one instance or all missed leave a
+correlation undefined.
 Both correlations are computed here in NumPy: Pearson directly, Spearman as
 Pearson on average ranks (tied values share the mean of their ranks).
 """
@@ -97,14 +100,15 @@ def sor(match: MatchResult) -> float | None:
     return spearman(x, y)
 
 
-def sa_sor(match: MatchResult, n_gt: int) -> float | None:
-    """Pearson correlation over every ground-truth instance, pairing each GT
-    rank with the matched prediction's rank or with 0 when missed.
+def sa_sor(match: MatchResult, n_ranks: int) -> float | None:
+    """Pearson correlation over every ground-truth instance of its value N - r + 1
+    (N = ``n_ranks``; larger is more salient, as in ``render_rank_map``) with the
+    matched prediction's value, or with 0 when missed: less salient than any rank.
     """
-    y = np.zeros(n_gt)
+    y = np.zeros(len(match.gt_ranks))
     for gi, pi, _ in match.pairs:
-        y[gi] = match.pred_ranks[pi]
-    return pearson(match.gt_ranks, y)
+        y[gi] = n_ranks - match.pred_ranks[pi] + 1
+    return pearson(n_ranks - match.gt_ranks + 1, y)
 
 
 def render_rank_map(instances, n_ranks: int, canvas: int) -> np.ndarray:
@@ -146,6 +150,8 @@ class MetricReport:
     images_evaluated: int
     images_excluded_sor: int
     images_excluded_sasor: int
+    gt_matched_fraction: float | None  # matched GT instances / all GT instances; None with no GT
+    images_with_predictions: int
     confusion: np.ndarray
 
     def to_json_dict(self) -> dict:
@@ -180,10 +186,11 @@ def evaluate_images(per_image, n_ranks: int, canvas: int, iou_threshold: float =
         s = sor(match)
         if s is not None:
             sors.append(s)
-        p = sa_sor(match, len(gts))
+        p = sa_sor(match, n_ranks)
         if p is not None:
             sasors.append(p)
     mean_sor = float(np.mean(sors)) if sors else None
+    n_gt = sum(len(match.gt_ranks) for match in matches)
     return MetricReport(
         mae=float(np.mean(maes)),
         sa_sor=float(np.mean(sasors)) if sasors else None,
@@ -192,5 +199,7 @@ def evaluate_images(per_image, n_ranks: int, canvas: int, iou_threshold: float =
         images_evaluated=len(per_image),
         images_excluded_sor=len(per_image) - len(sors),
         images_excluded_sasor=len(per_image) - len(sasors),
+        gt_matched_fraction=sum(len(match.pairs) for match in matches) / n_gt if n_gt else None,
+        images_with_predictions=sum(1 for preds, _ in per_image if preds),
         confusion=confusion(matches, n_ranks),
     )

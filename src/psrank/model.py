@@ -3,7 +3,7 @@
 ``forward`` runs the encoder, the DPT and the head, and leaves the mask branch
 unbuilt: ``ModelOutputs.mask`` builds it on first read. ``predict``'s decode
 reads masks only through one fetch, ``masks(rows)``, which upsamples those
-rows' soft masks to the canvas and binarizes them at ``binarize_threshold``
+rows' soft masks to the canvas and binarizes them at ``p2r.MASK_THRESHOLD``
 (SOLOv2 likewise makes masks only for what decode keeps).
 
 A checkpoint is an ``np.savez`` archive of ``__meta__`` (JSON) and one
@@ -29,7 +29,7 @@ from .config import ModelConfig, TrainConfig, config_from_dict, config_hash, con
 from .data_synth import read_npz
 from .errors import ConfigurationError, DataError, DimensionError
 from .heads import MaskBranch
-from .p2r import RankedInstance, binarize, partition_to_rank
+from .p2r import MASK_THRESHOLD, NMS_IOU, RankedInstance, binarize, partition_to_rank
 from .tensor import Parameter, Tensor
 
 
@@ -75,26 +75,24 @@ def head_ops(cfg: ModelConfig) -> Head:
             forward=heads.partition_forward,
             loss=losses.partition_loss,
             decode=lambda scores, masks: partition_to_rank(
-                masks, scores, cfg.max_rank, threshold=cfg.partition_threshold, nms_iou=cfg.nms_iou),
+                masks, scores, cfg.max_rank, threshold=cfg.partition_threshold, nms_iou=NMS_IOU),
         )
     return Head(
         init=sorting_head.init_sorting_head_params,
         forward=sorting_head.sorting_head_forward,
         loss=sorting_head.cross_entropy_loss,
-        decode=lambda scores, masks: sorting_head.sort_to_ranks(scores, masks, cfg.max_rank, nms_iou=cfg.nms_iou),
+        decode=lambda scores, masks: sorting_head.sort_to_ranks(scores, masks, cfg.max_rank, nms_iou=NMS_IOU),
     )
 
 
-def image_canvas(image: np.ndarray, cfg: ModelConfig) -> int:
-    """Side of a square (C, H, W) image with finite pixels, which ``cfg.mask_stride``
-    and the encoder's coarsest stride divide; ``forward`` checks each image here."""
+def image_canvas(image: np.ndarray) -> int:
+    """Side of a square (C, H, W) image with finite pixels, which the encoder's coarsest
+    stride (so also ``pyramid.MASK_STRIDE``) divides; ``forward`` checks each image here."""
     if image.ndim != 3 or image.shape[1] != image.shape[2]:
         raise DimensionError(f"expected a square (C, H, W) image, got shape {image.shape}")
     if not np.isfinite(image).all():
         raise DataError("image has non-finite pixels")
     canvas = image.shape[1]
-    if canvas % cfg.mask_stride:
-        raise DimensionError(f"canvas {canvas} is not divisible by mask_stride {cfg.mask_stride}")
     if canvas % pyramid.STAGE_STRIDES[-1]:
         raise DimensionError(f"canvas {canvas} is not divisible by coarsest stride {pyramid.STAGE_STRIDES[-1]}")
     return canvas
@@ -112,7 +110,7 @@ def init_model_params(cfg: ModelConfig, seed: int) -> dict[str, Parameter]:
 
 
 def forward(image: Tensor, params, cfg: ModelConfig) -> ModelOutputs:
-    canvas = image_canvas(image.data, cfg)
+    canvas = image_canvas(image.data)
     stages = pyramid.encoder_stages(image, params, cfg)
     features = pyramid.pyramid_from_stages(stages, cfg)
     harmonized = dpt.cgr(features, params, cfg)
@@ -129,7 +127,7 @@ def predict(image: np.ndarray, params, cfg: ModelConfig) -> list[RankedInstance]
         outputs = forward(Tensor(image), params, cfg)
 
         def masks(rows) -> np.ndarray:
-            return binarize(T.interpolate(outputs.mask.soft_masks(rows), image.shape[1:]).data, cfg.binarize_threshold)
+            return binarize(T.interpolate(outputs.mask.soft_masks(rows), image.shape[1:]).data, MASK_THRESHOLD)
 
         return head_ops(cfg).decode(outputs.scores.data, masks)
 

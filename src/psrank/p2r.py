@@ -23,6 +23,9 @@ import numpy as np
 
 from .errors import DimensionError
 
+MASK_THRESHOLD = 0.5  # a soft mask's pixel is on at or above this value
+NMS_IOU = 0.5  # the largest mask IoU a choice may have with an earlier one
+
 
 @dataclass
 class RankedInstance:

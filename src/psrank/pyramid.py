@@ -28,6 +28,7 @@ from .errors import ConfigurationError
 from .tensor import Parameter, Tensor
 
 STAGE_STRIDES = (2, 4, 8, 16)
+MASK_STRIDE = STAGE_STRIDES[1]  # the mask branch's map has stage 1's resolution
 
 
 def conv_params(prefix: str, cin: int, cout: int, rng: np.random.Generator, k: int = 3) -> dict[str, Parameter]:

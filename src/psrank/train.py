@@ -16,6 +16,7 @@ from . import heads, losses, model
 from .config import ModelConfig, TrainConfig
 from .data_synth import SceneSample
 from .errors import DataError
+from .pyramid import MASK_STRIDE
 from .tensor import Tensor
 
 
@@ -33,7 +34,7 @@ def downsample_mask(mask: np.ndarray, stride: int) -> np.ndarray:
 
 
 def build_targets(sample: SceneSample, cfg: ModelConfig) -> SampleTargets:
-    canvas = model.image_canvas(sample.image, cfg)
+    canvas = model.image_canvas(sample.image)
     masks = [m for m, _ in sample.instances]
     ranks = [r for _, r in sample.instances]
     for idx, rank in enumerate(ranks):
@@ -43,7 +44,7 @@ def build_targets(sample: SceneSample, cfg: ModelConfig) -> SampleTargets:
     pos_rows = np.flatnonzero(assignment >= 0)
     rank_class = np.full(len(assignment), cfg.max_rank, dtype=np.int64)
     rank_class[pos_rows] = np.asarray(ranks, dtype=np.int64)[assignment[pos_rows]] - 1
-    pos_masks = [downsample_mask(masks[i].astype(np.float64), cfg.mask_stride) for i in assignment[pos_rows]]
+    pos_masks = [downsample_mask(masks[i].astype(np.float64), MASK_STRIDE) for i in assignment[pos_rows]]
     return SampleTargets(
         rank_class=rank_class,
         pos_rows=pos_rows,
@@ -55,7 +56,7 @@ def sample_loss(sample: SceneSample, targets: SampleTargets, params, cfg: ModelC
     outputs = model.forward(Tensor(sample.image), params, cfg)
     classification = model.head_ops(cfg).loss(outputs.scores, targets.rank_class)
     mask_preds = outputs.mask.soft_masks(rows=targets.pos_rows) if len(targets.pos_rows) else None
-    return losses.total_loss(classification, mask_preds, targets.pos_masks, cfg)
+    return losses.total_loss(classification, mask_preds, targets.pos_masks)
 
 
 class SgdOptimizer:

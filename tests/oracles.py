@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from psrank import model, tensor as T
-from psrank.p2r import RankedInstance, binarize
+from psrank.p2r import MASK_THRESHOLD, RankedInstance, binarize
 from psrank.tensor import Tensor
 
 
@@ -431,7 +431,7 @@ def eager_predict(image, params, cfg) -> list[RankedInstance]:
     canvas = image.shape[1]
     with T.no_grad():
         outputs = model.forward(Tensor(image), params, cfg)
-        masks = binarize(T.interpolate(outputs.mask.soft_masks(), (canvas, canvas)).data, cfg.binarize_threshold)
+        masks = binarize(T.interpolate(outputs.mask.soft_masks(), (canvas, canvas)).data, MASK_THRESHOLD)
         return model.head_ops(cfg).decode(outputs.scores.data, CountingMasks(masks))
 
 

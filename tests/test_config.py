@@ -7,7 +7,7 @@ from psrank.config import (ModelConfig, TrainConfig, config_from_dict, config_ha
 from psrank.errors import ConfigurationError
 
 # config_hash of the default ModelConfig and TrainConfig.
-PINNED_DEFAULT_HASH = "169abaf6ea20f85d"
+PINNED_DEFAULT_HASH = "66d18af63df7cff8"
 
 
 class TestModelConfigRejects:
@@ -40,20 +40,10 @@ class TestModelConfigRejects:
         with pytest.raises(ConfigurationError, match="grid sides"):
             ModelConfig(grid_sides=sides)
 
-    @pytest.mark.parametrize("name", ["partition_threshold", "nms_iou", "binarize_threshold"])
+    @pytest.mark.parametrize("name", ["partition_threshold"])
     @pytest.mark.parametrize("value", [0.0, 1.0])
     def test_threshold_at_bound(self, name, value):
         with pytest.raises(ConfigurationError, match=name):
-            ModelConfig(**{name: value})
-
-    @pytest.mark.parametrize("name", ["partition_weight", "mask_weight"])
-    def test_negative_loss_weight(self, name):
-        with pytest.raises(ConfigurationError, match="loss weights"):
-            ModelConfig(**{name: -0.5})
-
-    @pytest.mark.parametrize("name, value", [("partition_weight", float("nan")), ("mask_weight", float("inf"))])
-    def test_loss_weight_not_finite(self, name, value):
-        with pytest.raises(ConfigurationError, match=f"loss weights must be finite and nonnegative, got {name}"):
             ModelConfig(**{name: value})
 
     def test_unknown_head_type(self):
@@ -64,7 +54,7 @@ class TestModelConfigRejects:
     # a ZeroDivisionError, "negative dimensions", an empty predict or degenerate masks.
     @pytest.mark.parametrize("name, value", [
         ("max_rank", 0), ("channels", -16), ("attn_heads", 0), ("gn_groups", 0), ("dpt_layers", -1),
-        ("conv_layers", -2), ("mask_channels", 0), ("mask_stride", 0),
+        ("conv_layers", -2),
     ])
     def test_size_below_least(self, name, value):
         with pytest.raises(ConfigurationError, match=f"{name} must be at least"):
@@ -75,22 +65,12 @@ class TestModelConfigRejects:
         with pytest.raises(ConfigurationError, match="grid sides must be positive"):
             toy_model_config(grid_sides=sides)
 
-    @pytest.mark.parametrize("value", [0.0, -8.0])
-    def test_assign_min_size_not_positive(self, value):
-        with pytest.raises(ConfigurationError, match="assign_min_size"):
-            toy_model_config(assign_min_size=value)
-
-    def test_assign_min_size_not_finite(self):
-        # accepted, it made NaN scale edges and moved instances to other cells
-        with pytest.raises(ConfigurationError, match="assign_min_size must be positive and finite"):
-            toy_model_config(assign_min_size=float("inf"))
-
 
 class TestModelConfigAccepts:
     def test_boundary_values(self):
-        # one scale has no neighbour to compare, and a zero weight is not negative
-        # ...and the ablations drop the transformer and the cgr convs
-        cfg = ModelConfig(grid_sides=(5,), partition_weight=0.0, mask_weight=0.0, dpt_layers=0, conv_layers=0)
+        # one scale has no neighbour to compare, and the ablations drop the
+        # transformer and the cgr convs
+        cfg = ModelConfig(grid_sides=(5,), dpt_layers=0, conv_layers=0)
         assert cfg.grid_sides == (5,)
 
     def test_groups_past_encoder_stem_width(self):
@@ -147,7 +127,7 @@ class TestTrainConfigAccepts:
 class TestSerialization:
     @pytest.mark.parametrize("model_cfg, train_cfg", [
         (ModelConfig(), TrainConfig()),
-        (toy_model_config(head_type="sorting", mask_weight=0.5), toy_train_config(seed=3, epochs=10)),
+        (toy_model_config(head_type="sorting", partition_threshold=0.2), toy_train_config(seed=3, epochs=10)),
     ])
     def test_round_trip(self, model_cfg, train_cfg):
         restored = config_from_dict(config_to_dict(model_cfg, train_cfg))
@@ -175,5 +155,5 @@ class TestSerialization:
 
     def test_hash_sees_every_change(self):
         base = config_hash(toy_model_config(), toy_train_config())
-        assert config_hash(toy_model_config(mask_weight=2.0), toy_train_config()) != base
+        assert config_hash(toy_model_config(partition_threshold=0.2), toy_train_config()) != base
         assert config_hash(toy_model_config(), toy_train_config(seed=1)) != base

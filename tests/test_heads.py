@@ -83,11 +83,11 @@ class TestMaskBranch:
         cfg = cfg_for(sides=(2,), e=4)
         rng = np.random.default_rng(8)
         params = heads.init_mask_head_params(cfg, rng)
-        gmap = Tensor(rng.normal(size=(cfg.mask_channels, 4, 4)))
+        gmap = Tensor(rng.normal(size=(heads.MASK_CHANNELS, 4, 4)))
 
         def op(grid):
             k = T.conv2d(grid, params["mask.kernel.w"], bias=params["mask.kernel.b"])
-            kernels = T.reshape(T.transpose(k, (1, 2, 0)), (4, cfg.mask_channels))
+            kernels = T.reshape(T.transpose(k, (1, 2, 0)), (4, heads.MASK_CHANNELS))
             return heads.MaskBranch(kernels=kernels, features=gmap).soft_masks(rows=[0, 3])
 
         x = Tensor(rng.normal(size=(4, 2, 2)))

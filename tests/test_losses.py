@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psrank import train
-from psrank.config import ModelConfig, toy_model_config
+from psrank.config import toy_model_config
 from psrank.data_synth import SceneSample
 from psrank.errors import DataError, DimensionError
-from psrank.losses import dice_loss, encode_partition_gt, partition_loss, total_loss
+from psrank.losses import MASK_WEIGHT, dice_loss, encode_partition_gt, partition_loss, total_loss
 from psrank.tensor import Tensor
 
 from gradcheck import grad_check
@@ -160,29 +160,29 @@ class TestDiceLoss:
 
 
 class TestTotalLoss:
-    def test_mask_weight_zero_leaves_partition_term(self):
+    def test_total_adds_weighted_dice_term(self):
         rng = np.random.default_rng(5)
         probs = Tensor(rng.uniform(0.1, 0.9, size=(10, 3)))
         classes = rng.integers(0, 4, size=10)
         masks = Tensor(rng.uniform(0.1, 0.9, size=(2, 4, 4)))
         mask_t = (rng.random((2, 4, 4)) > 0.5).astype(float)
-        out = total_loss(partition_loss(probs, classes), masks, mask_t,
-                         ModelConfig(partition_weight=1.0, mask_weight=0.0))
-        assert out.total.item() == pytest.approx(out.partition.item())
+        out = total_loss(partition_loss(probs, classes), masks, mask_t)
+        assert out.mask.item() == dice_loss(masks, mask_t).item()
+        assert out.total.item() == out.partition.item() + MASK_WEIGHT * out.mask.item()
 
     def test_no_positive_cells_masks_contribute_zero(self):
         rng = np.random.default_rng(6)
         probs = Tensor(rng.uniform(0.1, 0.9, size=(10, 3)))
-        out = total_loss(partition_loss(probs, np.full(10, 3)), None, None, ModelConfig())
+        out = total_loss(partition_loss(probs, np.full(10, 3)), None, None)
         assert out.mask is None
-        assert out.total.item() == pytest.approx(out.partition.item())
+        assert out.total is out.partition
 
     def test_partition_term_sums_per_head_means(self):
         rng = np.random.default_rng(7)
         probs_np = rng.uniform(0.1, 0.9, size=(10, 3))
         classes = rng.integers(0, 4, size=10)
         targets = targets_oracle(classes, 3)
-        out = total_loss(partition_loss(Tensor(probs_np), classes), None, None, ModelConfig())
+        out = total_loss(partition_loss(Tensor(probs_np), classes), None, None)
         per_head = sum(
             partition_loss(Tensor(probs_np[:, [n]]), column_classes(targets[:, n])).item() for n in range(3)
         )
@@ -193,7 +193,7 @@ class TestTotalLoss:
         probs = Tensor(np.full((4, 2), 1e-9))
         t = np.zeros((2, 3, 3))
         t[:, 0, 0] = 1.0
-        out = total_loss(partition_loss(probs, np.full(4, 2)), Tensor(t.copy()), t, ModelConfig())
+        out = total_loss(partition_loss(probs, np.full(4, 2)), Tensor(t.copy()), t)
         assert out.total.item() == pytest.approx(0.0, abs=1e-10)
 
     def test_gradient_through_both_terms(self):
@@ -203,8 +203,7 @@ class TestTotalLoss:
 
         def op(probs, masks):
             from psrank import tensor as T
-            return total_loss(partition_loss(T.sigmoid(probs), classes), T.sigmoid(masks), mask_t,
-                              ModelConfig()).total
+            return total_loss(partition_loss(T.sigmoid(probs), classes), T.sigmoid(masks), mask_t).total
 
         logits = Tensor(rng.normal(size=(6, 2)))
         mask_logits = Tensor(rng.normal(size=(2, 3, 3)))

@@ -136,8 +136,29 @@ class TestSaSor:
         gts = [(box(canvas, 8 * i, 0, 6, 6), i + 1) for i in range(3)]
         preds = [pred(gts[0][0], 1), pred(gts[1][0], 2)]
         match = match_instances(preds, gts)
-        expected = pearson_oracle([1.0, 2.0, 3.0], [1.0, 2.0, 0.0])
+        # saliency values N - r + 1, a miss 0: missing rank 3 used to score -0.5
+        expected = pearson_oracle([3.0, 2.0, 1.0], [3.0, 2.0, 0.0])
+        assert expected == pytest.approx(0.98198, abs=1e-5)
         assert sa_sor(match, 3) == pytest.approx(expected, abs=1e-9)
+
+    def test_rank_past_gt_count_is_not_a_miss(self):
+        # N is n_ranks, not the 3 GT instances: a match ranked 4 has value 1, not 0
+        canvas = 24
+        gts = [(box(canvas, 8 * i, 0, 6, 6), i + 1) for i in range(3)]
+        match = match_instances([pred(gts[0][0], 1), pred(gts[1][0], 4)], gts)
+        expected = pearson_oracle([4.0, 3.0, 2.0], [4.0, 1.0, 0.0])
+        assert sa_sor(match, 4) == pytest.approx(expected, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(scored_images())
+    def test_defined_exactly_where_raw_ranks_are(self, image):
+        # the map r -> N - r + 1 is one-to-one and never 0, so no image moves
+        # between defined and undefined
+        match = match_instances(*image)
+        raw = np.zeros(len(match.gt_ranks))
+        for gi, pi, _ in match.pairs:
+            raw[gi] = match.pred_ranks[pi]
+        assert (sa_sor(match, 4) is None) == (pearson(match.gt_ranks, raw) is None)
 
     def test_core_matches_oracle_random(self):
         from scipy import stats
@@ -294,6 +315,25 @@ class TestEvaluateImages:
         assert report.images_excluded_sasor == 1
         assert report.sor is None and report.sa_sor is None
 
+    def test_coverage(self):
+        # 5 GT instances over three images; one image has no prediction, and
+        # one prediction overlaps nothing
+        canvas = 16
+        a, b, c = box(canvas, 0, 0, 6, 6), box(canvas, 8, 8, 6, 6), box(canvas, 0, 8, 6, 6)
+        per_image = [
+            ([pred(a, 1), pred(b, 2)], [(a, 1), (b, 2)]),
+            ([pred(c, 1)], [(a, 1), (b, 2)]),
+            ([], [(c, 1)]),
+        ]
+        report = evaluate_images(per_image, 3, canvas)
+        assert report.gt_matched_fraction == pytest.approx(2 / 5)
+        assert report.images_with_predictions == 2
+
+    def test_no_gt_leaves_matched_fraction_undefined(self):
+        report = evaluate_images([([pred(box(8, 0, 0, 4, 4), 1)], [])], 3, 8)
+        assert report.gt_matched_fraction is None
+        assert report.images_with_predictions == 1
+
     def test_no_images_raises(self):
         # the mean of no MAE read 0.0, a perfect score
         with pytest.raises(DataError, match="at least one image"):
@@ -332,6 +372,8 @@ class TestEvaluateImages:
         assert report.images_evaluated == len(per_image)
         assert 0 <= report.images_excluded_sor <= report.images_evaluated
         assert 0 <= report.images_excluded_sasor <= report.images_evaluated
+        assert 0.0 <= report.gt_matched_fraction <= 1.0
+        assert 0 <= report.images_with_predictions <= report.images_evaluated
         matched = sum(len(match_instances(preds, gts).pairs) for preds, gts in per_image)
         assert report.confusion.shape == (4, 4) and report.confusion.sum() == matched
 
@@ -341,5 +383,6 @@ class TestEvaluateImages:
         preds = [pred(m, r) for m, r in gts]
         d = evaluate_images([(preds, gts)], 3, canvas).to_json_dict()
         assert set(d) == {"mae", "sa_sor", "sor", "sor_normalized", "images_evaluated",
-                          "images_excluded_sor", "images_excluded_sasor", "confusion"}
+                          "images_excluded_sor", "images_excluded_sasor", "gt_matched_fraction",
+                          "images_with_predictions", "confusion"}
         assert np.array(d["confusion"]).shape == (3, 3)

@@ -12,7 +12,7 @@ from psrank import heads, model, train, tensor as T
 from psrank.config import ModelConfig, toy_model_config, toy_train_config
 from psrank.data_synth import GenConfig, generate_dataset
 from psrank.errors import DataError, DimensionError
-from psrank.p2r import binarize, mask_iou, partition_to_rank
+from psrank.p2r import MASK_THRESHOLD, NMS_IOU, binarize, mask_iou, partition_to_rank
 from psrank.tensor import Parameter, Tensor
 
 from oracles import CountingMasks, eager_predict, p2r_reference
@@ -66,7 +66,7 @@ class TestForward:
         with T.no_grad():
             outputs = model.forward(Tensor(heldout[0].image), params, cfg)
         assert outputs.scores.shape == (TOY_CELLS, columns)
-        assert outputs.mask.kernels.shape == (TOY_CELLS, cfg.mask_channels)
+        assert outputs.mask.kernels.shape == (TOY_CELLS, heads.MASK_CHANNELS)
         assert outputs.mask.soft_masks().shape == (TOY_CELLS, 16, 16)
 
     def test_sorting_scores_are_distributions(self, heldout):
@@ -102,11 +102,11 @@ class TestPredict:
                 outputs = model.forward(Tensor(sample.image), params, cfg)
                 masks = T.interpolate(outputs.mask.soft_masks(), (64, 64)).data
             values = outputs.scores.data
-            expected = p2r_reference(masks, values, cfg.max_rank, cfg.partition_threshold, cfg.nms_iou,
-                                     0.0, cfg.binarize_threshold)
+            expected = p2r_reference(masks, values, cfg.max_rank, cfg.partition_threshold, NMS_IOU,
+                                     0.0, MASK_THRESHOLD)
             for got in (model.predict(sample.image, params, cfg),
-                        partition_to_rank(CountingMasks(binarize(masks, cfg.binarize_threshold)), values,
-                                          cfg.max_rank, cfg.partition_threshold, cfg.nms_iou)):
+                        partition_to_rank(CountingMasks(binarize(masks, MASK_THRESHOLD)), values,
+                                          cfg.max_rank, cfg.partition_threshold, NMS_IOU)):
                 assert len(got) == len(expected)
                 for a, b in zip(got, expected):
                     assert a.rank == b.rank and a.score == b.score
@@ -157,7 +157,7 @@ class TestPredict:
             assert p.mask.dtype == bool and p.mask.shape == (64, 64)
             assert np.isfinite(p.score)
             assert head_type == "sorting" or p.score >= threshold
-        assert all(mask_iou(a.mask, b.mask) <= cfg.nms_iou for i, a in enumerate(preds) for b in preds[i + 1:])
+        assert all(mask_iou(a.mask, b.mask) <= NMS_IOU for i, a in enumerate(preds) for b in preds[i + 1:])
         again = model.predict(image, params, cfg)
         assert [(p.rank, p.score) for p in again] == [(p.rank, p.score) for p in preds]
         for a, b in zip(again, preds):
@@ -408,12 +408,3 @@ class TestMalformedImages:
         image[2, 40, 3] = np.nan
         with pytest.raises(DataError, match="non-finite pixels"):
             model.forward(Tensor(image), params, toy_model_config())
-
-    # predict used to return silently at stride 3, and at stride 128 raise a bare
-    # ZeroDivisionError once it fetched a mask; training refused both
-    @pytest.mark.parametrize("stride", [3, 128])
-    def test_canvas_not_divisible_by_mask_stride_rejected(self, stride):
-        cfg = toy_model_config(mask_stride=stride, **LOW)
-        params = model.init_model_params(cfg, 0)
-        with pytest.raises(DimensionError, match=f"canvas 64 is not divisible by mask_stride {stride}"):
-            model.predict(np.full((3, 64, 64), 0.5), params, cfg)
