@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import asdict, dataclass
 
 from .errors import ConfigurationError
@@ -61,50 +60,27 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer schedule. Defaults mirror the full-scale recipe (SGD,
-    lr 2.5e-5, 1000 warm-up iterations, multi-step decay by 1e-4 at epochs
-    42/54); that recipe targets a pretrained 50M-parameter network and will
-    under-train the desk-scale model, so use ``toy_train_config`` for real
-    runs here.
+    """What a training run varies: its length, its batch and its seed. The
+    schedule and the optimizer are constants beside ``train.lr_at``.
     """
 
-    epochs: int = 60
-    batch_size: int = 4
-    lr: float = 2.5e-5
-    momentum: float = 0.9
-    warmup_iters: int = 1000
-    decay_epochs: tuple[int, ...] = (42, 54)
-    decay_factor: float = 1e-4
+    epochs: int = 24
+    batch_size: int = 8
     seed: int = 0
 
     def __post_init__(self):
-        # each of these schedules trains silently into nothing, NaN or divergence
-        for name, least in (("epochs", 1), ("batch_size", 1), ("warmup_iters", 0)):
-            if not getattr(self, name) >= least:  # so that NaN fails too: it skipped the warm-up
-                raise ConfigurationError(f"{name} must be at least {least}, got {getattr(self, name)}")
-        for name in ("lr", "decay_factor"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ConfigurationError(f"{name} must be positive and finite, got {getattr(self, name)}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ConfigurationError(f"momentum must lie in [0, 1), got {self.momentum}")
-        if not all(e >= 0 for e in self.decay_epochs):  # a NaN epoch never decays
-            raise ConfigurationError(f"decay epochs must be nonnegative, got {self.decay_epochs}")
+        # out of range, each of these trained into nothing or failed deep inside numpy
+        for name, least in (("epochs", 1), ("batch_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < least:  # a numpy integer would not serialize
+                raise ConfigurationError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 def toy_train_config(seed: int = 0, epochs: int = 24) -> TrainConfig:
-    """Desk-scale preset: lr and momentum picked by a small sweep on the
-    synthetic task (plain SGD; momentum oscillates at these batch sizes).
+    """``TrainConfig(epochs=epochs, seed=seed)``. Only ``perfbench/run.py``
+    calls it; it goes when the benchmark next changes.
     """
-    return TrainConfig(
-        epochs=epochs,
-        batch_size=8,
-        lr=0.01,
-        momentum=0.0,
-        warmup_iters=50,
-        decay_epochs=(int(epochs * 0.75), int(epochs * 0.9)),
-        decay_factor=0.1,
-        seed=seed,
-    )
+    return TrainConfig(epochs=epochs, seed=seed)
 
 
 def toy_model_config(**overrides) -> ModelConfig:
@@ -118,16 +94,13 @@ def toy_model_config(**overrides) -> ModelConfig:
 def config_to_dict(model_cfg: ModelConfig, train_cfg: TrainConfig) -> dict:
     d = {"model": asdict(model_cfg), "train": asdict(train_cfg)}
     d["model"]["grid_sides"] = list(model_cfg.grid_sides)
-    d["train"]["decay_epochs"] = list(train_cfg.decay_epochs)
     return d
 
 
 def config_from_dict(d: dict) -> tuple[ModelConfig, TrainConfig]:
     m = dict(d["model"])
-    t = dict(d["train"])
     m["grid_sides"] = tuple(m["grid_sides"])
-    t["decay_epochs"] = tuple(t["decay_epochs"])
-    return ModelConfig(**m), TrainConfig(**t)
+    return ModelConfig(**m), TrainConfig(**d["train"])
 
 
 def config_hash(model_cfg: ModelConfig, train_cfg: TrainConfig) -> str:

@@ -86,15 +86,18 @@ def head_ops(cfg: ModelConfig) -> Head:
 
 
 def image_canvas(image: np.ndarray) -> int:
-    """Side of a square (C, H, W) image with finite pixels, which the encoder's coarsest
-    stride (so also ``pyramid.MASK_STRIDE``) divides; ``forward`` checks each image here."""
+    """Side of a square (C, H, W) image with finite pixels, a nonzero multiple of the
+    encoder's coarsest stride (so also of ``pyramid.MASK_STRIDE``); ``forward`` checks
+    each image here."""
     if image.ndim != 3 or image.shape[1] != image.shape[2]:
         raise DimensionError(f"expected a square (C, H, W) image, got shape {image.shape}")
     if not np.isfinite(image).all():
         raise DataError("image has non-finite pixels")
-    canvas = image.shape[1]
-    if canvas % pyramid.STAGE_STRIDES[-1]:
-        raise DimensionError(f"canvas {canvas} is not divisible by coarsest stride {pyramid.STAGE_STRIDES[-1]}")
+    canvas, stride = image.shape[1], pyramid.STAGE_STRIDES[-1]
+    if canvas < stride:
+        raise DimensionError(f"canvas {canvas} is smaller than coarsest stride {stride}")
+    if canvas % stride:
+        raise DimensionError(f"canvas {canvas} is not divisible by coarsest stride {stride}")
     return canvas
 
 

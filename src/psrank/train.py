@@ -60,30 +60,35 @@ def sample_loss(sample: SceneSample, targets: SampleTargets, params, cfg: ModelC
 
 
 class SgdOptimizer:
-    def __init__(self, params: dict, momentum: float):
+    """Plain SGD: each step moves every parameter by ``-lr * grad``."""
+
+    def __init__(self, params: dict):
         self.params = params
-        self.momentum = momentum
-        self.velocity = {k: np.zeros_like(p.data) for k, p in params.items()}
 
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad[:] = 0.0
 
     def step(self, lr: float) -> None:
-        for name, p in self.params.items():
-            v = self.velocity[name]
-            v *= self.momentum
-            v += p.grad
-            p.data -= lr * v
+        for p in self.params.values():
+            p.data -= lr * p.grad
+
+
+# The schedule every run follows: linear warm-up over the first WARMUP_ITERS
+# steps to LR, then a decay by DECAY_FACTOR at each epoch int(epochs * f), f in DECAY_AT.
+LR = 0.01
+WARMUP_ITERS = 50
+DECAY_FACTOR = 0.1
+DECAY_AT = (0.75, 0.9)
 
 
 def lr_at(step: int, epoch: int, cfg: TrainConfig) -> float:
-    base = cfg.lr
-    for milestone in cfg.decay_epochs:
-        if epoch >= milestone:
-            base *= cfg.decay_factor
-    if cfg.warmup_iters > 0 and step < cfg.warmup_iters:
-        base *= (step + 1) / cfg.warmup_iters
+    base = LR
+    for f in DECAY_AT:
+        if epoch >= int(cfg.epochs * f):
+            base *= DECAY_FACTOR
+    if step < WARMUP_ITERS:
+        base *= (step + 1) / WARMUP_ITERS
     return base
 
 
@@ -106,7 +111,7 @@ def train(model_cfg: ModelConfig, train_cfg: TrainConfig, samples: list[SceneSam
     if not samples:
         raise DataError("no training samples")
     params = model.init_model_params(model_cfg, train_cfg.seed)
-    optimizer = SgdOptimizer(params, train_cfg.momentum)
+    optimizer = SgdOptimizer(params)
     targets = [build_targets(s, model_cfg) for s in samples]
     order_rng = np.random.default_rng(train_cfg.seed + 1)
     history: list[EpochStats] = []

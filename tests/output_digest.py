@@ -26,7 +26,7 @@ from dataclasses import replace
 import numpy as np
 
 from psrank import model, train
-from psrank.config import ModelConfig, toy_model_config, toy_train_config
+from psrank.config import ModelConfig, TrainConfig, toy_model_config
 from psrank.data_synth import GenConfig, generate_dataset
 from psrank.tensor import Tensor, no_grad
 
@@ -81,7 +81,7 @@ def digest_setup(cfg: ModelConfig, gen: GenConfig) -> tuple[SetupDigest, int]:
     for scene in scenes + train_scenes:
         targets = train.build_targets(scene, cfg)
         h.feed("targets", targets.rank_class, targets.pos_rows, targets.pos_masks)
-    params, history = train.train(cfg, toy_train_config(seed=0, epochs=3), train_scenes)
+    params, history = train.train(cfg, TrainConfig(epochs=3, seed=0), train_scenes)
     for stats in history:
         h.feed("train", np.array([stats.total, stats.partition, stats.mask]))
     for name in sorted(params):

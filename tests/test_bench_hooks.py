@@ -40,7 +40,7 @@ def test_spans_fire_on_model_path(head_type):
     try:
         sample, heldout = data_synth.generate_dataset(data_synth.GenConfig(), 2, 5000)
         params = model.init_model_params(cfg, 0)
-        optimizer = train.SgdOptimizer(params, 0.0)
+        optimizer = train.SgdOptimizer(params)
         optimizer.zero_grad()
         tracer.phase = "train"
         train.sample_loss(sample, train.build_targets(sample, cfg), params, cfg).total.backward()

@@ -9,7 +9,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from psrank import heads, model, train, tensor as T
-from psrank.config import ModelConfig, toy_model_config, toy_train_config
+from psrank.config import ModelConfig, TrainConfig, toy_model_config
 from psrank.data_synth import GenConfig, generate_dataset
 from psrank.errors import DataError, DimensionError
 from psrank.p2r import MASK_THRESHOLD, NMS_IOU, binarize, mask_iou, partition_to_rank
@@ -212,7 +212,7 @@ class TestMaskBranchOnDemand:
 class TestCheckpoint:
     def test_round_trip(self, tmp_path, heldout):
         cfg = toy_model_config(**LOW)
-        train_cfg = toy_train_config(seed=3, epochs=2)
+        train_cfg = TrainConfig(epochs=2, seed=3)
         params = model.init_model_params(cfg, 7)
         path = tmp_path / "ckpt.npz"
         model.save_checkpoint(path, params, cfg, train_cfg, seed=7)
@@ -234,7 +234,7 @@ class TestCheckpoint:
         cfg = toy_model_config()
         params = model.init_model_params(cfg, 0)
         params["partition.b"] = Parameter(np.zeros(5))
-        model.save_checkpoint(tmp_path / "bad.npz", params, cfg, toy_train_config(), seed=0)
+        model.save_checkpoint(tmp_path / "bad.npz", params, cfg, TrainConfig(), seed=0)
         with pytest.raises(DataError, match="partition.b"):
             model.load_checkpoint(tmp_path / "bad.npz")
 
@@ -246,7 +246,7 @@ class TestCheckpoint:
             del params["mask.fuse.b"]
         else:
             params["sorting.w"] = Parameter(np.zeros((4, 16, 3, 3)))
-        model.save_checkpoint(tmp_path / "bad.npz", params, cfg, toy_train_config(), seed=0)
+        model.save_checkpoint(tmp_path / "bad.npz", params, cfg, TrainConfig(), seed=0)
         with pytest.raises(DataError):
             model.load_checkpoint(tmp_path / "bad.npz")
 
@@ -258,7 +258,7 @@ class TestDamagedMembers:
     def save(path, params=None):
         cfg = toy_model_config()
         params = model.init_model_params(cfg, 0) if params is None else params
-        model.save_checkpoint(path, params, cfg, toy_train_config(), seed=0)
+        model.save_checkpoint(path, params, cfg, TrainConfig(), seed=0)
         return params
 
     def test_damaged_member_rejected(self, tmp_path):
@@ -321,7 +321,7 @@ class TestCheckpointMetadata:
     def save_with_meta(self, path, edit):
         """A valid checkpoint whose stored metadata is then changed by ``edit``."""
         cfg = toy_model_config()
-        model.save_checkpoint(path, model.init_model_params(cfg, 0), cfg, toy_train_config(), seed=0)
+        model.save_checkpoint(path, model.init_model_params(cfg, 0), cfg, TrainConfig(), seed=0)
         with np.load(path) as blob:
             arrays = {name: blob[name] for name in blob.files}
         meta = json.loads(str(arrays.pop("__meta__")))
@@ -347,6 +347,13 @@ class TestCheckpointMetadata:
         path = tmp_path / "bad.npz"
         self.save_with_meta(path, lambda meta: meta["config"]["model"].update(unknown_field=1))
         with pytest.raises(DataError, match="unknown_field"):
+            model.load_checkpoint(path)
+
+    # a checkpoint saved while TrainConfig still held the schedule stores eight train fields
+    def test_removed_train_field_rejected(self, tmp_path):
+        path = tmp_path / "old.npz"
+        self.save_with_meta(path, lambda meta: meta["config"]["train"].update(momentum=0.9))
+        with pytest.raises(DataError, match=r"old\.npz has a malformed config: .*momentum"):
             model.load_checkpoint(path)
 
     def test_archive_without_metadata_rejected(self, tmp_path):
@@ -397,6 +404,16 @@ class TestMalformedImages:
     def test_canvas_not_divisible_by_coarsest_stride_rejected(self, params):
         with pytest.raises(DimensionError, match="canvas 72 is not divisible by coarsest stride 16"):
             model.predict(np.full((3, 72, 72), 0.5), params, toy_model_config())
+
+    # accepted, the empty image failed in the encoder's first conv: "kernel 3x3 exceeds the padded input 2x2"
+    def test_canvas_below_coarsest_stride_rejected(self, params):
+        with pytest.raises(DimensionError, match="canvas 0 is smaller than coarsest stride 16"):
+            model.predict(np.zeros((3, 0, 0)), params, toy_model_config())
+
+    @pytest.mark.parametrize("make", [toy_model_config, ModelConfig], ids=["toy", "default"])
+    def test_coarsest_stride_canvas_runs(self, make):
+        cfg = make()
+        assert model.predict(np.full((3, 16, 16), 0.5), model.init_model_params(cfg, 0), cfg) == []
 
     # forward used to run on both of these silently; the NaN image scored 348 NaNs
     def test_forward_rejects_non_square(self, params):

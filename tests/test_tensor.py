@@ -698,7 +698,7 @@ class TestAutogradBasics:
         assert p.grad.shape == (2, 3)
         T.tsum(p * 2.0).backward()
         assert (p.grad == 2.0).all()
-        train.SgdOptimizer({"p": p}, 0.0).zero_grad()
+        train.SgdOptimizer({"p": p}).zero_grad()
         assert p.grad.shape == (2, 3) and (p.grad == 0.0).all()
 
     def test_first_gradient_is_a_copy(self):

@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psrank import heads, train
-from psrank.config import TrainConfig, toy_model_config, toy_train_config
+from psrank.config import TrainConfig, toy_model_config
 from psrank.data_synth import GenConfig, SceneSample, generate_dataset
 from psrank.errors import DataError, DimensionError
 from psrank.losses import encode_partition_gt
 from psrank.pyramid import MASK_STRIDE
+from psrank.tensor import Parameter
 
 from oracles import tape_nodes
 
@@ -19,21 +20,29 @@ def scenes():
 
 
 class TestLrSchedule:
-    def test_warmup_is_linear(self):
-        cfg = TrainConfig(lr=0.1, warmup_iters=10, decay_epochs=(5,), decay_factor=0.1)
-        assert train.lr_at(0, 0, cfg) == pytest.approx(0.01)
-        assert train.lr_at(4, 0, cfg) == pytest.approx(0.05)
-        assert train.lr_at(9, 0, cfg) == pytest.approx(0.1)
-        assert train.lr_at(10, 0, cfg) == pytest.approx(0.1)
+    @pytest.mark.parametrize("epochs", [1, 3, 8, 24])
+    def test_matches_closed_form(self, epochs):
+        # 0.01, decayed by 0.1 at epochs int(0.75 E) and int(0.9 E), after a
+        # 50-step linear warm-up; every (step, epoch) of an 8-step-per-epoch run
+        cfg = TrainConfig(epochs=epochs)
+        milestones = (int(0.75 * epochs), int(0.9 * epochs))
+        for epoch in range(epochs):
+            for step in range(8 * epoch, 8 * (epoch + 1)):
+                decays = sum(m <= epoch for m in milestones)
+                expected = 0.01 * 0.1 ** decays * min(1.0, (step + 1) / 50)
+                assert train.lr_at(step, epoch, cfg) == pytest.approx(expected, rel=1e-12)
 
-    def test_decay_steps_at_each_milestone(self):
-        cfg = TrainConfig(lr=0.1, warmup_iters=0, decay_epochs=(2, 4), decay_factor=0.5)
-        assert [train.lr_at(100, e, cfg) for e in range(6)] == pytest.approx(
-            [0.1, 0.1, 0.05, 0.05, 0.025, 0.025])
 
-    def test_warmup_and_decay_compose(self):
-        cfg = TrainConfig(lr=0.2, warmup_iters=4, decay_epochs=(1,), decay_factor=0.1)
-        assert train.lr_at(1, 1, cfg) == pytest.approx(0.2 * 0.1 * 2 / 4)
+class TestSgdOptimizer:
+    def test_step_is_plain_sgd(self):
+        rng = np.random.default_rng(0)
+        params = {name: Parameter(rng.normal(size=shape)) for name, shape in (("a", (3, 4)), ("b", (5,)))}
+        before = {name: p.data.copy() for name, p in params.items()}
+        for p in params.values():
+            p.grad[...] = rng.normal(size=p.shape)
+        train.SgdOptimizer(params).step(0.03)
+        for name, p in params.items():
+            np.testing.assert_array_equal(p.data, before[name] - 0.03 * p.grad)
 
 
 class TestTargets:
@@ -170,7 +179,7 @@ class TestTapeBudget:
 class TestTrain:
     def test_fixed_seed_is_deterministic(self, scenes):
         cfg = toy_model_config()
-        train_cfg = toy_train_config(seed=0, epochs=2)
+        train_cfg = TrainConfig(epochs=2, seed=0)
         params_a, history_a = train.train(cfg, train_cfg, scenes)
         params_b, history_b = train.train(cfg, train_cfg, scenes)
         assert len(history_a) == 2
@@ -181,10 +190,10 @@ class TestTrain:
 
     def test_no_samples_rejected(self):
         with pytest.raises(DataError, match="no training samples"):
-            train.train(toy_model_config(), toy_train_config(seed=0, epochs=1), [])
+            train.train(toy_model_config(), TrainConfig(epochs=1, seed=0), [])
 
     def test_progress_sees_every_epoch(self, scenes):
         cfg = toy_model_config()
         seen = []
-        _, history = train.train(cfg, toy_train_config(seed=1, epochs=2), scenes[:2], progress=seen.append)
+        _, history = train.train(cfg, TrainConfig(epochs=2, seed=1), scenes[:2], progress=seen.append)
         assert len(history) == 2 and seen == history
