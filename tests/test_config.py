@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from psrank import model
+from psrank import model, train
 from psrank.config import (ModelConfig, TrainConfig, config_from_dict, config_hash, config_to_dict,
                            toy_model_config, toy_train_config)
 from psrank.errors import ConfigurationError
@@ -83,12 +85,23 @@ class TestModelConfigAccepts:
 class TestTrainConfigRejects:
     # Accepted, batch_size=0 raised a bare ValueError from range(), batch_size=-1
     # trained into NaN, epochs=-1 returned an empty history, and seed=-1 and
-    # seed=1.5 failed inside numpy's seeding, far from the config.
-    @pytest.mark.parametrize("name, value", [
-        ("epochs", -1), ("epochs", 0), ("batch_size", 0), ("batch_size", -1), ("seed", -1),
-    ])
-    def test_count_below_least(self, name, value):
-        with pytest.raises(ConfigurationError, match=f"{name} must be an integer of at least"):
+    # seed=1.5 failed inside numpy's seeding, far from the config. A bad
+    # warmup_iters trained silently without warm-up; the warm-up is now
+    # train.WARMUP_ITERS, so the field itself is refused.
+    COUNT_CASES = [
+        ("epochs", -1, ConfigurationError, "epochs must be an integer of at least"),
+        ("epochs", 0, ConfigurationError, "epochs must be an integer of at least"),
+        ("batch_size", 0, ConfigurationError, "batch_size must be an integer of at least"),
+        ("batch_size", -1, ConfigurationError, "batch_size must be an integer of at least"),
+        ("seed", -1, ConfigurationError, "seed must be an integer of at least"),
+        ("warmup_iters", -5, TypeError, "warmup_iters"),
+        ("warmup_iters", float("nan"), TypeError, "warmup_iters"),
+    ]
+
+    @pytest.mark.parametrize("name, value, error, message", COUNT_CASES,
+                             ids=[f"{name}-{value}" for name, value, _, _ in COUNT_CASES])
+    def test_count_below_least(self, name, value, error, message):
+        with pytest.raises(error, match=message):
             TrainConfig(**{name: value})
 
     @pytest.mark.parametrize("name", ["epochs", "batch_size", "seed"])
@@ -97,16 +110,39 @@ class TestTrainConfigRejects:
         with pytest.raises(ConfigurationError, match=f"{name} must be an integer"):
             TrainConfig(**{name: value})
 
-    # the schedule and the optimizer are train.py's constants; a caller's setting is refused, not ignored
-    @pytest.mark.parametrize("name, value", [
-        ("lr", 0.1), ("momentum", 0.9), ("warmup_iters", 10), ("decay_epochs", (2, 4)), ("decay_factor", 0.5),
-    ], ids=["lr", "momentum", "warmup_iters", "decay_epochs", "decay_factor"])
-    def test_removed_field_refused(self, name, value):
+    # The schedule and the optimizer are train.py's constants: those are sound,
+    # and a caller's setting is refused, not ignored.
+    @pytest.mark.parametrize("name", ["lr", "decay_factor"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -0.01])
+    def test_rate_not_positive_and_finite(self, name, value):
+        assert 0.0 < getattr(train, name.upper()) < math.inf
         with pytest.raises(TypeError, match=name):
             TrainConfig(**{name: value})
 
+    @pytest.mark.parametrize("value", [-0.5, 1.0, float("nan")])
+    def test_momentum_outside_unit_interval(self, value):
+        # SGD is plain: no momentum to set
+        with pytest.raises(TypeError, match="momentum"):
+            TrainConfig(momentum=value)
+
+    def test_negative_decay_epoch(self):
+        # the milestones are int(epochs * f) for f in train.DECAY_AT, none negative
+        assert all(0.0 <= f < 1.0 for f in train.DECAY_AT)
+        with pytest.raises(TypeError, match="decay_epochs"):
+            TrainConfig(decay_epochs=(-1, 4))
+
+    def test_nan_decay_epoch(self):
+        assert all(math.isfinite(f) for f in train.DECAY_AT)
+        with pytest.raises(TypeError, match="decay_epochs"):
+            TrainConfig(decay_epochs=(float("nan"),))
+
 
 class TestTrainConfigAccepts:
+    def test_one_epoch_toy_schedule(self):
+        # its milestones are (0, 0): decay twice from the first epoch on, which is allowed
+        cfg = TrainConfig(epochs=1)
+        assert train.lr_at(train.WARMUP_ITERS, 0, cfg) == pytest.approx(train.LR * train.DECAY_FACTOR ** 2)
+
     def test_boundary_values(self):
         assert TrainConfig(epochs=1, batch_size=1, seed=0) == TrainConfig(1, 1, 0)
 

@@ -20,6 +20,25 @@ def scenes():
 
 
 class TestLrSchedule:
+    def test_warmup_is_linear(self):
+        cfg = TrainConfig()
+        assert train.WARMUP_ITERS == 50
+        assert train.lr_at(0, 0, cfg) == pytest.approx(train.LR / 50)
+        assert train.lr_at(24, 0, cfg) == pytest.approx(train.LR / 2)
+        assert train.lr_at(49, 0, cfg) == pytest.approx(train.LR)
+        assert train.lr_at(50, 0, cfg) == pytest.approx(train.LR)
+
+    def test_decay_steps_at_each_milestone(self):
+        # 24 epochs decay at epochs 18 and 21
+        cfg = TrainConfig(epochs=24)
+        assert [train.lr_at(1000, e, cfg) for e in range(24)] == pytest.approx(
+            [train.LR] * 18 + [train.LR * train.DECAY_FACTOR] * 3 + [train.LR * train.DECAY_FACTOR ** 2] * 3)
+
+    def test_warmup_and_decay_compose(self):
+        # 4 epochs decay twice at epoch 3
+        cfg = TrainConfig(epochs=4)
+        assert train.lr_at(1, 3, cfg) == pytest.approx(train.LR * train.DECAY_FACTOR ** 2 * 2 / 50)
+
     @pytest.mark.parametrize("epochs", [1, 3, 8, 24])
     def test_matches_closed_form(self, epochs):
         # 0.01, decayed by 0.1 at epochs int(0.75 E) and int(0.9 E), after a
