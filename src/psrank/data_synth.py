@@ -18,8 +18,9 @@ attention; it exists so ranks are verifiable.
 
 A scene's image is float32 (3, H, W) in [0, 1], the precision the dataset
 format stores, so a generated scene and its saved-then-loaded copy are equal.
-Scores are computed in float64, and the model's ``Tensor`` widens the image
-to float64 without rounding.
+Scores are computed in float64. The model's ``Tensor`` holds the float32
+image itself, with no copy, since float32 is the tape's dtype; under
+``tensor.precision(np.float64)`` it widens the image without rounding.
 
 Generation is vectorized: ramps and ellipses broadcast from 1-D terms, the
 gap test dilates only around the new mask, and painting and scoring work on

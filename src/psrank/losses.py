@@ -45,7 +45,7 @@ def dice_loss(pred: Tensor, target) -> Tensor:
     """1 - (2*sum(p*t)+eps) / (sum(p^2)+sum(t^2)+eps) with eps = 1, averaged
     over the leading axis when given a stack of masks.
     """
-    t = np.asarray(target, dtype=np.float64)
+    t = np.asarray(target, dtype=pred.data.dtype)
     if t.shape != pred.shape:
         raise DimensionError(f"dice target shape {t.shape} vs prediction {pred.shape}")
     axes = tuple(range(pred.ndim - 2, pred.ndim)) if pred.ndim >= 2 else (0,)
@@ -59,7 +59,7 @@ def partition_loss(partition_probs: Tensor, rank_class) -> Tensor:
     """Focal loss of the (K, N) partition matrix against the encoded rank
     classes: the sum over the N heads of each head's mean over every cell.
     """
-    t = encode_partition_gt(rank_class, partition_probs.shape[1]).astype(np.float64)
+    t = encode_partition_gt(rank_class, partition_probs.shape[1]).astype(partition_probs.data.dtype)
     if t.shape != partition_probs.shape:
         raise DimensionError(f"{t.shape[0]} rank classes for {partition_probs.shape[0]} cells")
     p = T.clip(partition_probs, PROB_EPS, 1.0 - PROB_EPS)

@@ -8,10 +8,12 @@ rows' soft masks to the canvas and binarizes them at ``p2r.MASK_THRESHOLD``
 
 A checkpoint is an ``np.savez`` archive of ``__meta__`` (JSON) and one
 ``param/<name>`` member per parameter. ``load_checkpoint`` reads it with
-``data_synth.read_npz``. A missing or unreadable file, malformed metadata, or
-a parameter that is missing, non-finite or misshapen raises ``DataError``
-naming the file, and the member when one member is at fault; a stored config
-that fails validation or its hash raises ``ConfigurationError``.
+``data_synth.read_npz`` and casts each parameter to the tape's dtype. A
+missing or unreadable file, malformed metadata, or a parameter that is
+missing, non-numeric, misshapen or non-finite after that cast raises
+``DataError`` naming the file, and the member when one member is at fault; a
+stored config that fails validation or its hash raises ``ConfigurationError``.
+The seed the weights were drawn from is the stored train config's.
 """
 
 from __future__ import annotations
@@ -138,12 +140,11 @@ def predict(image: np.ndarray, params, cfg: ModelConfig) -> list[RankedInstance]
 # checkpointing ----------------------------------------------------------------
 
 
-def save_checkpoint(path, params, model_cfg: ModelConfig, train_cfg: TrainConfig, seed: int) -> None:
+def save_checkpoint(path, params, model_cfg: ModelConfig, train_cfg: TrainConfig) -> None:
     meta = {
         "format": 1,
         "config": config_to_dict(model_cfg, train_cfg),
         "config_hash": config_hash(model_cfg, train_cfg),
-        "seed": seed,
         "param_names": sorted(params),
     }
     path = Path(path)
@@ -182,10 +183,15 @@ def load_checkpoint(path):
         if key not in blob:
             raise DataError(f"checkpoint {path} is missing parameter {name}")
         data = blob[key]
-        # a NaN or infinite weight would make predict return nothing, silently
-        if data.dtype.kind not in "biuf" or not np.isfinite(data).all():
-            raise DataError(f"checkpoint {path} member {key} holds non-finite or non-numeric values")
-        params[name] = Parameter(data)
+        if data.dtype.kind not in "biuf":
+            raise DataError(f"checkpoint {path} member {key} holds non-numeric values")
+        # a NaN or infinite weight would make predict return nothing, silently; checked
+        # after the cast to the tape's dtype, where a float64 weight beyond its range is inf
+        with np.errstate(over="ignore"):
+            param = Parameter(data)
+        if not np.isfinite(param.data).all():
+            raise DataError(f"checkpoint {path} member {key} holds non-finite values as {param.data.dtype}")
+        params[name] = param
     try:
         model_cfg, train_cfg = config_from_dict(meta["config"])
     except (KeyError, TypeError) as exc:

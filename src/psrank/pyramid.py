@@ -129,9 +129,10 @@ def init_posenc_params(cfg: ModelConfig) -> dict[str, Parameter]:
 
 
 @lru_cache(maxsize=None)
-def _pyramid_code(channels: int, grids) -> tuple[np.ndarray, np.ndarray]:
-    """Every grid's sinusoid as one (E, K) array, and each column's scale index."""
-    code = np.concatenate([sinusoid_encoding(channels, h, w).reshape(channels, -1) for h, w in grids], axis=1)
+def _pyramid_code(channels: int, grids, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Every grid's sinusoid as one (E, K) ``dtype`` array, and each column's scale index."""
+    code = np.concatenate([sinusoid_encoding(channels, h, w).reshape(channels, -1) for h, w in grids],
+                          axis=1).astype(dtype, copy=False)
     scales = np.repeat(np.arange(len(grids)), [h * w for h, w in grids])
     code.setflags(write=False)
     scales.setflags(write=False)
@@ -141,6 +142,6 @@ def _pyramid_code(channels: int, grids) -> tuple[np.ndarray, np.ndarray]:
 def add_positional_encoding(x: Tensor, params, cfg: ModelConfig) -> Tensor:
     """Add each cell's sinusoid and its scale's learned bias to the pyramid."""
     grids = grid_shapes(cfg)
-    code, scales = _pyramid_code(x.shape[0], grids)
+    code, scales = _pyramid_code(x.shape[0], grids, x.data.dtype)
     biases = T.stack([params[f"posenc.scale{i}.bias"] for i in range(len(grids))], axis=1)  # (E, S)
     return x + Tensor(code) + biases[:, scales]

@@ -1,4 +1,4 @@
-"""Dense float64 tensors with reverse-mode automatic differentiation.
+"""Dense float32 tensors with reverse-mode automatic differentiation.
 
 Every learnable operation in the package is built on the ops in this module,
 and a module function (``tsum``, ``reshape``, ``matmul``, ...) is each op's
@@ -7,6 +7,15 @@ arithmetic operators and indexing. Forward ops record closures on a tape;
 ``Tensor.backward`` replays them in reverse topological order. Storage and
 elementwise kernels are numpy; the differentiation machinery, convolution,
 normalization, resampling, and attention are implemented here.
+
+The tape has one dtype, float32. ``precision(np.float64)``, a context like
+``no_grad``, switches it for the tensors created inside it: a ``Tensor``, a
+``Parameter`` and ``backward``'s seed gradient hold the active dtype, each
+op's buffers take their input's, and the cached constants (the resampling
+matrices here, the positional code in ``pyramid``) are kept per dtype. The
+finite-difference gradient checks and the byte-equality checks of the tests
+run in float64, where the code gives the same bytes it gave when float64 was
+the only dtype; a float32 array given to ``Tensor`` is held, not copied.
 
 There is one softmax. It runs on a key-major array: the axis it normalizes
 comes first, so its max and sums are elementwise ops between contiguous
@@ -66,6 +75,7 @@ import numpy as np
 from .errors import ConfigurationError, DimensionError
 
 _grad_enabled = True
+_dtype = np.dtype(np.float32)
 
 
 @contextmanager
@@ -80,11 +90,24 @@ def no_grad():
         _grad_enabled = prev
 
 
+@contextmanager
+def precision(dtype):
+    """Make every tensor created inside the block hold ``dtype`` (float32
+    outside any block); the previous dtype returns on exit."""
+    global _dtype
+    prev = _dtype
+    _dtype = np.dtype(dtype)
+    try:
+        yield
+    finally:
+        _dtype = prev
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=_dtype)
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = _parents
@@ -126,7 +149,7 @@ class Tensor:
             for p in node._parents:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
-        _accumulate(self, np.asarray(grad, dtype=np.float64))
+        _accumulate(self, np.asarray(grad, dtype=_dtype))
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
@@ -276,7 +299,7 @@ def leaky_relu(a, negative_slope: float = 0.01) -> Tensor:
     out = np.where(a.data > 0.0, a.data, negative_slope * a.data)
 
     def backward(g):
-        _accumulate(a, g * np.where(a.data > 0.0, 1.0, negative_slope))
+        _accumulate(a, np.where(a.data > 0.0, g, g * negative_slope))
 
     return _result(out, (a,), backward)
 
@@ -561,14 +584,14 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding=None, grids=None) -> T
     if pointwise:
         cols = np.ascontiguousarray(data)
     else:
-        padded = np.empty((c, cells + 1))
+        padded = np.empty((c, cells + 1), dtype=data.dtype)
         padded[:, :cells] = data
         padded[:, cells] = 0.0
         # gathering every channel along axis 1 beats one flat take of the full index
         cols = padded.take(_plane_index(shapes, k, stride, pad), axis=1).reshape(c * k * k, -1)
         del padded  # free the padded copy before the GEMMs allocate their output
     w2 = weight.data.reshape(co, ci * k * k)
-    out = np.empty((co, cols.shape[1]))
+    out = np.empty((co, cols.shape[1]), dtype=data.dtype)
     for lo, hi in bounds:
         np.matmul(w2, cols[:, lo:hi], out=out[:, lo:hi])
     if bias is not None:
@@ -590,8 +613,9 @@ def conv2d(x, weight, bias=None, stride: int = 1, padding=None, grids=None) -> T
                 dx = dcols
             else:
                 idx = _col2im_index(c, shapes, k, stride, pad)
+                # bincount sums in float64; its result goes back to the tape's dtype here
                 dx = np.bincount(idx.ravel(), weights=dcols.ravel(), minlength=c * (cells + 1))
-                dx = dx.reshape(c, cells + 1)[:, :cells]
+                dx = dx.reshape(c, cells + 1)[:, :cells].astype(dcols.dtype, copy=False)
             _accumulate(x, dx.reshape(x.data.shape))
 
     if grids is None:
@@ -628,7 +652,7 @@ def group_norm(x, groups: int, gamma, beta, eps: float = 1e-5, grids=None) -> Te
 
     # v is (groups, C/groups, K); a statistic is a (groups, 1, grids) table
     def run_means(v):  # one pairwise np.add.reduce per grid, as a per-grid call sums it
-        sums = np.empty((groups, 1, len(bounds)))
+        sums = np.empty((groups, 1, len(bounds)), dtype=v.dtype)
         for i, (lo, hi) in enumerate(bounds):
             np.add.reduce(v[:, :, lo:hi].reshape(groups, -1), axis=1, out=sums[:, 0, i])
         sums /= n
@@ -664,8 +688,9 @@ def group_norm(x, groups: int, gamma, beta, eps: float = 1e-5, grids=None) -> Te
 
 
 @lru_cache(maxsize=None)
-def _interp_matrix(src: int, dst: int) -> np.ndarray:
-    """Row-stochastic bilinear resampling matrix (dst x src), corners not aligned."""
+def _interp_matrix(src: int, dst: int, dtype) -> np.ndarray:
+    """Row-stochastic bilinear resampling matrix (dst x src), corners not
+    aligned, built in float64 and rounded once to ``dtype``."""
     m = np.zeros((dst, src))
     scale = src / dst
     for i in range(dst):
@@ -676,6 +701,7 @@ def _interp_matrix(src: int, dst: int) -> np.ndarray:
         t = pos - j0
         m[i, j0] += 1.0 - t
         m[i, j1] += t
+    m = m.astype(dtype)
     m.setflags(write=False)
     return m
 
@@ -693,12 +719,12 @@ def interpolate(x, size, grids=None) -> Tensor:
         raise DimensionError(f"interpolate: {len(sizes)} sizes for {len(shapes)} grids")
     c = data.shape[0]
     # each grid's row and column matrices, None where the grid keeps its size
-    maps = [None if s == d else (_interp_matrix(s[0], d[0]), _interp_matrix(s[1], d[1]).T)
+    maps = [None if s == d else (_interp_matrix(s[0], d[0], data.dtype), _interp_matrix(s[1], d[1], data.dtype).T)
             for s, d in zip(shapes, sizes)]
 
     def resample(a, a_grids, out_grids, mats):
         """Grid i of the (c, ·) array ``a`` as mats[i][0] @ grid @ mats[i][1], or copied where mats[i] is None."""
-        res = np.empty((c, _column_bounds(out_grids)[-1][1]))
+        res = np.empty((c, _column_bounds(out_grids)[-1][1]), dtype=a.dtype)
         for ga, go, (lo, hi), (lo2, hi2), m in zip(a_grids, out_grids, _column_bounds(a_grids),
                                                    _column_bounds(out_grids), mats):
             block, target = a[:, lo:hi].reshape((c,) + ga), res[:, lo2:hi2].reshape((c,) + go)
@@ -758,7 +784,7 @@ def multi_head_attention(x, heads: int, wq, wk, wv, wo) -> Tensor:
     qkv = project(x2, np.concatenate([wq.data, wk.data, wv.data], axis=1))
     q, k, v = qkv.reshape(b, length, 3, heads, dh).transpose(2, 0, 3, 1, 4)
     # scores key-major: slab j holds every query's score against key j
-    attn_keys = np.empty((length, b, heads, length))
+    attn_keys = np.empty((length, b, heads, length), dtype=xb.dtype)
     np.matmul(q, k.swapaxes(-1, -2), out=attn_keys.transpose(1, 2, 3, 0))
     attn_keys *= scale
     _softmax_keys(attn_keys)
@@ -774,7 +800,7 @@ def multi_head_attention(x, heads: int, wq, wk, wv, wo) -> Tensor:
         g2 = g.reshape(b * length, d)
         _accumulate(wo, merged.T @ g2)
         g_ctx = split(g2 @ wo.data.T)
-        g_keys = np.empty((length, b, heads, length))
+        g_keys = np.empty((length, b, heads, length), dtype=g.dtype)
         np.matmul(g_ctx, v.swapaxes(-1, -2), out=g_keys.transpose(1, 2, 3, 0))
         g_keys = _softmax_keys_grad(attn_keys, g_keys)
         g_keys *= scale

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import heads, losses, model
+from . import heads, losses, model, tensor as T
 from .config import ModelConfig, TrainConfig
 from .data_synth import SceneSample
 from .errors import DataError
@@ -28,9 +28,10 @@ class SampleTargets:
 
 
 def downsample_mask(mask: np.ndarray, stride: int) -> np.ndarray:
+    """The binary mask at 1/``stride``, a block on where at least half its pixels are, at the tape's dtype."""
     h, w = mask.shape
     blocks = mask.reshape(h // stride, stride, w // stride, stride).mean(axis=(1, 3))
-    return (blocks >= 0.5).astype(np.float64)
+    return (blocks >= 0.5).astype(T._dtype)
 
 
 def build_targets(sample: SceneSample, cfg: ModelConfig) -> SampleTargets:
@@ -48,7 +49,7 @@ def build_targets(sample: SceneSample, cfg: ModelConfig) -> SampleTargets:
     return SampleTargets(
         rank_class=rank_class,
         pos_rows=pos_rows,
-        pos_masks=np.array(pos_masks) if pos_masks else np.zeros((0, 1, 1)),
+        pos_masks=np.array(pos_masks) if pos_masks else np.zeros((0, 1, 1), dtype=T._dtype),
     )
 
 

@@ -2,7 +2,8 @@
 
 The harness reduces an op's output to a scalar through a fixed random
 projection, backpropagates, and compares each input gradient against central
-differences computed in double precision.
+differences computed in double precision: it runs the op under
+``precision(np.float64)``, so every tensor the op creates is float64 too.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from psrank.tensor import Tensor, tsum
+from psrank.tensor import Tensor, precision, tsum
 
 
 class GradCheckError(RuntimeError):
@@ -30,6 +31,7 @@ def _scalarize(out: Tensor, projection: np.ndarray) -> Tensor:
     return tsum(out * Tensor(projection))
 
 
+@precision(np.float64)
 def grad_check(op, inputs, tolerance: float = 1e-3, step: float = 1e-4, seed: int = 0,
                name: str | None = None) -> GradCheckReport:
     """Compare reverse-mode gradients of ``op(*inputs)`` against central

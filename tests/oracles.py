@@ -335,7 +335,7 @@ def interpolate_oracle(x, size) -> Tensor:
     _, h, w = x.data.shape
     if tuple(size) == (h, w):
         return T._result(x.data.copy(), (x,), lambda g: T._accumulate(x, g))
-    wh, wwt = T._interp_matrix(h, size[0]), T._interp_matrix(w, size[1]).T
+    wh, wwt = T._interp_matrix(h, size[0], x.data.dtype), T._interp_matrix(w, size[1], x.data.dtype).T
     out = np.matmul(np.matmul(wh, x.data), wwt)
     return T._result(out, (x,), lambda g: T._accumulate(x, np.matmul(np.matmul(wh.T, g), wwt.T)))
 

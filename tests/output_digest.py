@@ -1,5 +1,6 @@
-"""Print one sha256 over the model's numbers, so a change that should leave
-outputs bit-identical can be checked by running this on both commits:
+"""Print a sha256 over the model's numbers at each tape precision, so a
+change that should leave outputs bit-identical can be checked by running
+this on both commits:
 
     PYTHONPATH=src python tests/output_digest.py [--verbose]
 
@@ -9,10 +10,14 @@ for weight seeds 0 and 1, ``forward`` scores and soft masks, ``predict``
 instances (at ``partition_threshold=0.1``, so that untrained weights emit
 some), ``train.build_targets``' rank classes, positive rows and mask
 targets for every scene used, and the loss history and parameters of a
-3-epoch ``train.train`` run. ``--verbose`` also prints one
-digest per part (``init``, ``forward``, ``predict``, ``targets``, ``train``)
-and per setup, so a change that moves one part shows which; the last line
-hashes the same bytes either way.
+3-epoch ``train.train`` run. All of it runs twice: once at the tape's own
+dtype, float32, the path every caller takes, and once under
+``precision(np.float64)``. The line before the last is the float32 digest;
+the last line is the float64 digest, whose bytes are those of the code from
+before float32 was the tape's dtype. ``--verbose`` also prints one digest per
+precision, per setup and per part (``init``, ``forward``, ``predict``,
+``targets``, ``train``), so a change that moves one part shows which; the
+last two lines hash the same bytes either way.
 pytest does not collect this file; it is a script.
 """
 
@@ -28,7 +33,7 @@ import numpy as np
 from psrank import model, train
 from psrank.config import ModelConfig, TrainConfig, toy_model_config
 from psrank.data_synth import GenConfig, generate_dataset
-from psrank.tensor import Tensor, no_grad
+from psrank.tensor import Tensor, no_grad, precision
 
 WEIGHT_SEEDS = (0, 1)
 PREDICT_SCENES = 6
@@ -44,6 +49,7 @@ def setups():
 
 
 PARTS = ("init", "forward", "predict", "targets", "train")
+PRECISIONS = (("float32", np.float32), ("float64", np.float64))
 
 
 class SetupDigest:
@@ -93,15 +99,20 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--verbose", action="store_true", help="also print each part's digest")
     args = parser.parse_args(argv)
-    total = hashlib.sha256()
-    for name, cfg, gen in setups():
-        digest, instances = digest_setup(cfg, gen)
-        total.update(digest.whole.hexdigest().encode())
-        if args.verbose:
-            print(f"{name}: {digest.whole.hexdigest()} ({instances} predicted instances)")
-            for part, h in digest.parts.items():
-                print(f"  {part:8s} {h.hexdigest()}")
-    print(total.hexdigest())
+    totals = {}
+    for label, dtype in PRECISIONS:
+        total = hashlib.sha256()
+        with precision(dtype):
+            for name, cfg, gen in setups():
+                digest, instances = digest_setup(cfg, gen)
+                total.update(digest.whole.hexdigest().encode())
+                if args.verbose:
+                    print(f"{label} {name}: {digest.whole.hexdigest()} ({instances} predicted instances)")
+                    for part, h in digest.parts.items():
+                        print(f"  {part:8s} {h.hexdigest()}")
+        totals[label] = total.hexdigest()
+    print(f"float32: {totals['float32']}")
+    print(totals["float64"])
     return 0
 
 

@@ -146,6 +146,7 @@ class TestRowColumnAttention:
         out = dpt.row_column_attention(*one_grid(np.random.default_rng(4).normal(size=(16, 6, 6))), params, cfg)
         assert out.shape == (16, 36)
 
+    @pytest.mark.usefixtures("float64")
     def test_singleton_grid_oracle(self):
         # 1x1 grid: the attention weight is exactly 1, so each pass adds
         # x Wv Wo (the group norm that follows runs in dpt_layer)
@@ -179,6 +180,7 @@ class TestRowColumnAttention:
         np.testing.assert_allclose(out_t.data.reshape(8, 3, 3), out.data.reshape(8, 3, 3).transpose(0, 2, 1),
                                    atol=1e-9)
 
+    @pytest.mark.usefixtures("float64")
     def test_transpose_swap_equals_reversed_composition(self):
         # the row->column passes are sequential, so transposing plus swapping
         # the parameter sets reproduces the transpose of the column-first
@@ -207,6 +209,7 @@ class TestRowColumnAttention:
 
 
 class TestCrossScaleAttention:
+    @pytest.mark.usefixtures("float64")
     def test_single_scale_matches_singleton_attention(self):
         # one scale: the weight of its only key is 1, so the update is x Wv Wo
         cfg = cfg_for(sides=(4, 2), e=8, heads=2, groups=2)
@@ -224,6 +227,7 @@ class TestCrossScaleAttention:
         out = dpt.cross_scale_attention(random_pyramid(cfg, seed=11), pyramid.grid_shapes(cfg), params, cfg)
         assert out.shape == (8, 4 * 4 + 2 * 2)
 
+    @pytest.mark.usefixtures("float64")
     def test_scale_permutation_equivariance_equal_sides(self):
         # equal grid sides make up/downsampling the identity, so permuting
         # the scale list permutes the outputs

@@ -75,12 +75,14 @@ class TestFocalLoss:
         loss = partition_loss(Tensor([[1.0 - 1e-7]]), column_classes([1]))
         assert loss.item() < 1e-12
 
+    @pytest.mark.usefixtures("float64")
     def test_half_probability_closed_form(self):
         # alpha * (1-p)^2 * (-ln p) at p=0.5, alpha=0.25: 0.25 * 0.25 * ln 2
         loss = partition_loss(Tensor([[0.5]]), column_classes([1]))
         assert loss.item() == pytest.approx(0.25 * 0.25 * math.log(2.0), abs=1e-12)
         assert loss.item() == pytest.approx(focal_oracle([[0.5]], [[1]]), abs=1e-15)
 
+    @pytest.mark.usefixtures("float64")
     def test_nonnegative(self):
         rng = np.random.default_rng(0)
         p = rng.uniform(1e-6, 1 - 1e-6, size=(8, 1))
@@ -89,6 +91,7 @@ class TestFocalLoss:
         assert loss >= 0.0
         assert loss == pytest.approx(focal_oracle(p, t), abs=1e-12)
 
+    @pytest.mark.usefixtures("float64")
     def test_matches_oracle_on_rank_classes(self):
         rng = np.random.default_rng(10)
         for n in (1, 3, 5):
@@ -121,6 +124,7 @@ class TestDiceLoss:
         t[20:] = 1.0
         assert dice_loss(Tensor(p), t).item() > 0.99
 
+    @pytest.mark.usefixtures("float64")
     def test_partial_overlap_pixel_counts(self):
         # pred area 2, target area 2, overlap 1:
         # 1 - (2*1 + 1) / (2 + 2 + 1) = 0.4 with the eps=1 smoothing
@@ -160,6 +164,7 @@ class TestDiceLoss:
 
 
 class TestTotalLoss:
+    @pytest.mark.usefixtures("float64")
     def test_total_adds_weighted_dice_term(self):
         rng = np.random.default_rng(5)
         probs = Tensor(rng.uniform(0.1, 0.9, size=(10, 3)))
@@ -177,6 +182,7 @@ class TestTotalLoss:
         assert out.mask is None
         assert out.total is out.partition
 
+    @pytest.mark.usefixtures("float64")
     def test_partition_term_sums_per_head_means(self):
         rng = np.random.default_rng(7)
         probs_np = rng.uniform(0.1, 0.9, size=(10, 3))

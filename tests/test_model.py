@@ -49,6 +49,7 @@ class TestInitialWeights:
     names are the checkpoint format and the draws fix every trained model.
     """
 
+    @pytest.mark.usefixtures("float64")
     @pytest.mark.parametrize("head_type", ["partition", "sorting"])
     @pytest.mark.parametrize("config", ["toy", "default"])
     def test_match_golden_digest(self, config, head_type):
@@ -69,6 +70,7 @@ class TestForward:
         assert outputs.mask.kernels.shape == (TOY_CELLS, heads.MASK_CHANNELS)
         assert outputs.mask.soft_masks().shape == (TOY_CELLS, 16, 16)
 
+    @pytest.mark.usefixtures("float64")
     def test_sorting_scores_are_distributions(self, heldout):
         cfg = toy_model_config(head_type="sorting")
         params = model.init_model_params(cfg, 0)
@@ -213,11 +215,12 @@ class TestCheckpoint:
     def test_round_trip(self, tmp_path, heldout):
         cfg = toy_model_config(**LOW)
         train_cfg = TrainConfig(epochs=2, seed=3)
-        params = model.init_model_params(cfg, 7)
+        params = model.init_model_params(cfg, train_cfg.seed)
         path = tmp_path / "ckpt.npz"
-        model.save_checkpoint(path, params, cfg, train_cfg, seed=7)
+        model.save_checkpoint(path, params, cfg, train_cfg)
         loaded, cfg2, train_cfg2, meta = model.load_checkpoint(path)
-        assert (cfg2, train_cfg2, meta["seed"]) == (cfg, train_cfg, 7)
+        assert (cfg2, train_cfg2) == (cfg, train_cfg)
+        assert "seed" not in meta  # the stored train config holds it
         assert loaded.keys() == params.keys()
         for name, p in params.items():
             np.testing.assert_array_equal(loaded[name].data, p.data)
@@ -234,9 +237,23 @@ class TestCheckpoint:
         cfg = toy_model_config()
         params = model.init_model_params(cfg, 0)
         params["partition.b"] = Parameter(np.zeros(5))
-        model.save_checkpoint(tmp_path / "bad.npz", params, cfg, TrainConfig(), seed=0)
+        model.save_checkpoint(tmp_path / "bad.npz", params, cfg, TrainConfig())
         with pytest.raises(DataError, match="partition.b"):
             model.load_checkpoint(tmp_path / "bad.npz")
+
+    def test_weight_beyond_float32_range_rejected(self, tmp_path):
+        # a float64 checkpoint loads as float32 by default: 1e39 would become inf
+        cfg = toy_model_config()
+        with T.precision(np.float64):
+            params = model.init_model_params(cfg, 0)
+        params["partition.b"].data[1] = 1e39
+        path = tmp_path / "wide.npz"
+        model.save_checkpoint(path, params, cfg, TrainConfig())
+        with pytest.raises(DataError, match=r"wide\.npz member param/partition\.b holds non-finite values as float32"):
+            model.load_checkpoint(path)
+        with T.precision(np.float64):
+            loaded = model.load_checkpoint(path)[0]
+        assert loaded["partition.b"].data[1] == 1e39
 
     @pytest.mark.parametrize("change", ["drop", "extra"])
     def test_parameter_set_must_match(self, tmp_path, change):
@@ -246,7 +263,7 @@ class TestCheckpoint:
             del params["mask.fuse.b"]
         else:
             params["sorting.w"] = Parameter(np.zeros((4, 16, 3, 3)))
-        model.save_checkpoint(tmp_path / "bad.npz", params, cfg, TrainConfig(), seed=0)
+        model.save_checkpoint(tmp_path / "bad.npz", params, cfg, TrainConfig())
         with pytest.raises(DataError):
             model.load_checkpoint(tmp_path / "bad.npz")
 
@@ -258,7 +275,7 @@ class TestDamagedMembers:
     def save(path, params=None):
         cfg = toy_model_config()
         params = model.init_model_params(cfg, 0) if params is None else params
-        model.save_checkpoint(path, params, cfg, TrainConfig(), seed=0)
+        model.save_checkpoint(path, params, cfg, TrainConfig())
         return params
 
     def test_damaged_member_rejected(self, tmp_path):
@@ -321,7 +338,7 @@ class TestCheckpointMetadata:
     def save_with_meta(self, path, edit):
         """A valid checkpoint whose stored metadata is then changed by ``edit``."""
         cfg = toy_model_config()
-        model.save_checkpoint(path, model.init_model_params(cfg, 0), cfg, TrainConfig(), seed=0)
+        model.save_checkpoint(path, model.init_model_params(cfg, 0), cfg, TrainConfig())
         with np.load(path) as blob:
             arrays = {name: blob[name] for name in blob.files}
         meta = json.loads(str(arrays.pop("__meta__")))

@@ -65,6 +65,7 @@ def test_encode_finite(cfg, params):
 
 
 class TestPositionalEncoding:
+    @pytest.mark.usefixtures("float64")
     def test_zero_input_yields_encoding(self, cfg):
         pe_params = pyramid.init_posenc_params(cfg)
         out = pyramid.add_positional_encoding(Tensor(np.zeros((16, 116))), pe_params, cfg)
@@ -72,6 +73,7 @@ class TestPositionalEncoding:
             side = g.shape[1]
             np.testing.assert_array_equal(g, pyramid.sinusoid_encoding(16, side, side))
 
+    @pytest.mark.usefixtures("float64")
     def test_bias_follows_list_position(self, cfg):
         # grid i takes posenc.scale{i}.bias: a grid's position in the pyramid is its scale index
         pe_params = pyramid.init_posenc_params(cfg)

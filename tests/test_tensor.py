@@ -45,6 +45,7 @@ class TestMatmul:
         with pytest.raises(DimensionError, match=r"\(3, 4\).*\(5, 2\)"):
             T.matmul(Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 2))))
 
+    @pytest.mark.usefixtures("float64")
     def test_batched_matches_loop(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(4, 3, 5))
@@ -67,6 +68,7 @@ class TestSoftmax:
         out = T.softmax(Tensor([math.log(1.0), math.log(3.0)]))
         np.testing.assert_allclose(out.data, [0.25, 0.75], atol=1e-12)
 
+    @pytest.mark.usefixtures("float64")
     def test_sums_to_one(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(5, 7)) * 10
@@ -78,6 +80,7 @@ class TestSoftmax:
         out = T.softmax(Tensor([1000.0, 1000.0, 999.0]))
         assert np.isfinite(out.data).all()
 
+    @pytest.mark.usefixtures("float64")
     @pytest.mark.parametrize("shape", [(6,), (116, 4), (5, 7), (3, 8), (2, 3, 12)])
     def test_bytes_equal_numpy_reductions(self, shape):
         # short rows take the elementwise chains, long ones numpy's reductions
@@ -93,6 +96,7 @@ class TestSoftmax:
 
 
 class TestConv2d:
+    @pytest.mark.usefixtures("float64")
     def test_identity_kernel(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(1, 5, 5))
@@ -116,6 +120,7 @@ class TestConv2d:
         np.testing.assert_allclose(out.data[0, 1:-1, 1:-1], c, atol=1e-12)
         assert (out.data[0, 0, :] < c).all()
 
+    @pytest.mark.usefixtures("float64")
     def test_matches_bruteforce_random(self):
         rng = np.random.default_rng(4)
         x = rng.normal(size=(3, 7, 6))
@@ -123,6 +128,7 @@ class TestConv2d:
         out = T.conv2d(Tensor(x), Tensor(w))
         np.testing.assert_allclose(out.data, conv2d_reference(x, w, pad=1), atol=1e-10)
 
+    @pytest.mark.usefixtures("float64")
     def test_strided_matches_bruteforce(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 8, 8))
@@ -164,6 +170,7 @@ class TestConv2d:
 
     # The gather index is cached per shape, so every shape parameter is drawn:
     # a cache key that missed one would reuse another shape's index here.
+    @pytest.mark.usefixtures("float64")
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([1, 3, 5]), st.sampled_from([1, 3, 5]), st.sampled_from([1, 3, 5]),
            st.sampled_from([1, 3, 5]), st.sampled_from([1, 2]), st.sampled_from([None, 0, 1, 2]),
@@ -215,6 +222,7 @@ class TestGroupNorm:
         with pytest.raises(ConfigurationError):
             T.group_norm(Tensor(np.zeros((5, 2, 2))), 2, Tensor(np.ones(5)), Tensor(np.zeros(5)))
 
+    @pytest.mark.usefixtures("float64")
     def test_statistics_equal_numpy_mean_var(self):
         rng = np.random.default_rng(12)
         x = rng.normal(size=(8, 5, 3)) * 3 + 1
@@ -227,6 +235,7 @@ class TestGroupNorm:
 
 
 class TestInterpolate:
+    @pytest.mark.usefixtures("float64")
     def test_identity(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=(3, 5, 4))
@@ -260,6 +269,7 @@ class TestAttention:
         rng = np.random.default_rng(seed)
         return [Tensor(rng.normal(size=(d, d)) / math.sqrt(d)) for _ in range(4)]
 
+    @pytest.mark.usefixtures("float64")
     def test_single_token_weight_is_one(self):
         # L=1: softmax of a singleton is 1, so out = x Wv Wo exactly
         d = 8
@@ -301,6 +311,7 @@ class TestAttention:
         with pytest.raises(DimensionError, match="8x8"):
             T.multi_head_attention(Tensor(np.zeros((3, 8))), 2, wq, wk, wv, Tensor(np.zeros((8, 6))))
 
+    @pytest.mark.usefixtures("float64")
     @pytest.mark.parametrize("shape", [(5, 8), (3, 4, 8)])
     def test_fused_matches_composed_reference(self, shape):
         rng = np.random.default_rng(12)
@@ -405,6 +416,7 @@ def outputs_and_grads(op, arrays, seed):
     return [out.data.tobytes()] + [t.grad.tobytes() for t in inputs]
 
 
+@pytest.mark.usefixtures("float64")
 class TestKernelsMatchPlainForms:
     """The shortcut kernels against their plain forms in ``oracles``, byte for
     byte, on the shapes the DPT and the mask branch use.
@@ -714,6 +726,7 @@ class TestAutogradBasics:
         T._accumulate(x, np.array([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(x.grad, [[1.0, 2.0, 3.0], [1.0, 2.0, 3.0]])
 
+    @pytest.mark.usefixtures("float64")
     def test_first_gradient_turns_negative_zero_positive(self):
         # 0 + g, as a zeros-then-add first write gives
         x = Tensor(np.zeros(3), requires_grad=True)
